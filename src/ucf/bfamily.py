@@ -24,12 +24,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .chains import chain_report
 from .core import (
     Family,
     SetWord,
+    _member_counts,
     avg_size,
     irr,
     is_irredundant,
@@ -51,55 +52,56 @@ class BReport:
     size: int
 
 
-def _cover_candidates(fam: Family) -> tuple[tuple[SetWord, ...], SetWord, int]:
+def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
+    """Members of size below n/2 and their base, for a union-closed family
+    with base [n]."""
     require_union_closed(fam)
     require_base_full(fam)
     small = slice_by_size(fam, "lt", Fraction(fam.n, 2)).members
     target = 0
     for m in small:
         target |= m
-    return small, target, chain_report(fam).height
+    return small, target
+
+
+def _min_covers(
+    n: int, small: tuple[SetWord, ...], target: SetWord, cap: int
+) -> Iterator[Family]:
+    """Every minimum-size subfamily of `small` whose base is `target`, in
+    canonical order: sizes 0, 1, 2, ... up to the height cap, and within the
+    first size that has a cover, combinations in order."""
+    for size in range(cap + 1):
+        found = False
+        for combo in itertools.combinations(small, size):
+            acc = 0
+            for m in combo:
+                acc |= m
+            if acc == target:
+                cover = Family(n, combo)
+                if not is_irredundant(cover):
+                    raise InternalError("minimum cover must be irredundant")
+                found = True
+                yield cover
+        if found:
+            return
+    raise InternalError("cover search exceeded the height cap")
 
 
 def b_report(fam: Family) -> BReport:
     """Lexicographically least minimum subfamily of the small slice whose
     base equals the slice's base.
 
-    Candidates are scanned by size 0, 1, 2, ... and within a size in
-    canonical order, so the result is deterministic. An empty slice (or a
-    slice of just the empty set) yields the empty cover.
+    An empty slice (or a slice of just the empty set) yields the empty cover.
     """
-    small, target, cap = _cover_candidates(fam)
-    for size in range(cap + 1):
-        for combo in itertools.combinations(small, size):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == target:
-                cover = Family(fam.n, combo)
-                if not is_irredundant(cover):
-                    raise InternalError("minimum cover must be irredundant")
-                return BReport(target, cover, size)
-    raise InternalError("cover search exceeded the height cap")
+    small, target = _small_slice(fam)
+    cover = next(_min_covers(fam.n, small, target, chain_report(fam).height))
+    return BReport(target, cover, len(cover))
 
 
 def minimum_covers(fam: Family) -> tuple[Family, ...]:
     """All minimum-size covers of the small slice's base, canonical order."""
-    small, target, cap = _cover_candidates(fam)
-    for size in range(cap + 1):
-        found = []
-        for combo in itertools.combinations(small, size):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == target:
-                cover = Family(fam.n, combo)
-                if not is_irredundant(cover):
-                    raise InternalError("minimum cover must be irredundant")
-                found.append(cover)
-        if found:
-            return tuple(found)
-    raise InternalError("cover search exceeded the height cap")
+    small, target = _small_slice(fam)
+    return tuple(_min_covers(fam.n, small, target, chain_report(fam).height))
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,7 @@ class KCounts:
 def k_counts(cover: Family) -> KCounts:
     if not cover.members:
         raise EmptyFamily("k_counts of empty cover")
-    multiplicity = [0] * cover.n
-    for m in cover.members:
-        e = 0
-        while m:
-            if m & 1:
-                multiplicity[e] += 1
-            m >>= 1
-            e += 1
+    multiplicity = _member_counts(cover.members, cover.n)
     size = len(cover.members)
     k = tuple(sum(1 for c in multiplicity if c == i) for i in range(1, size + 1))
     if sum(i * k[i - 1] for i in range(1, size + 1)) != sum(
@@ -158,52 +153,38 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     3, J-L cover size 4, all at height 4. Inapplicable propositions are
     reported with holds=None.
     """
-    require_union_closed(fam)
-    require_base_full(fam)
-
+    small, bword = _small_slice(fam)
     n = fam.n
     sep = is_separating(fam)
     h = chain_report(fam).height
-    br = b_report(fam)
-    bword = br.b
+    cover = next(_min_covers(n, small, bword, h))
+    csize = len(cover)
     bsize = bword.bit_count()
-    cover = br.cover
-    small = slice_by_size(fam, "lt", Fraction(n, 2)).members
     sub_b = tuple(m for m in fam.members if m | bword == bword and m != bword)
     avg = avg_size(fam)
     half = Fraction(n, 2)
 
-    results: dict[str, PropResult] = {}
+    # Every proposition starts inapplicable; its gate below overwrites it.
+    results = {key: PropResult(False, None) for key in PROP_KEYS}
 
-    main_gate = sep and h == 4 and n >= 4 and br.size <= 2
-    abc_applicable = main_gate and bsize < n - 1
-
-    # A: complements within B of distinct proper-subset members are disjoint.
-    if abc_applicable:
+    if sep and h == 4 and n >= 4 and csize <= 2 and bsize < n - 1:
+        # A: complements within B of distinct proper-subset members are disjoint.
         witness = None
         for x1, x2 in itertools.combinations(sub_b, 2):
             if (bword & ~x1) & (bword & ~x2):
                 witness = {"x1": word_elements(x1), "x2": word_elements(x2)}
                 break
         results["A"] = PropResult(True, witness is None, witness)
-    else:
-        results["A"] = PropResult(False, None)
 
-    # B: either the average already meets n/2, or 1 <= |sub_b| <= |B|.
-    if abc_applicable:
+        # B: either the average already meets n/2, or 1 <= |sub_b| <= |B|.
         ok = avg >= half or 1 <= len(sub_b) <= bsize
         witness = None if ok else {"avg": str(avg), "sub_b": len(sub_b), "bsize": bsize}
         results["B"] = PropResult(True, ok, witness)
-    else:
-        results["B"] = PropResult(False, None)
 
-    # C: total size of proper-subset members is at least (count-1)*|B|.
-    if abc_applicable:
+        # C: total size of proper-subset members is at least (count-1)*|B|.
         total = sum(m.bit_count() for m in sub_b)
         ok = total >= (len(sub_b) - 1) * bsize
         results["C"] = PropResult(True, ok, None if ok else {"total": total, "count": len(sub_b)})
-    else:
-        results["C"] = PropResult(False, None)
 
     # E: with a two-set cover of an (n-1)-element base and a slice member
     # meeting both halves, any four distinct slice members total >= (3n+1)/2.
@@ -211,7 +192,7 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
         sep
         and h == 4
         and n >= 4
-        and br.size == 2
+        and csize == 2
         and bsize == n - 1
         and len(small) >= 4
         and any(
@@ -227,38 +208,30 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
                 witness = {"sets": [word_elements(m) for m in quad]}
                 break
         results["E"] = PropResult(True, witness is None, witness)
-    else:
-        results["E"] = PropResult(False, None)
 
-    three_gate = sep and h == 4 and br.size == 3
-    four_gate = sep and h == 4 and br.size == 4
     irrs = tuple(irr(m, cover) for m in cover.members)
     irr_union = 0
     for w in irrs:
         irr_union |= w
     non_cover_small = tuple(m for m in small if m not in cover.members)
+    three_gate = sep and h == 4 and csize == 3
 
-    # F: a three-set cover forces |B| into {n-1, n}.
     if three_gate:
+        # F: a three-set cover forces |B| into {n-1, n}.
         ok = bsize in (n - 1, n)
         results["F"] = PropResult(True, ok, None if ok else {"bsize": bsize})
-    else:
-        results["F"] = PropResult(False, None)
 
-    # G: |B| = n: no non-cover slice member may contain every private part.
     if three_gate and bsize == n:
+        # G: |B| = n: no non-cover slice member may contain every private part.
         witness = None
         for m in non_cover_small:
             if irr_union | m == m:
                 witness = {"a": word_elements(m)}
                 break
         results["G"] = PropResult(True, witness is None, witness)
-    else:
-        results["G"] = PropResult(False, None)
 
-    # H: |B| = n: slice members meet each multi-element private part in
-    # 0, all, or all-but-one of its elements.
-    if three_gate and bsize == n:
+        # H: |B| = n: slice members meet each multi-element private part in
+        # 0, all, or all-but-one of its elements.
         witness = None
         for m in small:
             for w in irrs:
@@ -269,12 +242,10 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
             if witness:
                 break
         results["H"] = PropResult(True, witness is None, witness)
-    else:
-        results["H"] = PropResult(False, None)
 
-    # I: |B| = n-1: each non-cover slice member is the union of the private
-    # parts, or matches exactly one of the three symmetric-difference forms.
     if three_gate and bsize == n - 1:
+        # I: |B| = n-1: each non-cover slice member is the union of the private
+        # parts, or matches exactly one of the three symmetric-difference forms.
         classifications = []
         ok = True
         for m in non_cover_small:
@@ -283,27 +254,19 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
             if label == VIOLATION:
                 ok = False
         results["I"] = PropResult(True, ok, {"classifications": classifications})
-    else:
-        results["I"] = PropResult(False, None)
 
-    # J: a four-set cover forces |B| = n.
-    if four_gate:
+    if sep and h == 4 and csize == 4:
+        # J: a four-set cover forces |B| = n.
         ok = bsize == n
         results["J"] = PropResult(True, ok, None if ok else {"bsize": bsize})
-    else:
-        results["J"] = PropResult(False, None)
 
-    # K: four-set covers have singleton private parts.
-    if four_gate:
+        # K: four-set covers have singleton private parts.
         ok = all(w.bit_count() == 1 for w in irrs)
         witness = None if ok else {"irrs": [word_elements(w) for w in irrs]}
         results["K"] = PropResult(True, ok, witness)
-    else:
-        results["K"] = PropResult(False, None)
 
-    # L: four-set cover size arithmetic. Even n pins every cover member to
-    # (n-2)/2; odd n allows a window, rigid once one member hits (n-5)/2.
-    if four_gate:
+        # L: four-set cover size arithmetic. Even n pins every cover member to
+        # (n-2)/2; odd n allows a window, rigid once one member hits (n-5)/2.
         sizes = [m.bit_count() for m in cover.members]
         total = sum(sizes)
         if n % 2 == 0:
@@ -313,8 +276,6 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
             if ok and any(2 * s == n - 5 for s in sizes):
                 ok = all(2 * s == n - 1 for s in sizes if 2 * s != n - 5)
         results["L"] = PropResult(True, ok, None if ok else {"sizes": sizes})
-    else:
-        results["L"] = PropResult(False, None)
 
     return results
 

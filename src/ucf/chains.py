@@ -24,6 +24,7 @@ from fractions import Fraction
 from .core import (
     Family,
     SetWord,
+    _member_counts,
     full_word,
     require_base_full,
     require_nonempty,
@@ -150,23 +151,20 @@ class Lemma13Report:
     offending_chain: tuple[SetWord, ...] | None
 
 
-def _top_children(fam: Family) -> list[SetWord]:
-    full = full_word(fam.n)
-    below = [m for m in fam.members if m != full]
+def _children(fam: Family, x: SetWord) -> list[SetWord]:
+    """Hasse children of x: the maximal members properly inside x."""
+    below = [m for m in fam.members if _is_proper_subset(m, x)]
     return [m for m in below if not any(_is_proper_subset(m, b) for b in below)]
 
 
 def _descend_maximal(fam: Family, start: SetWord) -> list[SetWord]:
     """Extend start downward along cover edges, smallest mask first."""
     chain = [start]
-    cur = start
-    while True:
-        below = [m for m in fam.members if _is_proper_subset(m, cur)]
-        if not below:
-            return chain
-        children = [m for m in below if not any(_is_proper_subset(m, b) for b in below)]
-        cur = min(children)
-        chain.append(cur)
+    children = _children(fam, start)
+    while children:
+        chain.append(min(children))
+        children = _children(fam, chain[-1])
+    return chain
 
 
 def lemma13_check(fam: Family) -> Lemma13Report:
@@ -184,7 +182,7 @@ def lemma13_check(fam: Family) -> Lemma13Report:
 
 def _lemma13_status(fam: Family) -> Lemma13Report:
     n = fam.n
-    for child in sorted(_top_children(fam)):
+    for child in sorted(_children(fam, full_word(n))):
         if child.bit_count() != n - 1:
             chain = [full_word(n)] + _descend_maximal(fam, child)
             return Lemma13Report(False, tuple(chain))
@@ -308,13 +306,6 @@ def size_bound_witness(fam: Family) -> SizeBoundTrace:
 
 
 def _max_freq_element(members: list[SetWord], n: int) -> int:
-    counts = [0] * n
-    for m in members:
-        e = 0
-        while m:
-            if m & 1:
-                counts[e] += 1
-            m >>= 1
-            e += 1
+    counts = _member_counts(members, n)
     best = max(range(n), key=lambda i: (counts[i], -i))
     return best + 1

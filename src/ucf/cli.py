@@ -184,28 +184,24 @@ def _cmd_analyze(args) -> int:
 # construct
 # ---------------------------------------------------------------------------
 
+# kind -> (unverified builder, certified builder)
+_CONSTRUCTIONS = {
+    "astar": (build_astar, astar_certificate),
+    "astarstar": (build_astarstar, astarstar_certificate),
+    "ak": (build_ak, ak_certificate),
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind
+    if args.kind == "ak" and args.k is None:
+        return _fail("construct ak requires --k")
+    params = (args.n, args.k) if args.kind == "ak" else (args.n,)
+    build, certify = _CONSTRUCTIONS[args.kind]
     try:
         if args.no_verify:
-            if kind == "astar":
-                fam = build_astar(args.n, verify=False)
-            elif kind == "astarstar":
-                fam = build_astarstar(args.n, verify=False)
-            else:
-                if args.k is None:
-                    return _fail("construct ak requires --k")
-                fam = build_ak(args.n, args.k, verify=False)
-            cert = None
+            fam, cert = build(*params, verify=False), None
         else:
-            if kind == "astar":
-                fam, cert = astar_certificate(args.n)
-            elif kind == "astarstar":
-                fam, cert = astarstar_certificate(args.n)
-            else:
-                if args.k is None:
-                    return _fail("construct ak requires --k")
-                fam, cert = ak_certificate(args.n, args.k)
+            fam, cert = certify(*params)
     except UcfError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
@@ -279,16 +275,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _identity_on_grid(n: int) -> tuple[bool, bool]:
-    zeta_eq = all(
-        bounds_mod.zeta(n, x, y) == bounds_mod.f_relax(n, x, y)
-        for x in range(n + 1)
-        for y in range(x + 1)
-    )
-    eta_eq = all(
-        bounds_mod.eta(n, x, y) == bounds_mod.g_relax(n, x, y)
-        for x in range(n + 1)
-        for y in range(x + 1)
-    )
+    grid = [(x, y) for x in range(n + 1) for y in range(x + 1)]
+    zeta_eq = all(bounds_mod.zeta(n, x, y) == bounds_mod.f_relax(n, x, y) for x, y in grid)
+    eta_eq = all(bounds_mod.eta(n, x, y) == bounds_mod.g_relax(n, x, y) for x, y in grid)
     return zeta_eq, eta_eq
 
 
@@ -338,13 +327,11 @@ def _cmd_enumerate(args) -> int:
         return _fail(f"n={ENUMERATION_CAP} enumeration takes minutes; pass --deep to confirm")
     filt = EnumFilter(separating=True) if args.separating else None
     try:
+        if args.canonical:
+            classes = set()
+            enumerate_uc(args.n, filt, lambda f: classes.add(canonical_form(f)))
         if args.count_only:
-            if args.canonical:
-                classes = set()
-                enumerate_uc(args.n, filt, lambda f: classes.add(canonical_form(f)))
-                count = len(classes)
-            else:
-                count = enumerate_uc(args.n, filt)
+            count = len(classes) if args.canonical else enumerate_uc(args.n, filt)
             _emit(
                 {
                     "command": ["enumerate", f"n={args.n}"],
@@ -358,8 +345,6 @@ def _cmd_enumerate(args) -> int:
                 }
             )
         elif args.canonical:
-            classes = set()
-            enumerate_uc(args.n, filt, lambda f: classes.add(canonical_form(f)))
             for index, fam in enumerate(sorted(classes, key=lambda f: f.members), 1):
                 sys.stdout.write(f"# class {index}\n{format_family(fam)}\n")
         else:
@@ -390,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build an extremal family with its certificate")
-    p.add_argument("kind", choices=["astar", "astarstar", "ak"])
+    p.add_argument("kind", choices=list(_CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--no-verify", action="store_true", help="skip the build-time self-check")

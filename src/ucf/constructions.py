@@ -16,11 +16,13 @@ x > ceil(n/2), and one or two layers of fixed-size subsets of the prefix
                       step (k = n+1) adds the empty set. Every rung keeps
                       the average below n/2.
 
-Builders self-validate by default: they recompute union-closedness,
-separation, base, height, the small-slice cover size, and the average
-comparisons, and raise InternalError if anything is off. The recurrence's
-three branch index sets are checked to cover each growth step exactly once
-(BranchGap otherwise) on every build, independent of `verify`.
+Builders self-validate by default through their `*_certificate`
+counterparts, the one place that states each construction's expected
+height, average relation and closed form. The check recomputes
+union-closedness, separation, base, height, the small-slice cover size and
+the average comparisons, and raises InternalError if anything is off. The
+recurrence's three branch index sets are checked to cover each growth step
+exactly once (BranchGap otherwise) on every build, independent of `verify`.
 """
 
 from __future__ import annotations
@@ -152,12 +154,11 @@ def _astar_masks(n: int) -> set[SetWord]:
 
 def build_astar(n: int, verify: bool = True) -> Family:
     """Height-4 family over [n] with a single-set slice cover; n >= 4."""
+    if verify:
+        return astar_certificate(n)[0]
     if not 4 <= n <= WORD_CAPACITY:
         raise BadN(f"build_astar requires 4 <= n <= {WORD_CAPACITY}")
-    fam = Family.from_masks(n, _astar_masks(n))
-    if verify:
-        _certify(fam, "astar", expected_height=4, avg_relation="ge", closed_form=None)
-    return fam
+    return Family.from_masks(n, _astar_masks(n))
 
 
 def astar_certificate(n: int) -> tuple[Family, ConstructionCertificate]:
@@ -181,13 +182,11 @@ def _astarstar_masks(n: int) -> set[SetWord]:
 
 def build_astarstar(n: int, verify: bool = True) -> Family:
     """Height-5 family over [n] with average size strictly below n/2; n >= 9."""
+    if verify:
+        return astarstar_certificate(n)[0]
     if not 9 <= n <= WORD_CAPACITY:
         raise BadN(f"build_astarstar requires 9 <= n <= {WORD_CAPACITY}")
-    fam = Family.from_masks(n, _astarstar_masks(n))
-    if verify:
-        _certify(fam, "astarstar", expected_height=5, avg_relation="lt",
-                 closed_form=astarstar_closed_form(n))
-    return fam
+    return Family.from_masks(n, _astarstar_masks(n))
 
 
 def astarstar_certificate(n: int) -> tuple[Family, ConstructionCertificate]:
@@ -248,6 +247,8 @@ def ladder_closed_form(n: int) -> Fraction:
 
 def build_ak(n: int, k: int, verify: bool = True) -> Family:
     """Family of height exactly k over [n], for n >= 11 and 5 <= k <= n+1."""
+    if verify:
+        return ak_certificate(n, k)[0]
     if not 11 <= n <= WORD_CAPACITY:
         raise BadN(f"build_ak requires 11 <= n <= {WORD_CAPACITY}")
     if not 5 <= k <= n + 1:
@@ -259,11 +260,7 @@ def build_ak(n: int, k: int, verify: bool = True) -> Family:
         if step in masks:
             raise InternalError(f"ladder step {j} revisited member {step:#x}")
         masks.add(step)
-    fam = Family.from_masks(n, masks)
-    if verify:
-        closed = ladder_closed_form(n) if k == 6 + delta(n) else None
-        _certify(fam, "ak", expected_height=k, avg_relation="lt", closed_form=closed, k=k)
-    return fam
+    return Family.from_masks(n, masks)
 
 
 def ak_certificate(n: int, k: int) -> tuple[Family, ConstructionCertificate]:

@@ -110,7 +110,7 @@ class Family:
         return iter(self.members)
 
     def __contains__(self, word: SetWord) -> bool:
-        return word in set(self.members)
+        return word in self.members
 
     def member_sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as element tuples, canonical order (for reports)."""
@@ -209,17 +209,11 @@ def union_closure(fam: Family) -> Family:
     if not fam.members:
         raise EmptyFamily("union_closure of empty family")
     have = set(fam.members)
-    frontier = list(have)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in have:
-                u = x | y
-                if u not in have:
-                    fresh.append(u)
-        for u in fresh:
-            have.add(u)
-        frontier = fresh
+    fresh = have
+    while fresh:
+        # a set keeps each new union once, however many pairs produce it
+        fresh = {x | y for x in fresh for y in have} - have
+        have |= fresh
     return Family.from_masks(fam.n, have)
 
 
@@ -275,7 +269,7 @@ def slice_by_subset(fam: Family, kind: str, word: SetWord) -> Family:
 
 def irr(word: SetWord, ctx: Family) -> SetWord:
     """Elements of word covered by no other member of ctx."""
-    if word not in set(ctx.members):
+    if word not in ctx.members:
         raise NotAMember(f"{word_elements(word)} is not a member of the context family")
     others = 0
     for m in ctx.members:
@@ -286,14 +280,7 @@ def irr(word: SetWord, ctx: Family) -> SetWord:
 
 def is_irredundant(fam: Family) -> bool:
     """Every member keeps a private element; the empty family qualifies vacuously."""
-    for m in fam.members:
-        others = 0
-        for other in fam.members:
-            if other != m:
-                others |= other
-        if m & ~others == 0:
-            return False
-    return True
+    return all(irr(m, fam) for m in fam.members)
 
 
 def avg_size(fam: Family) -> Fraction:
@@ -303,17 +290,23 @@ def avg_size(fam: Family) -> Fraction:
     return Fraction(sum(m.bit_count() for m in fam.members), len(fam.members))
 
 
-def frequencies(fam: Family) -> tuple[int, ...]:
-    """count[i-1] = number of members containing element i, for i in [n]."""
-    counts = [0] * fam.n
-    for m in fam.members:
+def _member_counts(masks: Iterable[SetWord], n: int) -> list[int]:
+    """count[i-1] = number of masks containing element i, for i in [n]; masks
+    may repeat."""
+    counts = [0] * n
+    for m in masks:
         e = 0
         while m:
             if m & 1:
                 counts[e] += 1
             m >>= 1
             e += 1
-    return tuple(counts)
+    return counts
+
+
+def frequencies(fam: Family) -> tuple[int, ...]:
+    """count[i-1] = number of members containing element i, for i in [n]."""
+    return tuple(_member_counts(fam.members, fam.n))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
 machinery with the DFS and exists to validate it.
 
-Parallel runs split the DFS at the first few candidate decisions into
-disjoint subtrees, one task per valid prefix; per-subtree results are
-merged in prefix order, so reports are identical for any worker count.
+Parallel runs stop the same DFS after its first few candidate decisions;
+each state it holds there heads a disjoint subtree, run as one task, and
+per-subtree results are merged in DFS order, so reports are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import InternalError, NTooLarge
 
 ENUMERATION_CAP = 5
 ORACLE_CAP = 4
+_SPLIT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,19 @@ def _dfs(
     n: int,
     emit: Callable[[list[int], int], None],
     h_cap: int | None,
-    prefix: tuple[bool, ...] = (),
+    prefix: tuple[int, ...] = (),
+    start: int | None = None,
+    stop: int = -1,
 ) -> None:
     """Run the generator, emitting (descending member list, height) leaves.
 
-    `prefix` pins the first len(prefix) include/exclude decisions; nothing
-    is emitted if the prefix itself is illegal.
+    The walk decides the candidates from `start` (default [n] - 1) down to
+    `stop` + 1 and emits on reaching `stop`. `prefix` lists members below
+    [n] taken by an earlier walk that stopped at `start`; they are legal and
+    within the height cap by construction, and are pushed first.
     """
     full = (1 << n) - 1
+    cap = n + 1 if h_cap is None else h_cap  # no chain over [n] is longer than n + 1
     members = [full]
     member_set = {full}
     ups = {full: 1}
@@ -119,81 +126,32 @@ def _dfs(
         del ups[s]
 
     def rec(v: int, h: int) -> None:
-        if v < 0:
+        if v == stop:
             emit(members, h)
             return
         up_s = try_add(v)
-        if up_s and (h_cap is None or max(h, up_s) <= h_cap):
+        if up_s and max(h, up_s) <= cap:
             push(v, up_s)
             rec(v - 1, max(h, up_s))
             pop(v)
         rec(v - 1, h)
 
-    # Replay the pinned prefix decisions, then hand off to the recursion.
     h = 1
-    pushed = []
-    for i, take in enumerate(prefix):
-        v = full - 1 - i
-        if take:
-            up_s = try_add(v)
-            if not up_s or (h_cap is not None and max(h, up_s) > h_cap):
-                for s in reversed(pushed):
-                    pop(s)
-                return
-            push(v, up_s)
-            pushed.append(v)
-            h = max(h, up_s)
-    rec(full - 1 - len(prefix), h)
-    for s in reversed(pushed):
-        pop(s)
-
-
-def _valid_prefixes(n: int, depth: int, h_cap: int | None) -> list[tuple[bool, ...]]:
-    """All legal include/exclude prefixes of the given depth, in DFS order."""
-    out: list[tuple[bool, ...]] = []
-
-    def rec(bits: tuple[bool, ...]) -> None:
-        if len(bits) == depth:
-            out.append(bits)
-            return
-        rec(bits + (True,))
-        rec(bits + (False,))
-
-    rec(())
-    # Filter against the actual closure rules by replaying each prefix.
-    legal = []
-    for bits in out:
-        seen = []
-        _dfs_prefix_ok(n, bits, h_cap, seen)
-        if seen:
-            legal.append(bits)
-    return legal
-
-
-def _dfs_prefix_ok(n: int, bits: tuple[bool, ...], h_cap: int | None, seen: list) -> None:
-    full = (1 << n) - 1
-    members = [full]
-    member_set = {full}
-    ups = {full: 1}
-    h = 1
-    for i, take in enumerate(bits):
-        if not take:
-            continue
-        s = full - 1 - i
-        up_s = 1
-        for x in members:
-            u = s | x
-            if u == x:
-                up_s = max(up_s, ups[x] + 1)
-            elif u not in member_set:
-                return
+    for s in prefix:
+        up_s = try_add(s)
+        push(s, up_s)
         h = max(h, up_s)
-        if h_cap is not None and h > h_cap:
-            return
-        members.append(s)
-        member_set.add(s)
-        ups[s] = up_s
-    seen.append(True)
+    rec(full - 1 if start is None else start, h)
+
+
+def _split(n: int, h_cap: int | None) -> tuple[int, list[tuple[int, ...]]]:
+    """The candidate at which parallel runs split the DFS, and one prefix per
+    subtree: the members below [n] that the walk, stopped after its first
+    _SPLIT_DEPTH decisions, holds there, in DFS order."""
+    split = max(-1, (1 << n) - 2 - _SPLIT_DEPTH)
+    prefixes: list[tuple[int, ...]] = []
+    _dfs(n, lambda members, h: prefixes.append(tuple(members[1:])), h_cap, stop=split)
+    return split, prefixes
 
 
 def enumerate_uc(
@@ -377,10 +335,8 @@ def _check_family(tid: str, fam: Family, h: int, necessity: bool) -> tuple[bool,
         if b_report(fam).size > 2:
             return False, []
         if tid == "T2.1":
+            # In necessity mode these violations are the point of the run.
             avg = avg_size(fam)
-            if necessity:
-                # In necessity mode the reported families are the point of the run.
-                return True, ([f"avg {avg} < {half}"] if avg < half else [])
             return True, [] if avg >= half else [f"avg {avg} < {half}"]
         wit = frankl_witness(fam)
         if wit.ok:
@@ -410,7 +366,8 @@ def _run_serial(
     tid: str,
     n: int,
     necessity: bool,
-    prefix: tuple[bool, ...] = (),
+    prefix: tuple[int, ...] = (),
+    start: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[tuple[tuple[int, ...], str]]]:
     checked = 0
@@ -430,13 +387,12 @@ def _run_serial(
             for d in details:
                 violations.append((fam.members, d))
 
-    _dfs(n, emit, h_cap, prefix)
+    _dfs(n, emit, h_cap, prefix, start)
     return checked, violations
 
 
-def _subtree_job(args: tuple[str, int, bool, tuple[bool, ...]]):
-    tid, n, necessity, prefix = args
-    return _run_serial(tid, n, necessity, prefix)
+def _subtree_job(args: tuple[str, int, bool, tuple[int, ...], int]):
+    return _run_serial(*args)
 
 
 def verify_theorem(
@@ -467,10 +423,8 @@ def verify_theorem(
     if workers == 1 or n <= 3:
         checked, raw = _run_serial(tid, n, hypothesis_necessity, progress=progress)
     else:
-        depth = min(4, (1 << n) - 1)
-        h_cap = _HEIGHT_CAPS.get(tid)
-        prefixes = _valid_prefixes(n, depth, h_cap)
-        jobs = [(tid, n, hypothesis_necessity, p) for p in prefixes]
+        split, prefixes = _split(n, _HEIGHT_CAPS.get(tid))
+        jobs = [(tid, n, hypothesis_necessity, p, split) for p in prefixes]
         with get_context("fork").Pool(processes=workers) as pool:
             parts = pool.map(_subtree_job, jobs)
         checked = sum(c for c, _ in parts)

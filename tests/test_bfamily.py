@@ -74,6 +74,17 @@ def test_b_report_preconditions():
         ucf.b_report(Family.of(3, [(1, 2), (1,), (2,)]))
 
 
+def test_first_minimum_cover_is_b_report_cover():
+    # b_report and minimum_covers share one search; the first cover is the reported one
+    fams = []
+    ucf.enumerate_uc(4, visitor=fams.append)
+    assert len(fams) == 4542
+    for fam in fams:
+        covers = ucf.minimum_covers(fam)
+        assert covers[0] == ucf.b_report(fam).cover
+        assert {len(c) for c in covers} == {len(covers[0])}
+
+
 def test_minimum_covers_enumerates_ties():
     # two part-pairs cover {1,2,3,4}: {12}+{34} and {23}+{14}
     fam = ucf.union_closure(

@@ -1,5 +1,6 @@
 """Core family operations against hand-checked examples and naive oracles."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,18 @@ def test_union_closure_fixpoint_on_closed_family():
 def test_union_closure_adds_triple():
     got = ucf.union_closure(Family.of(3, [(1, 2), (2, 3), (1, 3)]))
     assert masks(got) == masks(Family.of(3, [(1, 2), (2, 3), (1, 3), (1, 2, 3)]))
+
+
+def test_union_closure_scales_on_ten_elements():
+    # pairs of [10] exhaust memory unless each round keeps distinct new unions only
+    singletons = Family.from_masks(10, (1 << i for i in range(10)))
+    assert len(ucf.union_closure(singletons)) == 1023  # every nonempty subset
+    pairs = Family.from_masks(
+        10, ((1 << i) | (1 << j) for i, j in itertools.combinations(range(10), 2))
+    )
+    closed = ucf.union_closure(pairs)
+    assert len(closed) == 1013  # every subset of size >= 2
+    assert 0b11 in closed and 0b1 not in closed
 
 
 def naive_closure(members):

@@ -4,10 +4,23 @@ import pytest
 
 import ucf
 from ucf import EnumFilter, Family
+from ucf.enumeration import _dfs, _split
 from ucf.errors import NTooLarge
 
 # Counts frozen from the independent brute-force oracle (re-derived below).
 KNOWN_COUNTS = {1: 2, 2: 8, 3: 90, 4: 4542}
+
+# families_checked per check id at n = 1..4; every run has zero violations.
+CHECKED = {
+    "T1.2": (1, 7, 89, 4541),
+    "L1.3": (2, 6, 70, 4078),
+    "T1.4": (2, 6, 39, 441),
+    "L2.1.1": (2, 6, 70, 4078),
+    "T2.1": (0, 0, 0, 1961),
+    "C2.2": (0, 0, 0, 1961),
+    "T4.1": (0, 0, 0, 1),
+    "PROPS": (0, 0, 31, 2034),
+}
 
 
 def test_enumerate_counts():
@@ -74,6 +87,19 @@ def test_enumerate_filters():
     assert b1 == sum(1 for s in seen if s == 1)
 
 
+@pytest.mark.parametrize("n, h_cap", [(4, None), (4, 3), (4, 4), (5, 3)])
+def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
+    def leaves(**kwargs):
+        out = []
+        _dfs(n, lambda members, h: out.append((tuple(members), h)), h_cap, **kwargs)
+        return out
+
+    split, prefixes = _split(n, h_cap)
+    assert len(prefixes) > 1 and len(set(prefixes)) == len(prefixes)
+    subtrees = [leaf for prefix in prefixes for leaf in leaves(prefix=prefix, start=split)]
+    assert subtrees == leaves()
+
+
 def test_enumerate_caps():
     with pytest.raises(NTooLarge):
         ucf.enumerate_uc(6)
@@ -96,10 +122,17 @@ def test_verify_small_battery():
         assert report.ok, f"{tid} at n=3: {report.violations[:3]}"
 
 
+@pytest.mark.parametrize("tid", list(CHECKED))
+def test_verify_checked_counts_pinned(tid):
+    for n, expected in enumerate(CHECKED[tid], 1):
+        report = ucf.verify_theorem(tid, n)
+        assert (report.families_checked, report.violations) == (expected, ())
+
+
 def test_verify_t14_counts_hypothesis_matches():
-    report = ucf.verify_theorem("T1.4", 3)
-    assert report.families_checked == 39
-    assert report.ok
+    for n, checked in ((3, 39), (5, 9590)):
+        report = ucf.verify_theorem("T1.4", n)
+        assert (report.families_checked, report.violations) == (checked, ())
 
 
 def test_verify_t21_binding_case():
@@ -114,6 +147,7 @@ def test_hypothesis_necessity_reproduces_counterexample():
     families = {v.family for v in report.violations}
     assert Family.of(3, [(1, 2, 3), (1, 2), (1,), (2,), ()]) in families
     assert len(families) == 3  # the relabelings of the same family
+    assert (report.families_checked, len(report.violations)) == (30, 3)
 
 
 def test_hypothesis_necessity_only_for_t21():
@@ -122,28 +156,41 @@ def test_hypothesis_necessity_only_for_t21():
 
 
 def test_parallel_report_matches_serial():
-    serial = ucf.verify_theorem("T1.2", 4, workers=1)
-    parallel = ucf.verify_theorem("T1.2", 4, workers=2)
-    assert serial.families_checked == parallel.families_checked
-    assert serial.violations == parallel.violations
+    for tid in ("T1.2", "PROPS"):
+        serial = ucf.verify_theorem(tid, 4, workers=1)
+        parallel = ucf.verify_theorem(tid, 4, workers=2)
+        assert serial.families_checked == parallel.families_checked
+        assert serial.violations == parallel.violations
 
 
 @pytest.mark.deep
 def test_enumerate_n5_count_pinned():
-    # enumerator-derived regression constant; the naive oracle stops at n=4
+    # Not derived from the enumerator. OEIS A102896 counts Moore families
+    # (closure systems) on [n]: M = 1, 2, 7, 61, 2480, 1385552 for n = 0..5.
+    # Complements turn union-closed families with base [n] into Moore
+    # families with empty bottom, M0(n) = M(n) - sum_{k>=1} C(n,k) M0(n-k),
+    # and the empty set is a free extra member, so |UC([n])| = 2 M0(n):
+    # 2, 8, 90, 4542 (as pinned above) and 2 * 1373701 = 2747402 for n = 5.
     assert ucf.enumerate_uc(5) == 2747402
 
 
 @pytest.mark.deep
 def test_verify_t21_n5():
     report = ucf.verify_theorem("T2.1", 5)
-    assert report.ok and report.families_checked > 0
+    assert (report.families_checked, report.violations) == (255018, ())
+
+
+@pytest.mark.deep
+def test_verify_c22_n5():
+    report = ucf.verify_theorem("C2.2", 5)
+    assert (report.families_checked, report.violations) == (255018, ())
 
 
 @pytest.mark.deep
 def test_verify_t41_and_props_n5():
-    assert ucf.verify_theorem("T4.1", 5).ok
-    assert ucf.verify_theorem("PROPS", 5).ok
+    for tid, checked in (("T4.1", 505), ("PROPS", 346028)):
+        report = ucf.verify_theorem(tid, 5)
+        assert (report.families_checked, report.violations) == (checked, ())
 
 
 # ---------------------------------------------------------------------------
