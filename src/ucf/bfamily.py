@@ -52,11 +52,15 @@ class BReport:
     size: int
 
 
-def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
-    """Members of size below n/2 and their base, for a union-closed family
-    with base [n]."""
+def _checked_height(fam: Family) -> int:
+    """Height of a family that must be union-closed with base [n]."""
     require_union_closed(fam)
     require_base_full(fam)
+    return chain_report(fam).height
+
+
+def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
+    """Members of size below n/2 and their base."""
     small = slice_by_size(fam, "lt", Fraction(fam.n, 2)).members
     target = 0
     for m in small:
@@ -93,15 +97,21 @@ def b_report(fam: Family) -> BReport:
 
     An empty slice (or a slice of just the empty set) yields the empty cover.
     """
+    return _b_report(fam, _checked_height(fam))
+
+
+def _b_report(fam: Family, h: int) -> BReport:
+    """b_report for a union-closed family with base [n] and height h."""
     small, target = _small_slice(fam)
-    cover = next(_min_covers(fam.n, small, target, chain_report(fam).height))
+    cover = next(_min_covers(fam.n, small, target, h))
     return BReport(target, cover, len(cover))
 
 
 def minimum_covers(fam: Family) -> tuple[Family, ...]:
     """All minimum-size covers of the small slice's base, canonical order."""
+    h = _checked_height(fam)
     small, target = _small_slice(fam)
-    return tuple(_min_covers(fam.n, small, target, chain_report(fam).height))
+    return tuple(_min_covers(fam.n, small, target, h))
 
 
 @dataclass(frozen=True)
@@ -153,11 +163,16 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     3, J-L cover size 4, all at height 4. Inapplicable propositions are
     reported with holds=None.
     """
+    if _checked_height(fam) == 4 and is_separating(fam):
+        return _prop_suite(fam)
+    return dict.fromkeys(PROP_KEYS, PropResult(False, None))
+
+
+def _prop_suite(fam: Family) -> dict[str, PropResult]:
+    """prop_suite for a separating union-closed family with base [n] of height 4."""
     small, bword = _small_slice(fam)
     n = fam.n
-    sep = is_separating(fam)
-    h = chain_report(fam).height
-    cover = next(_min_covers(n, small, bword, h))
+    cover = next(_min_covers(n, small, bword, 4))
     csize = len(cover)
     bsize = bword.bit_count()
     sub_b = tuple(m for m in fam.members if m | bword == bword and m != bword)
@@ -165,9 +180,9 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     half = Fraction(n, 2)
 
     # Every proposition starts inapplicable; its gate below overwrites it.
-    results = {key: PropResult(False, None) for key in PROP_KEYS}
+    results = dict.fromkeys(PROP_KEYS, PropResult(False, None))
 
-    if sep and h == 4 and n >= 4 and csize <= 2 and bsize < n - 1:
+    if n >= 4 and csize <= 2 and bsize < n - 1:
         # A: complements within B of distinct proper-subset members are disjoint.
         witness = None
         for x1, x2 in itertools.combinations(sub_b, 2):
@@ -189,9 +204,7 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     # E: with a two-set cover of an (n-1)-element base and a slice member
     # meeting both halves, any four distinct slice members total >= (3n+1)/2.
     e_applicable = (
-        sep
-        and h == 4
-        and n >= 4
+        n >= 4
         and csize == 2
         and bsize == n - 1
         and len(small) >= 4
@@ -214,14 +227,13 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     for w in irrs:
         irr_union |= w
     non_cover_small = tuple(m for m in small if m not in cover.members)
-    three_gate = sep and h == 4 and csize == 3
 
-    if three_gate:
+    if csize == 3:
         # F: a three-set cover forces |B| into {n-1, n}.
         ok = bsize in (n - 1, n)
         results["F"] = PropResult(True, ok, None if ok else {"bsize": bsize})
 
-    if three_gate and bsize == n:
+    if csize == 3 and bsize == n:
         # G: |B| = n: no non-cover slice member may contain every private part.
         witness = None
         for m in non_cover_small:
@@ -243,7 +255,7 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
                 break
         results["H"] = PropResult(True, witness is None, witness)
 
-    if three_gate and bsize == n - 1:
+    if csize == 3 and bsize == n - 1:
         # I: |B| = n-1: each non-cover slice member is the union of the private
         # parts, or matches exactly one of the three symmetric-difference forms.
         classifications = []
@@ -255,7 +267,7 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
                 ok = False
         results["I"] = PropResult(True, ok, {"classifications": classifications})
 
-    if sep and h == 4 and csize == 4:
+    if csize == 4:
         # J: a four-set cover forces |B| = n.
         ok = bsize == n
         results["J"] = PropResult(True, ok, None if ok else {"bsize": bsize})

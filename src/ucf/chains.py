@@ -102,28 +102,20 @@ def _hasse_parents(ms: tuple[SetWord, ...], order: list[int]) -> list[list[int]]
 def _min_maximal_chain(
     ms: tuple[SetWord, ...], order: list[int]
 ) -> tuple[int, tuple[SetWord, ...]]:
-    count = len(ms)
     parents = _hasse_parents(ms, order)
-    is_minimal = [True] * count
-    for i in range(count):
-        for j in range(count):
-            if _is_proper_subset(ms[j], ms[i]):
-                is_minimal[i] = False
-                break
+    # A member is minimal iff it covers nothing, i.e. is nobody's Hasse parent.
+    covering = {p for ps in parents for p in ps}
+    minimal = [i for i in range(len(ms)) if i not in covering]
 
     # up_min[i]: fewest members on a cover path from i up to a maximal member.
-    up_min = [1] * count
+    up_min = [1] * len(ms)
     for i in reversed(order):
         if parents[i]:
             up_min[i] = 1 + min(up_min[p] for p in parents[i])
 
-    r = min(up_min[i] for i in range(count) if is_minimal[i])
-    bottom = min(
-        (ms[i] for i in range(count) if is_minimal[i] and up_min[i] == r),
-    )
-    index = {m: i for i, m in enumerate(ms)}
-    chain = [bottom]
-    cur = index[bottom]
+    r = min(up_min[i] for i in minimal)
+    cur = min((i for i in minimal if up_min[i] == r), key=lambda i: ms[i])
+    chain = [ms[cur]]
     while parents[cur]:
         cur = min(
             (p for p in parents[cur] if up_min[p] == up_min[cur] - 1),
@@ -224,8 +216,11 @@ def thm12_witness(fam: Family) -> Thm12Witness:
     if len(fam) <= 1:
         raise TooSmall("witness requires at least two member sets")
     require_base_full(fam)
+    return _thm12_witness(fam, chain_report(fam))
 
-    rep = chain_report(fam)
+
+def _thm12_witness(fam: Family, rep: ChainReport) -> Thm12Witness:
+    """thm12_witness for a union-closed family with base [n], |F| > 1, and its chain report."""
     chain = rep.witness_chain
     h = rep.height
     if chain[0] != full_word(fam.n):
@@ -273,7 +268,11 @@ def size_bound_witness(fam: Family) -> SizeBoundTrace:
     """
     require_union_closed(fam)
     require_separating(fam)
+    return _size_bound_trace(fam)
 
+
+def _size_bound_trace(fam: Family) -> SizeBoundTrace:
+    """size_bound_witness for a separating union-closed family."""
     members = list(fam.members)
     n = fam.n
     levels = []

@@ -31,8 +31,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bfamily import b_report
-from .chains import chain_report, lemma13_check
+from .bfamily import _b_report
+from .chains import _lemma13_status, chain_report
 from .core import (
     Family,
     SetWord,
@@ -114,8 +114,8 @@ def _certify(
     sep = is_separating(fam)
     full = base_is_full(fam)
     h = chain_report(fam).height
-    bsize = b_report(fam).size if uc and full else -1
-    l13 = lemma13_check(fam).ok if uc and sep and full else False
+    bsize = _b_report(fam, h).size if uc and full else -1
+    l13 = _lemma13_status(fam).ok if uc and sep and full else False
     half = Fraction(n, 2)
     avg_ok = avg >= half if avg_relation == "ge" else avg < half
     cert = ConstructionCertificate(

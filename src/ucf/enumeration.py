@@ -16,7 +16,9 @@ longest chain bottoming out at that member; a new set sits below every
 existing one in integer order, so older values never change and the family
 height is an O(|F|) incremental update. Verification tasks whose hypotheses
 cap the height use this to prune whole subtrees (adding sets never lowers
-the height).
+the height). Public analysis functions validate their input; the verifier
+and the `bsize` filter instead pass these facts about a leaf (union-closed,
+base [n], height h) to the private cores behind those functions.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -38,8 +40,8 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bfamily import b_report, prop_suite
-from .chains import chain_report, lemma13_check, size_bound_witness, thm12_bound, thm12_witness
+from .bfamily import _b_report, _prop_suite
+from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
 from .core import Family, avg_size, frankl_witness, frequencies, is_separating
 from .errors import InternalError, NTooLarge
 
@@ -77,7 +79,7 @@ class EnumFilter:
             return False
         if self.separating is not None and is_separating(fam) != self.separating:
             return False
-        if self.bsize is not None and b_report(fam).size != self.bsize:
+        if self.bsize is not None and _b_report(fam, h).size != self.bsize:
             return False
         return True
 
@@ -278,7 +280,7 @@ _HEIGHT_CAPS = {"T1.4": 3, "T2.1": 4, "C2.2": 4, "T4.1": 4, "PROPS": 4}
 
 
 def _check_family(tid: str, fam: Family, h: int, necessity: bool) -> tuple[bool, list[str]]:
-    """(hypothesis matched, violation details) for one enumerated family."""
+    """(hypothesis matched, violation details) for one leaf; tid is a known id."""
     n = fam.n
     half = Fraction(n, 2)
     if tid == "T1.2":
@@ -287,79 +289,70 @@ def _check_family(tid: str, fam: Family, h: int, necessity: bool) -> tuple[bool,
         rep = chain_report(fam)
         maxfreq = max(frequencies(fam))
         details = []
-        bound_h = thm12_bound(len(fam), rep.height)
-        if maxfreq < bound_h:
-            details.append(f"max frequency {maxfreq} < bound {bound_h} at h={rep.height}")
-        bound_r = thm12_bound(len(fam), rep.r)
-        if maxfreq < bound_r:
-            details.append(f"max frequency {maxfreq} < bound {bound_r} at r={rep.r}")
-        wit = thm12_witness(fam)
+        for name, value in (("h", rep.height), ("r", rep.r)):
+            bound = thm12_bound(len(fam), value)
+            if maxfreq < bound:
+                details.append(f"max frequency {maxfreq} < bound {bound} at {name}={value}")
+        wit = _thm12_witness(fam, rep)
         if wit.count < wit.bound:
             details.append(f"witness element {wit.element} count {wit.count} < bound {wit.bound}")
         return True, details
 
+    # Gates run cheapest first: height, n, separation, then cover size.
+    if tid in ("T2.1", "C2.2", "T4.1", "PROPS") and h != 4:
+        return False, []
+    if tid in ("T2.1", "C2.2") and n < 4 and not necessity:
+        return False, []
+    if not is_separating(fam):
+        return False, []
+
     if tid == "L1.3":
-        if not is_separating(fam):
-            return False, []
-        rep = lemma13_check(fam)
+        rep = _lemma13_status(fam)
         if rep.ok:
             return True, []
-        chain = rep.offending_chain
-        return True, [f"maximal chain without size-(n-1) member: {chain}"]
+        return True, [f"maximal chain without size-(n-1) member: {rep.offending_chain}"]
 
-    if tid == "T1.4":
-        if h > 3 or not is_separating(fam):
-            return False, []
+    if tid == "T1.4":  # the DFS height cap of 3 is the height hypothesis
         avg = avg_size(fam)
         return True, [] if avg >= half else [f"avg {avg} < {half}"]
 
     if tid == "L2.1.1":
-        if not is_separating(fam):
-            return False, []
         details = []
         if len(fam) < n:
             details.append(f"|family| {len(fam)} < n {n}")
         try:
-            trace = size_bound_witness(fam)
+            trace = _size_bound_trace(fam)
             if not trace.ok:
                 details.append(f"reduction trace breached size >= base: {trace.levels}")
         except InternalError as exc:
             details.append(f"reduction failed: {exc}")
         return True, details
 
-    if tid in ("T2.1", "C2.2"):
-        if h != 4 or not is_separating(fam):
-            return False, []
-        if not necessity and n < 4:
-            return False, []
-        if b_report(fam).size > 2:
-            return False, []
-        if tid == "T2.1":
-            # In necessity mode these violations are the point of the run.
-            avg = avg_size(fam)
-            return True, [] if avg >= half else [f"avg {avg} < {half}"]
-        wit = frankl_witness(fam)
-        if wit.ok:
-            return True, []
-        return True, [f"best element {wit.element} in {wit.count} members < {wit.threshold}"]
+    if tid == "PROPS":
+        details = []
+        for key, res in _prop_suite(fam).items():
+            if res.applicable and not res.holds:
+                details.append(f"proposition {key} failed: {res.witness}")
+        return True, details
 
+    bsize = _b_report(fam, h).size
     if tid == "T4.1":
-        if h != 4 or not is_separating(fam) or b_report(fam).size != 4:
+        if bsize != 4:
             return False, []
         avg = avg_size(fam)
         floor_bound = n // 2 - 1
         return True, [] if avg > floor_bound else [f"avg {avg} <= {floor_bound}"]
 
-    if tid == "PROPS":
-        if h != 4 or not is_separating(fam):
-            return False, []
-        details = []
-        for key, res in prop_suite(fam).items():
-            if res.applicable and not res.holds:
-                details.append(f"proposition {key} failed: {res.witness}")
-        return True, details
-
-    raise ValueError(f"unknown theorem id {tid!r}")
+    if bsize > 2:
+        return False, []
+    if tid == "T2.1":
+        # In necessity mode these violations are the point of the run.
+        avg = avg_size(fam)
+        return True, [] if avg >= half else [f"avg {avg} < {half}"]
+    wit = frankl_witness(fam)  # C2.2
+    if wit.ok:
+        return True, []
+    return True, [f"best element {wit.element} in {wit.count} members < {wit.threshold}"]
 
 
 def _run_serial(
@@ -389,10 +382,6 @@ def _run_serial(
 
     _dfs(n, emit, h_cap, prefix, start)
     return checked, violations
-
-
-def _subtree_job(args: tuple[str, int, bool, tuple[int, ...], int]):
-    return _run_serial(*args)
 
 
 def verify_theorem(
@@ -425,8 +414,8 @@ def verify_theorem(
     else:
         split, prefixes = _split(n, _HEIGHT_CAPS.get(tid))
         jobs = [(tid, n, hypothesis_necessity, p, split) for p in prefixes]
-        with get_context("fork").Pool(processes=workers) as pool:
-            parts = pool.map(_subtree_job, jobs)
+        with get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
+            parts = pool.starmap(_run_serial, jobs)
         checked = sum(c for c, _ in parts)
         raw = [v for _, vs in parts for v in vs]
 

@@ -1,0 +1,104 @@
+"""Private analysis cores against the public functions that validate first.
+
+The verifier and the certifier hand the cores facts they already hold (a DFS
+leaf is union-closed with base [n] and known height), so the cores must
+agree with the public path on every family, and the public preconditions
+must not be re-derived per leaf.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+import ucf
+from ucf import Family, PropResult, bfamily, chains, core
+from ucf.bfamily import PROP_KEYS, _b_report, _prop_suite, b_report, prop_suite
+from ucf.chains import (
+    _lemma13_status,
+    _size_bound_trace,
+    _thm12_witness,
+    chain_report,
+    lemma13_check,
+    size_bound_witness,
+    thm12_witness,
+)
+from ucf.enumeration import _dfs
+
+# SHA-256 over the public results for every family at n = 4, recorded
+# before the public functions were split into validation plus core.
+PUBLIC_DIGEST_N4 = "bcbcedd9486b636c60706457329175765c339e3cf96721ec094f0ae352b3fcea"
+
+
+def test_cores_match_public_functions_on_every_n4_family():
+    leaves = []
+    _dfs(4, lambda members, h: leaves.append((Family(4, tuple(reversed(members))), h)), None)
+    assert len(leaves) == 4542
+    inapplicable = dict.fromkeys(PROP_KEYS, PropResult(False, None))
+    digest = hashlib.sha256()
+    for fam, h in leaves:
+        rep = chain_report(fam)
+        assert rep.height == h
+        sep = ucf.is_separating(fam)
+        public = [b_report(fam), prop_suite(fam)]
+        assert _b_report(fam, h) == public[0]
+        if sep and h == 4:
+            assert _prop_suite(fam) == public[1]
+        else:
+            assert public[1] == inapplicable
+        if len(fam) > 1:
+            public.append(thm12_witness(fam))
+            assert _thm12_witness(fam, rep) == public[-1]
+        if sep:
+            public += [lemma13_check(fam), size_bound_witness(fam)]
+            assert [_lemma13_status(fam), _size_bound_trace(fam)] == public[-2:]
+        digest.update(repr(public).encode())
+    assert digest.hexdigest() == PUBLIC_DIGEST_N4
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counters for the per-leaf derivations, patched into every ucf
+    module that binds them so direct imports are counted too."""
+    counts = {}
+    targets = [
+        (core, "is_union_closed"),
+        (core, "is_separating"),
+        (chains, "chain_report"),
+        (bfamily, "_min_covers"),
+    ]
+    modules = [m for k, m in sys.modules.items() if k == "ucf" or k.startswith("ucf.")]
+    for home, name in targets:
+        original = getattr(home, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "tid, n, expected",
+    [
+        ("T1.2", 4, {"chain_report": 4541, "is_union_closed": 0}),
+        ("L1.3", 4, {"is_separating": 4542}),
+        ("T2.1", 4, {"chain_report": 0, "is_union_closed": 0}),
+        ("C2.2", 4, {"chain_report": 0, "is_union_closed": 0}),
+        ("T4.1", 4, {"chain_report": 0, "is_union_closed": 0}),
+        ("PROPS", 4, {"chain_report": 0, "is_union_closed": 0}),
+        ("T2.1", 3, {"_min_covers": 0}),
+    ],
+)
+def test_verifier_derives_each_leaf_fact_once(calls, tid, n, expected):
+    assert ucf.verify_theorem(tid, n, workers=1).ok
+    assert {name: calls[name] for name in expected} == expected
+
+
+def test_certificate_derives_each_fact_once(calls):
+    assert ucf.astar_certificate(16)[1].ok
+    assert (calls["is_union_closed"], calls["chain_report"]) == (1, 1)

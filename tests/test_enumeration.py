@@ -3,7 +3,7 @@
 import pytest
 
 import ucf
-from ucf import EnumFilter, Family
+from ucf import EnumFilter, Family, enumeration
 from ucf.enumeration import _dfs, _split
 from ucf.errors import NTooLarge
 
@@ -161,6 +161,43 @@ def test_parallel_report_matches_serial():
         parallel = ucf.verify_theorem(tid, 4, workers=2)
         assert serial.families_checked == parallel.families_checked
         assert serial.violations == parallel.violations
+
+
+def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
+    # A fake pool records its size and runs the subtree tasks in-process,
+    # so no worker process is started.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return [fn(*job) for job in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(enumeration, "get_context", lambda method: FakeContext)
+    monkeypatch.setenv("UCF_THREADS", "10000")
+    parallel = ucf.verify_theorem("PROPS", 4)
+    serial = ucf.verify_theorem("PROPS", 4, workers=1)
+    assert sizes == [len(_split(4, 4)[1])]
+    assert (parallel.families_checked, parallel.violations) == (
+        serial.families_checked,
+        serial.violations,
+    )
+
+
+@pytest.mark.deep
+def test_enumerate_n5_height_at_most_4_count_pinned():
+    assert ucf.enumerate_uc(5, EnumFilter(height=(1, 4))) == 382210
 
 
 @pytest.mark.deep
