@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .chains import chain_report
+from .chains import height
 from .core import (
     Family,
     SetWord,
@@ -56,7 +56,7 @@ def _checked_height(fam: Family) -> int:
     """Height of a family that must be union-closed with base [n]."""
     require_union_closed(fam)
     require_base_full(fam)
-    return chain_report(fam).height
+    return height(fam)
 
 
 def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
@@ -163,13 +163,15 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     3, J-L cover size 4, all at height 4. Inapplicable propositions are
     reported with holds=None.
     """
-    if _checked_height(fam) == 4 and is_separating(fam):
-        return _prop_suite(fam)
-    return dict.fromkeys(PROP_KEYS, PropResult(False, None))
+    return _prop_suite(fam, _checked_height(fam), is_separating(fam))
 
 
-def _prop_suite(fam: Family) -> dict[str, PropResult]:
-    """prop_suite for a separating union-closed family with base [n] of height 4."""
+def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
+    """prop_suite for a union-closed family with base [n], its height and separation."""
+    # Every proposition starts inapplicable; its gate below overwrites it.
+    results = dict.fromkeys(PROP_KEYS, PropResult(False, None))
+    if h != 4 or not sep:
+        return results
     small, bword = _small_slice(fam)
     n = fam.n
     cover = next(_min_covers(n, small, bword, 4))
@@ -178,9 +180,6 @@ def _prop_suite(fam: Family) -> dict[str, PropResult]:
     sub_b = tuple(m for m in fam.members if m | bword == bword and m != bword)
     avg = avg_size(fam)
     half = Fraction(n, 2)
-
-    # Every proposition starts inapplicable; its gate below overwrites it.
-    results = dict.fromkeys(PROP_KEYS, PropResult(False, None))
 
     if n >= 4 and csize <= 2 and bsize < n - 1:
         # A: complements within B of distinct proper-subset members are disjoint.

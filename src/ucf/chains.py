@@ -49,18 +49,21 @@ class ChainReport:
     r_witness: tuple[SetWord, ...]
 
 
-def chain_report(fam: Family) -> ChainReport:
-    require_nonempty(fam)
-    ms = fam.members
-    count = len(ms)
-    order = sorted(range(count), key=lambda i: (ms[i].bit_count(), ms[i]))
-
-    # down[i]: longest chain whose top is member i.
-    down = [1] * count
+def _longest_chains(ms: tuple[SetWord, ...]) -> tuple[list[int], list[int]]:
+    """Member indices by (popcount, value), and down[i]: longest chain topped by member i."""
+    order = sorted(range(len(ms)), key=lambda i: (ms[i].bit_count(), ms[i]))
+    down = [1] * len(ms)
     for pos, i in enumerate(order):
         for j in order[:pos]:
             if _is_proper_subset(ms[j], ms[i]) and down[j] + 1 > down[i]:
                 down[i] = down[j] + 1
+    return order, down
+
+
+def chain_report(fam: Family) -> ChainReport:
+    require_nonempty(fam)
+    ms = fam.members
+    order, down = _longest_chains(ms)
     h = max(down)
 
     # Greedy top-down reconstruction gives the lexicographically least
@@ -126,8 +129,9 @@ def _min_maximal_chain(
 
 
 def height(fam: Family) -> int:
-    """Maximum chain size; shorthand for chain_report(fam).height."""
-    return chain_report(fam).height
+    """Maximum chain size: chain_report(fam).height without its chains or r."""
+    require_nonempty(fam)
+    return max(_longest_chains(fam.members)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .bfamily import b_report, prop_suite
-from .chains import chain_report, lemma13_check, thm12_witness
+from .bfamily import _b_report, _prop_suite, b_report, prop_suite
+from .chains import _lemma13_status, _thm12_witness, chain_report, lemma13_check, thm12_witness
 from .constructions import (
     ak_certificate,
     astar_certificate,
@@ -95,18 +95,17 @@ def _cmd_analyze(args) -> int:
     except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"{path}: {exc}")
 
-    results: dict = {"n": fam.n, "members": len(fam)}
-    uc = is_union_closed(fam)
-    sep = is_separating(fam)
-    results["union_closed"] = uc
-    results["separating"] = sep
+    uc, sep = is_union_closed(fam), is_separating(fam)
+    results: dict = {"n": fam.n, "members": len(fam), "union_closed": uc, "separating": sep}
     try:
         base = base_set(fam)
         results["base"] = list(word_elements(base))
-        results["base_full"] = base == (1 << fam.n) - 1
     except UcfError as exc:
-        results["base"] = _inapplicable(exc)
-        results["base_full"] = False
+        base, results["base"] = None, _inapplicable(exc)
+    results["base_full"] = base == (1 << fam.n) - 1
+    # A section whose core's facts hold calls the core; any other calls the
+    # public function, whose first failing check names the reason.
+    held = uc and results["base_full"]  # then fam is nonempty and rep is set
 
     try:
         rep = chain_report(fam)
@@ -133,7 +132,7 @@ def _cmd_analyze(args) -> int:
         results["frankl"] = _inapplicable(exc)
 
     try:
-        br = b_report(fam)
+        br = _b_report(fam, rep.height) if held else b_report(fam)
         results["b_report"] = {
             "B": list(word_elements(br.b)),
             "cover": _sets(br.cover.members),
@@ -143,7 +142,7 @@ def _cmd_analyze(args) -> int:
         results["b_report"] = _inapplicable(exc)
 
     try:
-        l13 = lemma13_check(fam)
+        l13 = _lemma13_status(fam) if held and sep else lemma13_check(fam)
         results["lemma13"] = {"ok": l13.ok}
         if not l13.ok:
             results["lemma13"]["offending_chain"] = _sets(l13.offending_chain)
@@ -151,7 +150,7 @@ def _cmd_analyze(args) -> int:
         results["lemma13"] = _inapplicable(exc)
 
     try:
-        wit12 = thm12_witness(fam)
+        wit12 = _thm12_witness(fam, rep) if held and len(fam) > 1 else thm12_witness(fam)
         results["thm12"] = {
             "bound": _frac(wit12.bound),
             "element": wit12.element,
@@ -161,7 +160,7 @@ def _cmd_analyze(args) -> int:
         results["thm12"] = _inapplicable(exc)
 
     try:
-        props = prop_suite(fam)
+        props = _prop_suite(fam, rep.height, sep) if held else prop_suite(fam)
         results["propositions"] = {
             key: {"applicable": res.applicable, "holds": res.holds, "witness": res.witness}
             for key, res in props.items()
@@ -284,6 +283,8 @@ def _identity_on_grid(n: int) -> tuple[bool, bool]:
 def _cmd_bounds(args) -> int:
     try:
         step = Fraction(args.grid)
+        if step <= 0:
+            raise ValueError("grid step must be positive")
     except (ValueError, ZeroDivisionError):
         return _fail(f"bad grid step {args.grid!r}")
     n = args.n

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bfamily import _b_report
-from .chains import _lemma13_status, chain_report
+from .chains import _lemma13_status, height
 from .core import (
     Family,
     SetWord,
@@ -113,7 +113,7 @@ def _certify(
     uc = is_union_closed(fam)
     sep = is_separating(fam)
     full = base_is_full(fam)
-    h = chain_report(fam).height
+    h = height(fam)
     bsize = _b_report(fam, h).size if uc and full else -1
     l13 = _lemma13_status(fam).ok if uc and sep and full else False
     half = Fraction(n, 2)

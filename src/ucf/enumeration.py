@@ -18,7 +18,8 @@ height is an O(|F|) incremental update. Verification tasks whose hypotheses
 cap the height use this to prune whole subtrees (adding sets never lowers
 the height). Public analysis functions validate their input; the verifier
 and the `bsize` filter instead pass these facts about a leaf (union-closed,
-base [n], height h) to the private cores behind those functions.
+base [n], height h) to the private cores behind those functions, as the
+construction certifier and `ucf analyze` do with the facts they derive once.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -330,7 +331,7 @@ def _check_family(tid: str, fam: Family, h: int, necessity: bool) -> tuple[bool,
 
     if tid == "PROPS":
         details = []
-        for key, res in _prop_suite(fam).items():
+        for key, res in _prop_suite(fam, h, True).items():
             if res.applicable and not res.holds:
                 details.append(f"proposition {key} failed: {res.witness}")
         return True, details
@@ -414,7 +415,7 @@ def verify_theorem(
     else:
         split, prefixes = _split(n, _HEIGHT_CAPS.get(tid))
         jobs = [(tid, n, hypothesis_necessity, p, split) for p in prefixes]
-        with get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
+        with get_context().Pool(processes=min(workers, len(jobs))) as pool:
             parts = pool.starmap(_run_serial, jobs)
         checked = sum(c for c, _ in parts)
         raw = [v for _, vs in parts for v in vs]

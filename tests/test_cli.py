@@ -192,6 +192,8 @@ def test_enumerate_dump_parses(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "verify", "--id", "NOPE", "--n", "3")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    assert run(capsys, "bounds", "--n", "4", "--grid", "0")[0] == 2
+    assert run(capsys, "bounds", "--n", "4", "--grid=-1/10")[0] == 2
 
 
 def test_enumerate_canonical_count(capsys):

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import ucf
-from ucf import Family, PropResult, bfamily, chains, core
+from ucf import Family, PropResult, bfamily, chains, cli, core
 from ucf.bfamily import PROP_KEYS, _b_report, _prop_suite, b_report, prop_suite
 from ucf.chains import (
     _lemma13_status,
@@ -38,13 +38,12 @@ def test_cores_match_public_functions_on_every_n4_family():
     digest = hashlib.sha256()
     for fam, h in leaves:
         rep = chain_report(fam)
-        assert rep.height == h
+        assert chains.height(fam) == rep.height == h
         sep = ucf.is_separating(fam)
         public = [b_report(fam), prop_suite(fam)]
         assert _b_report(fam, h) == public[0]
-        if sep and h == 4:
-            assert _prop_suite(fam) == public[1]
-        else:
+        assert _prop_suite(fam, h, sep) == public[1]
+        if not (sep and h == 4):
             assert public[1] == inapplicable
         if len(fam) > 1:
             public.append(thm12_witness(fam))
@@ -101,4 +100,14 @@ def test_verifier_derives_each_leaf_fact_once(calls, tid, n, expected):
 
 def test_certificate_derives_each_fact_once(calls):
     assert ucf.astar_certificate(16)[1].ok
+    # The certificate needs only the height, which chains.height gives
+    # without chain_report's witness chain and minimum-maximal-chain pass.
+    assert (calls["is_union_closed"], calls["chain_report"]) == (1, 0)
+
+
+def test_analyze_derives_each_fact_once(calls, capsys, tmp_path):
+    path = tmp_path / "astarstar40.family"
+    path.write_text(ucf.format_family(ucf.build_astarstar(40, verify=False)))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert '"propositions"' in capsys.readouterr().out
     assert (calls["is_union_closed"], calls["chain_report"]) == (1, 1)

@@ -1,5 +1,11 @@
 """Enumerator against the naive power-set oracle; verification harness runs."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import ucf
@@ -184,7 +190,7 @@ def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(enumeration, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(enumeration, "get_context", lambda method=None: FakeContext)
     monkeypatch.setenv("UCF_THREADS", "10000")
     parallel = ucf.verify_theorem("PROPS", 4)
     serial = ucf.verify_theorem("PROPS", 4, workers=1)
@@ -193,6 +199,39 @@ def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
         serial.families_checked,
         serial.violations,
     )
+
+
+def test_parallel_report_matches_serial_under_spawn():
+    # The pool uses the platform's default start method; spawn (the default
+    # on Windows and macOS) starts fresh interpreters that import ucf anew.
+    script = textwrap.dedent(
+        """
+        import multiprocessing
+        import ucf
+        from ucf import enumeration
+
+        multiprocessing.set_start_method("spawn")
+        methods = []
+
+        def get_context(*args):
+            ctx = multiprocessing.get_context(*args)
+            methods.append(ctx.get_start_method())
+            return ctx
+
+        enumeration.get_context = get_context
+        parallel = ucf.verify_theorem("PROPS", 4, workers=2)
+        serial = ucf.verify_theorem("PROPS", 4, workers=1)
+        print(*methods, parallel.families_checked, serial.families_checked)
+        print(parallel.violations == serial.violations)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ucf.__file__).parents[1])}
+    env.pop("UCF_THREADS", None)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["spawn", "2034", "2034", "True"]
 
 
 @pytest.mark.deep

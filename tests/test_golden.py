@@ -1,8 +1,9 @@
 """Golden CLI digests: SHA-256 of stdout for fixed invocations.
 
-The digests were recorded before the duplicate code paths in enumeration,
-bfamily, chains, constructions and cli were merged; any refactor must keep
-every report byte-identical. A digest changes only with a deliberate
+The first nine digests were recorded before the duplicate code paths in
+enumeration, bfamily, chains, constructions and cli were merged, the
+`analyze` ones after them before `ucf analyze` derived each fact once; any
+refactor must keep every report byte-identical. A digest changes only with a deliberate
 change to a report, which must then be recorded in CHANGES.md.
 """
 
@@ -10,9 +11,23 @@ import hashlib
 
 import pytest
 
-from ucf import cli
+from ucf import build_astar, build_astarstar, cli, format_family
 
 PAPER_TEXT = "n=3\n{}\n1\n2\n1 2\n1 2 3\n"
+
+# Family files for `ucf analyze`, one per path through its sections: each
+# section either has the facts its analysis assumes or reports the reason
+# the public function gives for the first one missing.
+ANALYZE_FILES = {
+    "paper.family": PAPER_TEXT,
+    "open.family": "n=2\n1\n2\n",  # not union-closed
+    "partial.family": "n=3\n1\n1 2\n",  # union-closed, base {1, 2}
+    "nonsep.family": "n=3\n{}\n1 2\n1 2 3\n",  # full base, 1 and 2 never split
+    "empty.family": "n=3\n",  # header only
+    "full.family": "n=4\n1 2 3 4\n",  # the single member [n]
+    "astar8.family": format_family(build_astar(8)),  # height 4, A-C applicable
+    "astarstar40.family": format_family(build_astarstar(40)),  # 212 members, height 5
+}
 
 GOLDEN = {
     ("analyze", "paper.family"):
@@ -33,6 +48,20 @@ GOLDEN = {
         "95c505c45dda28edaf94c9af84d1ffc1f17656e69fb5b3c7908d574e48e6ebef",
     ("enumerate", "--n", "3", "--canonical"):
         "dca809cebaa475c547d510ab673c23bf805e79949378a166e299b9f7e6bb7729",
+    ("analyze", "open.family"):
+        "8290392fad7c66b1b24d4b3a6d000339e6670c5c464e8203bec3c7da3576ea4c",
+    ("analyze", "partial.family"):
+        "6abc8736b05be335bf39afe5a9734dc8268e18732f0193514721e1ff4b123f90",
+    ("analyze", "nonsep.family"):
+        "f2961ce8d6eb85b1956ba5172be88686db750adb4c5f29aef5549b5d56478bc0",
+    ("analyze", "empty.family"):
+        "6fd232042c5c9948f522a5cc60a466dddc34795005ca8eb859681ee5943730f3",
+    ("analyze", "full.family"):
+        "3c6221fd50f639ce1b679dc2f8f8489a90fa98d71853a03d16879e3fc0256e02",
+    ("analyze", "astar8.family"):
+        "f9d10f19b884de33116256ddf0a88a9f636ddc954baf4d47661ece20759c69f9",
+    ("analyze", "astarstar40.family"):
+        "7048400bf184f0b33bc217b1070668b4091f5b312fb13dfdedc322f9a7fa0e2f",
 }
 
 
@@ -40,7 +69,8 @@ GOLDEN = {
 def test_cli_stdout_digest(argv, capsys, tmp_path, monkeypatch):
     # analyze echoes its path; a fixed relative name keeps the report stable
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "paper.family").write_text(PAPER_TEXT)
+    for name, text in ANALYZE_FILES.items():
+        (tmp_path / name).write_text(text)
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
