@@ -161,7 +161,10 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     need |B| < n-1, E needs |B| = n-1 with a slice member meeting both
     cover halves and at least four slice members); F-I require cover size
     3, J-L cover size 4, all at height 4. Inapplicable propositions are
-    reported with holds=None.
+    reported with holds=None. E and G-L read the lexicographically least
+    minimum cover (the one `b_report` returns); that their verdicts do not
+    depend on which minimum cover is read is checked by the tests on
+    relabeled n = 5 families with several covers, not proven.
     """
     return _prop_suite(fam, _checked_height(fam), is_separating(fam))
 

@@ -11,10 +11,16 @@ inside it. Their relaxations f and g share the same algebraic form:
     f(x, y) = n - x - y - 2 + (2xy + 3x + y + 2) / n      (zeta == f pointwise)
     g(x, y) = (2n + xy - 1) / (y + 3)                     (eta == g pointwise)
 
-The minimizers are confirmation devices, not proofs: each scans a rational
-grid over the stated feasible region and, independently, every integer
-feasible point, both exactly. Ties resolve to the lexicographically
-smallest argument, so results are deterministic.
+The minimizers are confirmation devices, not proofs. Each visits every x
+tick of a rational grid over the stated feasible range and, independently,
+every integer x in it, and evaluates the function exactly at y = 1 and
+y = x only. That loses nothing against scanning the y ticks of [1, x]:
+f is affine in y, and g is linear-fractional in y with its pole y = -3
+outside [1, x], so both are monotone in y there and the minimum over any
+y set that holds both endpoints is at one of them. Ties resolve to the
+lexicographically smallest (value, x, y); when the function is constant
+in y, y = 1 is among the scanned points and wins the tie, so the result
+equals that of the full two-dimensional scan.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, floor
 from typing import Sequence
 
 from .errors import BadK, BadM, BadN, EmptyRegion, InternalError, ZeroDenominator
@@ -90,28 +96,25 @@ def _minimize(points, fn) -> BoundEval:
     return BoundEval(best[0], (best[1], best[2]))
 
 
+def _endpoint_scan(lo: Fraction, hi: Fraction, step: Fraction):
+    """(x, 1) and (x, x) for every grid tick x of [lo, hi] and every
+    integer x in it."""
+    xs = _ticks(lo, hi, step) + [Fraction(i) for i in range(ceil(lo), floor(hi) + 1)]
+    for x in xs:
+        yield x, Fraction(1)
+        yield x, x
+
+
 def minimize_f(n: int, grid_step: Rat) -> BoundEval:
-    """Minimum of f over 1 <= y <= x <= (n-1)/2, by exact grid scan plus
-    every integer feasible point."""
+    """Minimum of f over 1 <= y <= x <= (n-1)/2, by the exact endpoint scan
+    of the x grid plus every integer x."""
     if n < 4:
         raise BadN("minimize_f requires n >= 4")
     step = Fraction(grid_step)
     if step <= 0:
         raise ValueError("grid step must be positive")
-    hi = Fraction(n - 1, 2)
-    if hi < 1:
-        raise EmptyRegion("feasible region 1 <= y <= x <= (n-1)/2 is empty")
-
-    def points():
-        for x in _ticks(Fraction(1), hi, step):
-            for y in _ticks(Fraction(1), x, step):
-                yield x, y
-        imax = (n - 1) // 2
-        for xi in range(1, imax + 1):
-            for yi in range(1, xi + 1):
-                yield Fraction(xi), Fraction(yi)
-
-    return _minimize(points(), lambda x, y: f_relax(n, x, y))
+    points = _endpoint_scan(Fraction(1), Fraction(n - 1, 2), step)
+    return _minimize(points, lambda x, y: f_relax(n, x, y))
 
 
 def minimize_g(n: int, grid_step: Rat) -> BoundEval:
@@ -121,20 +124,8 @@ def minimize_g(n: int, grid_step: Rat) -> BoundEval:
     step = Fraction(grid_step)
     if step <= 0:
         raise ValueError("grid step must be positive")
-    lo, hi = Fraction(n, 2), Fraction(n - 2)
-    if hi < lo:
-        raise EmptyRegion("feasible region n/2 <= x <= n-2 is empty")
-
-    def points():
-        for x in _ticks(lo, hi, step):
-            for y in _ticks(Fraction(1), x, step):
-                yield x, y
-        xmin = -((-n) // 2)  # ceil(n/2)
-        for xi in range(xmin, n - 1):
-            for yi in range(1, xi + 1):
-                yield Fraction(xi), Fraction(yi)
-
-    return _minimize(points(), lambda x, y: g_relax(n, x, y))
+    points = _endpoint_scan(Fraction(n, 2), Fraction(n - 2), step)
+    return _minimize(points, lambda x, y: g_relax(n, x, y))
 
 
 def prop_d_check(p: Sequence[Rat], k: int) -> bool:

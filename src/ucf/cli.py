@@ -28,6 +28,7 @@ from .constructions import (
     build_astarstar,
 )
 from .core import (
+    WORD_CAPACITY,
     Family,
     avg_size,
     base_set,
@@ -281,6 +282,8 @@ def _identity_on_grid(n: int) -> tuple[bool, bool]:
 
 
 def _cmd_bounds(args) -> int:
+    if args.n > WORD_CAPACITY:
+        return _fail(f"bounds requires n <= {WORD_CAPACITY}")
     try:
         step = Fraction(args.grid)
         if step <= 0:

@@ -1,8 +1,16 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and helpers shared across the test modules."""
 
 from hypothesis import assume, strategies as st
 
 from ucf import Family, is_separating, union_closure
+
+
+def relabel(fam, perm):
+    """Image of fam under the relabeling that sends element i + 1 to perm[i] + 1."""
+    return Family.from_masks(
+        fam.n,
+        (sum(((m >> i) & 1) << perm[i] for i in range(fam.n)) for m in fam.members),
+    )
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Cover search against an independent bitmask-subset oracle, plus the
 proposition battery on hand-built families."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 
 import ucf
 from ucf import Family
+from ucf.enumeration import _dfs
 from ucf.errors import BaseNotFull, EmptyFamily, NotUnionClosed
 
-from strategies import spanning_uc_families, union_closed_families
+from strategies import relabel, spanning_uc_families, union_closed_families
 
 PAPER = Family.of(3, [(1, 2, 3), (1, 2), (1,), (2,), ()])
 
@@ -225,3 +227,37 @@ def test_cover_size_bounded_by_height_on_wide_closures(fam):
     br = ucf.b_report(fam)
     assert br.size <= ucf.chain_report(fam).height
     assert ucf.is_irredundant(br.cover)
+
+
+class _Enough(Exception):
+    """Ends a DFS walk once the sample is complete."""
+
+
+def _verdicts(fam):
+    return {key: (r.applicable, r.holds) for key, r in ucf.prop_suite(fam).items()}
+
+
+def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
+    # E and G-L read the lexicographically least minimum cover, which a
+    # relabeling can change when there are several. No separating height-4
+    # family at n = 4 has two, so the sample is drawn at n = 5.
+    sample = []
+
+    def visit(members, h):
+        fam = Family(5, tuple(reversed(members)))
+        if h == 4 and ucf.is_separating(fam) and len(ucf.minimum_covers(fam)) > 1:
+            sample.append(fam)
+            if len(sample) == 50:
+                raise _Enough
+
+    with pytest.raises(_Enough):
+        _dfs(5, visit, 4)
+    moved = 0  # relabelings under which another minimum cover is read
+    for fam in sample:
+        expected = _verdicts(fam)
+        cover = ucf.b_report(fam).cover
+        for perm in itertools.permutations(range(5)):
+            image = relabel(fam, perm)
+            assert _verdicts(image) == expected, (fam.member_sets(), perm)
+            moved += ucf.b_report(image).cover != relabel(cover, perm)
+    assert moved > 0

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ucf
+from ucf import bounds
+from ucf.bounds import _endpoint_scan, _minimize, _ticks
 from ucf.errors import BadK, BadM, BadN, ZeroDenominator
 
 
@@ -83,6 +85,82 @@ def test_minimize_f_degenerate_region_n4():
     got = ucf.minimize_f(4, Fraction(1, 4))
     assert got.value == Fraction(2, 1)
     assert got.at == (Fraction(1), Fraction(1))
+
+
+# The two-dimensional scans the minimizers ran before the endpoint rule,
+# kept as the reference they are compared against.
+
+def _grid_points_f(n, step):
+    hi = Fraction(n - 1, 2)
+    for x in _ticks(Fraction(1), hi, step):
+        for y in _ticks(Fraction(1), x, step):
+            yield x, y
+    imax = (n - 1) // 2
+    for xi in range(1, imax + 1):
+        for yi in range(1, xi + 1):
+            yield Fraction(xi), Fraction(yi)
+
+
+def _grid_points_g(n, step):
+    lo, hi = Fraction(n, 2), Fraction(n - 2)
+    for x in _ticks(lo, hi, step):
+        for y in _ticks(Fraction(1), x, step):
+            yield x, y
+    xmin = -((-n) // 2)  # ceil(n/2)
+    for xi in range(xmin, n - 1):
+        for yi in range(1, xi + 1):
+            yield Fraction(xi), Fraction(yi)
+
+
+# Eleven steps for each n in 4..22, 209 pairs. 1/3, 2/5, 2/3, 3/4 and 5/2
+# put n/2 - 1 (or 7/2 at n = 9) off the f grid; 2/3, 4/3, 5/2 and 7/9 make
+# ticks that miss integers; 3 and 10 can be wider than the region, leaving
+# only its ends and the integer points. At n = 9 and step 1/3 the f ticks
+# 10/3 and 11/3 tie on value.
+_STEPS = [
+    Fraction(s) for s in ("1", "1/2", "1/3", "2/5", "2/3", "3/4", "4/3", "3", "5/2", "7/9", "10")
+]
+
+
+@pytest.mark.parametrize("step", _STEPS, ids=str)
+def test_endpoint_scan_equals_grid_scan(step):
+    for n in range(4, 23):
+        f = lambda x, y: ucf.f_relax(n, x, y)
+        g = lambda x, y: ucf.g_relax(n, x, y)
+        assert ucf.minimize_f(n, step) == _minimize(_grid_points_f(n, step), f), n
+        assert ucf.minimize_g(n, step) == _minimize(_grid_points_g(n, step), g), n
+
+
+def test_endpoint_scan_keeps_y_equal_one():
+    # On their regions f and g are least at y = x; negated, they are least
+    # at y = 1, and -f is constant in y at x = (n-1)/2, where the tie-break
+    # must still give y = 1.
+    at_one = 0
+    for step in (Fraction(1), Fraction(2, 3), Fraction(5, 2), Fraction(7, 9)):
+        for n in range(4, 23):
+            for fn, lo, hi, grid in (
+                (ucf.f_relax, Fraction(1), Fraction(n - 1, 2), _grid_points_f),
+                (ucf.g_relax, Fraction(n, 2), Fraction(n - 2), _grid_points_g),
+            ):
+                neg = lambda x, y: -fn(n, x, y)
+                got = _minimize(_endpoint_scan(lo, hi, step), neg)
+                assert got == _minimize(grid(n, step), neg), (n, step)
+                at_one += got.at[1] == 1 < got.at[0]
+    assert at_one > 0
+
+
+def test_endpoint_scan_evaluates_two_points_per_x(monkeypatch):
+    calls = []
+    for name in ("f_relax", "g_relax"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda n, x, y, real=real: calls.append(x) or real(n, x, y))
+    ucf.minimize_f(10, Fraction(1, 100))
+    # 351 ticks of [1, 9/2] and the integers 1..4, two points each
+    assert len(calls) == 2 * (351 + 4)
+    calls.clear()
+    ucf.minimize_g(10, Fraction(1, 100))
+    # 301 ticks of [5, 8] and the integers 5..8
+    assert len(calls) == 2 * (301 + 4)
 
 
 def test_minimize_rejects_small_n():

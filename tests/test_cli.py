@@ -194,6 +194,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bounds", "--n", "4", "--grid", "0")[0] == 2
     assert run(capsys, "bounds", "--n", "4", "--grid=-1/10")[0] == 2
+    assert run(capsys, "bounds", "--n", "65")[0] == 2
 
 
 def test_enumerate_canonical_count(capsys):

@@ -13,6 +13,8 @@ from ucf import EnumFilter, Family, enumeration
 from ucf.enumeration import _dfs, _split
 from ucf.errors import NTooLarge
 
+from strategies import relabel
+
 # Counts frozen from the independent brute-force oracle (re-derived below).
 KNOWN_COUNTS = {1: 2, 2: 8, 3: 90, 4: 4542}
 
@@ -272,13 +274,6 @@ def test_verify_t41_and_props_n5():
 # ---------------------------------------------------------------------------
 # canonical form (relabeling reduction, off by default)
 # ---------------------------------------------------------------------------
-
-def relabel(fam, perm):
-    return Family.from_masks(
-        fam.n,
-        (sum(((m >> i) & 1) << perm[i] for i in range(fam.n)) for m in fam.members),
-    )
-
 
 def test_canonical_form_identifies_relabelings():
     import itertools

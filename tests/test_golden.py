@@ -2,7 +2,8 @@
 
 The first nine digests were recorded before the duplicate code paths in
 enumeration, bfamily, chains, constructions and cli were merged, the
-`analyze` ones after them before `ucf analyze` derived each fact once; any
+`analyze` ones after them before `ucf analyze` derived each fact once, the
+off-grid `bounds` ones before the minimizers scanned y's endpoints only; any
 refactor must keep every report byte-identical. A digest changes only with a deliberate
 change to a report, which must then be recorded in CHANGES.md.
 """
@@ -62,6 +63,12 @@ GOLDEN = {
         "f9d10f19b884de33116256ddf0a88a9f636ddc954baf4d47661ece20759c69f9",
     ("analyze", "astarstar40.family"):
         "7048400bf184f0b33bc217b1070668b4091f5b312fb13dfdedc322f9a7fa0e2f",
+    # the f vertex 7/2 is off the grid and the ticks 10/3, 11/3 tie on value
+    ("bounds", "--n", "9", "--grid", "1/3"):
+        "afaa93cbb201d276a9026fbcd663455b35e064249b549326f23dc8cfd5814971",
+    # only the integer points reach the f vertex 5
+    ("bounds", "--n", "12", "--grid", "3/7"):
+        "5df3b3058ba4e3df558174b45f96c0ff23bb1a14fd3db25745346bc7960cf364",
 }
 
 
