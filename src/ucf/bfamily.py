@@ -1,8 +1,8 @@
 """Small-slice cover analysis and the structural proposition battery.
 
 For a union-closed family with base [n], the small slice is the set of
-members of cardinality below n/2. Its base B is covered by some subfamily;
-we search for a minimum-size one. Minimality forces irredundance (dropping
+members of cardinality below n/2. Its base b(B) is covered by a subfamily
+B; we search for one of minimum size |B|. Minimality forces irredundance (dropping
 a member whose private contribution is empty would give a smaller cover),
 which is re-verified on every result.
 
@@ -157,10 +157,11 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     """Evaluate propositions A-C, E-L against one family.
 
     Hypotheses are decided mechanically: A-C and E require a separating
-    family of height 4 with n >= 4 and cover size at most 2 (A-C further
-    need |B| < n-1, E needs |B| = n-1 with a slice member meeting both
-    cover halves and at least four slice members); F-I require cover size
-    3, J-L cover size 4, all at height 4. Inapplicable propositions are
+    family of height 4 with n >= 4 and cover size |B| at most 2 (A-C
+    further need |b(B)| < n-1, where b(B) is the base of the small slice;
+    E needs |b(B)| = n-1 with a slice member meeting both cover halves and
+    at least four slice members); F-I require |B| = 3, J-L |B| = 4, all at
+    height 4. Inapplicable propositions are
     reported with holds=None. E and G-L read the lexicographically least
     minimum cover (the one `b_report` returns); that their verdicts do not
     depend on which minimum cover is read is checked by the tests on
@@ -179,12 +180,12 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
     n = fam.n
     cover = next(_min_covers(n, small, bword, 4))
     csize = len(cover)
-    bsize = bword.bit_count()
+    bword_size = bword.bit_count()  # |b(B)|
     sub_b = tuple(m for m in fam.members if m | bword == bword and m != bword)
     avg = avg_size(fam)
     half = Fraction(n, 2)
 
-    if n >= 4 and csize <= 2 and bsize < n - 1:
+    if n >= 4 and csize <= 2 and bword_size < n - 1:
         # A: complements within B of distinct proper-subset members are disjoint.
         witness = None
         for x1, x2 in itertools.combinations(sub_b, 2):
@@ -193,14 +194,14 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
                 break
         results["A"] = PropResult(True, witness is None, witness)
 
-        # B: either the average already meets n/2, or 1 <= |sub_b| <= |B|.
-        ok = avg >= half or 1 <= len(sub_b) <= bsize
-        witness = None if ok else {"avg": str(avg), "sub_b": len(sub_b), "bsize": bsize}
+        # B: either the average already meets n/2, or 1 <= |sub_b| <= |b(B)|.
+        ok = avg >= half or 1 <= len(sub_b) <= bword_size
+        witness = None if ok else {"avg": str(avg), "sub_b": len(sub_b), "bsize": bword_size}
         results["B"] = PropResult(True, ok, witness)
 
-        # C: total size of proper-subset members is at least (count-1)*|B|.
+        # C: total size of proper-subset members is at least (count-1)*|b(B)|.
         total = sum(m.bit_count() for m in sub_b)
-        ok = total >= (len(sub_b) - 1) * bsize
+        ok = total >= (len(sub_b) - 1) * bword_size
         results["C"] = PropResult(True, ok, None if ok else {"total": total, "count": len(sub_b)})
 
     # E: with a two-set cover of an (n-1)-element base and a slice member
@@ -208,7 +209,7 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
     e_applicable = (
         n >= 4
         and csize == 2
-        and bsize == n - 1
+        and bword_size == n - 1
         and len(small) >= 4
         and any(
             m not in cover.members and m & cover.members[0] and m & cover.members[1]
@@ -231,12 +232,12 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
     non_cover_small = tuple(m for m in small if m not in cover.members)
 
     if csize == 3:
-        # F: a three-set cover forces |B| into {n-1, n}.
-        ok = bsize in (n - 1, n)
-        results["F"] = PropResult(True, ok, None if ok else {"bsize": bsize})
+        # F: a three-set cover forces |b(B)| into {n-1, n}.
+        ok = bword_size in (n - 1, n)
+        results["F"] = PropResult(True, ok, None if ok else {"bsize": bword_size})
 
-    if csize == 3 and bsize == n:
-        # G: |B| = n: no non-cover slice member may contain every private part.
+    if csize == 3 and bword_size == n:
+        # G: |b(B)| = n: no non-cover slice member may contain every private part.
         witness = None
         for m in non_cover_small:
             if irr_union | m == m:
@@ -244,7 +245,7 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
                 break
         results["G"] = PropResult(True, witness is None, witness)
 
-        # H: |B| = n: slice members meet each multi-element private part in
+        # H: |b(B)| = n: slice members meet each multi-element private part in
         # 0, all, or all-but-one of its elements.
         witness = None
         for m in small:
@@ -257,8 +258,8 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
                 break
         results["H"] = PropResult(True, witness is None, witness)
 
-    if csize == 3 and bsize == n - 1:
-        # I: |B| = n-1: each non-cover slice member is the union of the private
+    if csize == 3 and bword_size == n - 1:
+        # I: |b(B)| = n-1: each non-cover slice member is the union of the private
         # parts, or matches exactly one of the three symmetric-difference forms.
         classifications = []
         ok = True
@@ -270,9 +271,9 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
         results["I"] = PropResult(True, ok, {"classifications": classifications})
 
     if csize == 4:
-        # J: a four-set cover forces |B| = n.
-        ok = bsize == n
-        results["J"] = PropResult(True, ok, None if ok else {"bsize": bsize})
+        # J: a four-set cover forces |b(B)| = n.
+        ok = bword_size == n
+        results["J"] = PropResult(True, ok, None if ok else {"bsize": bword_size})
 
         # K: four-set covers have singleton private parts.
         ok = all(w.bit_count() == 1 for w in irrs)

@@ -14,12 +14,17 @@ therefore union-closed, visited exactly once, in a deterministic order
 Alongside membership the DFS maintains, per member, the length of the
 longest chain bottoming out at that member; a new set sits below every
 existing one in integer order, so older values never change and the family
-height is an O(|F|) incremental update. Verification tasks whose hypotheses
-cap the height use this to prune whole subtrees (adding sets never lowers
-the height). Public analysis functions validate their input; the verifier
-and the `bsize` filter instead pass these facts about a leaf (union-closed,
-base [n], height h) to the private cores behind those functions, as the
-construction certifier and `ucf analyze` do with the facts they derive once.
+height is an O(|F|) incremental update. A filter's height range caps the
+walk: subtrees above its top are pruned (adding sets never lowers the height).
+
+Each check id of the verifier is one table row: its hypotheses as text, as
+an `EnumFilter` (height, separation, cover size |B|) and as the least n the
+result is stated for, and its conclusion. The enumerator's leaf loop runs
+every check, so `EnumFilter.matches` is the only per-leaf gate. Public
+analysis functions validate their input; the filter and the conclusions
+instead pass these facts about a leaf (union-closed, base [n], height h) to
+the private cores behind those functions, as the construction certifier and
+`ucf analyze` do with the facts they derive once.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -55,13 +60,14 @@ _SPLIT_DEPTH = 4
 class EnumFilter:
     """Per-family constraints applied to enumerated families.
 
-    `height` accepts an exact int or an inclusive (lo, hi) pair. `bsize`
-    constrains the minimum cover size of the small slice.
+    `height` and `bsize` (the minimum cover size |B| of the small slice)
+    each accept an exact int or an inclusive (lo, hi) pair. The gates run
+    cheapest first: height, separation, then the cover search.
     """
 
     separating: bool | None = None
     height: int | tuple[int, int] | None = None
-    bsize: int | None = None
+    bsize: int | tuple[int, int] | None = None
     contains_empty: bool | None = None
 
     def height_range(self) -> tuple[int, int] | None:
@@ -72,17 +78,20 @@ class EnumFilter:
         return self.height
 
     def matches(self, fam: Family, h: int) -> bool:
-        if self.contains_empty is not None:
-            if (0 in fam.members) != self.contains_empty:
-                return False
-        rng = self.height_range()
-        if rng is not None and not rng[0] <= h <= rng[1]:
+        if self.contains_empty is not None and (0 in fam.members) != self.contains_empty:
+            return False
+        if self.height is not None and not _within(h, self.height):
             return False
         if self.separating is not None and is_separating(fam) != self.separating:
             return False
-        if self.bsize is not None and _b_report(fam, h).size != self.bsize:
+        if self.bsize is not None and not _within(_b_report(fam, h).size, self.bsize):
             return False
         return True
+
+
+def _within(value: int, spec: int | tuple[int, int]) -> bool:
+    lo, hi = (spec, spec) if isinstance(spec, int) else spec
+    return lo <= value <= hi
 
 
 def _dfs(
@@ -157,6 +166,34 @@ def _split(n: int, h_cap: int | None) -> tuple[int, list[tuple[int, ...]]]:
     return split, prefixes
 
 
+def _walk(
+    n: int,
+    filt: EnumFilter | None,
+    visit: Callable[[Family, int], None],
+    prefix: tuple[int, ...] = (),
+    start: int | None = None,
+    progress: Callable[[int], None] | None = None,
+) -> int:
+    """Run the DFS (arguments as in _dfs) under the filter's height cap and
+    call visit(family, height) on each leaf that passes the filter; returns
+    how many passed. `progress` gets the visited count every 100,000 leaves."""
+    rng = filt.height_range() if filt else None
+    visited = passed = 0
+
+    def emit(members_desc: list[int], h: int) -> None:
+        nonlocal visited, passed
+        visited += 1
+        if progress is not None and visited % 100000 == 0:
+            progress(visited)
+        fam = Family(n, tuple(reversed(members_desc)))
+        if filt is None or filt.matches(fam, h):
+            passed += 1
+            visit(fam, h)
+
+    _dfs(n, emit, rng and rng[1], prefix, start)
+    return passed
+
+
 def enumerate_uc(
     n: int,
     filt: EnumFilter | None = None,
@@ -166,20 +203,7 @@ def enumerate_uc(
     filter, in deterministic order; returns how many passed."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration is capped at n <= {ENUMERATION_CAP}")
-    rng = filt.height_range() if filt else None
-    h_cap = rng[1] if rng else None
-    count = 0
-
-    def emit(members_desc: list[int], h: int) -> None:
-        nonlocal count
-        fam = Family(n, tuple(reversed(members_desc)))
-        if filt is None or filt.matches(fam, h):
-            count += 1
-            if visitor is not None:
-                visitor(fam)
-
-    _dfs(n, emit, h_cap)
-    return count
+    return _walk(n, filt, lambda fam, h: visitor(fam) if visitor else None)
 
 
 def canonical_form(fam: Family) -> Family:
@@ -192,17 +216,11 @@ def canonical_form(fam: Family) -> Family:
     """
     if fam.n > ENUMERATION_CAP:
         raise NTooLarge(f"canonical form is capped at n <= {ENUMERATION_CAP}")
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(fam.n)):
-        image = tuple(
-            sorted(
-                sum(((m >> i) & 1) << perm[i] for i in range(fam.n))
-                for m in fam.members
-            )
-        )
-        if best is None or image < best:
-            best = image
-    return Family(fam.n, best or ())
+    best = min(
+        tuple(sorted(sum(((m >> i) & 1) << perm[i] for i in range(fam.n)) for m in fam.members))
+        for perm in itertools.permutations(range(fam.n))
+    )
+    return Family(fam.n, best)
 
 
 def brute_force_uc(n: int) -> list[Family]:
@@ -217,22 +235,10 @@ def brute_force_uc(n: int) -> list[Family]:
         if not fm & full_bit:
             # base [n] plus union-closedness forces [n] itself to be a member
             continue
+        # with [n] a member the base is [n]; only union-closedness is left
         members = [s for s in range(full + 1) if fm >> s & 1]
-        base = 0
-        for m in members:
-            base |= m
-        if base != full:
-            continue
         have = set(members)
-        ok = True
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                if x | y not in have:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(x | y in have for x, y in itertools.combinations(members, 2)):
             out.append(Family(n, tuple(members)))
     return out
 
@@ -264,124 +270,112 @@ class VerifyReport:
         return not self.violations
 
 
-THEOREM_IDS = ("T1.2", "L1.3", "T1.4", "L2.1.1", "T2.1", "C2.2", "T4.1", "PROPS")
+def _thm12(fam: Family, h: int) -> list[str] | None:
+    if len(fam) <= 1:  # the hypothesis |family| > 1; None marks the leaf unchecked
+        return None
+    rep = chain_report(fam)
+    maxfreq = max(frequencies(fam))
+    details = []
+    for name, value in (("h", rep.height), ("r", rep.r)):
+        bound = thm12_bound(len(fam), value)
+        if maxfreq < bound:
+            details.append(f"max frequency {maxfreq} < bound {bound} at {name}={value}")
+    wit = _thm12_witness(fam, rep)
+    if wit.count < wit.bound:
+        details.append(f"witness element {wit.element} count {wit.count} < bound {wit.bound}")
+    return details
 
-_HYPOTHESIS_TEXT = {
-    "T1.2": "union-closed, |family| > 1 (max frequency >= (|family|+h-3)/(h-1), also with r)",
-    "L1.3": "separating (every maximal chain holds a size n-1 member)",
-    "T1.4": "separating, height <= 3 (average size >= n/2)",
-    "L2.1.1": "separating (|family| >= n, with reduction trace)",
-    "T2.1": "separating, height 4, n >= 4, cover size <= 2 (average size >= n/2)",
-    "C2.2": "separating, height 4, n >= 4, cover size <= 2 (some element in half the members)",
-    "T4.1": "separating, height 4, cover size 4 (average size > floor(n/2) - 1)",
-    "PROPS": "separating, height 4 (all applicable propositions A-L hold)",
+
+def _lemma13(fam: Family, h: int) -> list[str]:
+    rep = _lemma13_status(fam)
+    return [] if rep.ok else [f"maximal chain without size-(n-1) member: {rep.offending_chain}"]
+
+
+def _avg_half(fam: Family, h: int) -> list[str]:
+    """T1.4 and T2.1; in necessity mode T2.1's violations are the point of the run."""
+    avg, half = avg_size(fam), Fraction(fam.n, 2)
+    return [] if avg >= half else [f"avg {avg} < {half}"]
+
+
+def _size_bound(fam: Family, h: int) -> list[str]:
+    details = [f"|family| {len(fam)} < n {fam.n}"] if len(fam) < fam.n else []
+    try:
+        trace = _size_bound_trace(fam)
+        if not trace.ok:
+            details.append(f"reduction trace breached size >= base: {trace.levels}")
+    except InternalError as exc:
+        details.append(f"reduction failed: {exc}")
+    return details
+
+
+def _frankl(fam: Family, h: int) -> list[str]:
+    w = frankl_witness(fam)
+    return [] if w.ok else [f"best element {w.element} in {w.count} members < {w.threshold}"]
+
+
+def _avg_floor(fam: Family, h: int) -> list[str]:
+    avg, floor_bound = avg_size(fam), fam.n // 2 - 1
+    return [] if avg > floor_bound else [f"avg {avg} <= {floor_bound}"]
+
+
+def _props(fam: Family, h: int) -> list[str]:
+    failed = [(k, r) for k, r in _prop_suite(fam, h, True).items() if r.applicable and not r.holds]
+    return [f"proposition {k} failed: {r.witness}" for k, r in failed]
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One check id: its hypotheses as text, as a leaf filter and as the least n
+    the result is stated for, and its conclusion: the violation details for a
+    (leaf, height) pair, or None for a leaf it leaves unchecked."""
+
+    hypothesis: str
+    filt: EnumFilter
+    conclude: Callable[[Family, int], list[str] | None]
+    least_n: int = 1
+
+
+_SEP = EnumFilter(separating=True)
+_SEP_H4_B2 = EnumFilter(separating=True, height=4, bsize=(0, 2))
+_CHECKS = {
+    "T1.2": _Check("union-closed, |family| > 1"
+                   " (max frequency >= (|family|+h-3)/(h-1), also with r)", EnumFilter(), _thm12),
+    "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13),
+    "T1.4": _Check("separating, height <= 3 (average size >= n/2)",
+                   EnumFilter(separating=True, height=(1, 3)), _avg_half),
+    "L2.1.1": _Check("separating (|family| >= n, with reduction trace)", _SEP, _size_bound),
+    "T2.1": _Check("separating, height 4, n >= 4, cover size <= 2 (average size >= n/2)",
+                   _SEP_H4_B2, _avg_half, least_n=4),
+    "C2.2": _Check("separating, height 4, n >= 4, cover size <= 2"
+                   " (some element in half the members)", _SEP_H4_B2, _frankl, least_n=4),
+    "T4.1": _Check("separating, height 4, cover size 4 (average size > floor(n/2) - 1)",
+                   EnumFilter(separating=True, height=4, bsize=4), _avg_floor),
+    "PROPS": _Check("separating, height 4 (all applicable propositions A-L hold)",
+                    EnumFilter(separating=True, height=4), _props),
 }
 
-_HEIGHT_CAPS = {"T1.4": 3, "T2.1": 4, "C2.2": 4, "T4.1": 4, "PROPS": 4}
-
-
-def _check_family(tid: str, fam: Family, h: int, necessity: bool) -> tuple[bool, list[str]]:
-    """(hypothesis matched, violation details) for one leaf; tid is a known id."""
-    n = fam.n
-    half = Fraction(n, 2)
-    if tid == "T1.2":
-        if len(fam) <= 1:
-            return False, []
-        rep = chain_report(fam)
-        maxfreq = max(frequencies(fam))
-        details = []
-        for name, value in (("h", rep.height), ("r", rep.r)):
-            bound = thm12_bound(len(fam), value)
-            if maxfreq < bound:
-                details.append(f"max frequency {maxfreq} < bound {bound} at {name}={value}")
-        wit = _thm12_witness(fam, rep)
-        if wit.count < wit.bound:
-            details.append(f"witness element {wit.element} count {wit.count} < bound {wit.bound}")
-        return True, details
-
-    # Gates run cheapest first: height, n, separation, then cover size.
-    if tid in ("T2.1", "C2.2", "T4.1", "PROPS") and h != 4:
-        return False, []
-    if tid in ("T2.1", "C2.2") and n < 4 and not necessity:
-        return False, []
-    if not is_separating(fam):
-        return False, []
-
-    if tid == "L1.3":
-        rep = _lemma13_status(fam)
-        if rep.ok:
-            return True, []
-        return True, [f"maximal chain without size-(n-1) member: {rep.offending_chain}"]
-
-    if tid == "T1.4":  # the DFS height cap of 3 is the height hypothesis
-        avg = avg_size(fam)
-        return True, [] if avg >= half else [f"avg {avg} < {half}"]
-
-    if tid == "L2.1.1":
-        details = []
-        if len(fam) < n:
-            details.append(f"|family| {len(fam)} < n {n}")
-        try:
-            trace = _size_bound_trace(fam)
-            if not trace.ok:
-                details.append(f"reduction trace breached size >= base: {trace.levels}")
-        except InternalError as exc:
-            details.append(f"reduction failed: {exc}")
-        return True, details
-
-    if tid == "PROPS":
-        details = []
-        for key, res in _prop_suite(fam, h, True).items():
-            if res.applicable and not res.holds:
-                details.append(f"proposition {key} failed: {res.witness}")
-        return True, details
-
-    bsize = _b_report(fam, h).size
-    if tid == "T4.1":
-        if bsize != 4:
-            return False, []
-        avg = avg_size(fam)
-        floor_bound = n // 2 - 1
-        return True, [] if avg > floor_bound else [f"avg {avg} <= {floor_bound}"]
-
-    if bsize > 2:
-        return False, []
-    if tid == "T2.1":
-        # In necessity mode these violations are the point of the run.
-        avg = avg_size(fam)
-        return True, [] if avg >= half else [f"avg {avg} < {half}"]
-    wit = frankl_witness(fam)  # C2.2
-    if wit.ok:
-        return True, []
-    return True, [f"best element {wit.element} in {wit.count} members < {wit.threshold}"]
+THEOREM_IDS = tuple(_CHECKS)
 
 
 def _run_serial(
     tid: str,
     n: int,
-    necessity: bool,
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[tuple[tuple[int, ...], str]]]:
+    check = _CHECKS[tid]
     checked = 0
-    visited = 0
     violations: list[tuple[tuple[int, ...], str]] = []
-    h_cap = _HEIGHT_CAPS.get(tid)
 
-    def emit(members_desc: list[int], h: int) -> None:
-        nonlocal checked, visited
-        visited += 1
-        if progress is not None and visited % 100000 == 0:
-            progress(visited)
-        fam = Family(n, tuple(reversed(members_desc)))
-        matched, details = _check_family(tid, fam, h, necessity)
-        if matched:
+    def visit(fam: Family, h: int) -> None:
+        nonlocal checked
+        details = check.conclude(fam, h)
+        if details is not None:
             checked += 1
-            for d in details:
-                violations.append((fam.members, d))
+            violations.extend((fam.members, d) for d in details)
 
-    _dfs(n, emit, h_cap, prefix, start)
+    _walk(n, check.filt, visit, prefix, start, progress)
     return checked, violations
 
 
@@ -409,12 +403,16 @@ def verify_theorem(
         workers = int(os.environ.get("UCF_THREADS", "1"))
     workers = max(1, workers)
 
+    check = _CHECKS[tid]
     start = time.perf_counter()
-    if workers == 1 or n <= 3:
-        checked, raw = _run_serial(tid, n, hypothesis_necessity, progress=progress)
+    if n < check.least_n and not hypothesis_necessity:
+        checked, raw = 0, []
+    elif workers == 1 or n <= 3:
+        checked, raw = _run_serial(tid, n, progress=progress)
     else:
-        split, prefixes = _split(n, _HEIGHT_CAPS.get(tid))
-        jobs = [(tid, n, hypothesis_necessity, p, split) for p in prefixes]
+        rng = check.filt.height_range()
+        split, prefixes = _split(n, rng and rng[1])
+        jobs = [(tid, n, p, split) for p in prefixes]
         with get_context().Pool(processes=min(workers, len(jobs))) as pool:
             parts = pool.starmap(_run_serial, jobs)
         checked = sum(c for c, _ in parts)
@@ -425,7 +423,7 @@ def verify_theorem(
     return VerifyReport(
         theorem=tid,
         n=n,
-        hypothesis=_HYPOTHESIS_TEXT[tid],
+        hypothesis=check.hypothesis,
         families_checked=checked,
         violations=violations,
         elapsed=elapsed,

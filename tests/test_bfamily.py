@@ -146,7 +146,7 @@ def test_k_counts_double_counting(fam):
 # ---------------------------------------------------------------------------
 
 def test_prop_suite_paper_family_gates():
-    # n = 3 < 4 and |B| = 2 = n-1: A-C do not apply; neither do E-L gates
+    # n = 3 < 4 and |b(B)| = 2 = n-1: A-C do not apply; neither do E-L gates
     props = ucf.prop_suite(PAPER)
     assert all(not props[key].applicable for key in props)
 
@@ -196,7 +196,7 @@ def test_prop_suite_case2_boundary_family():
     )
     props = ucf.prop_suite(fam)
     assert props["E"].applicable and props["E"].holds
-    assert not props["A"].applicable  # |B| = n-1 is outside the A-C gate
+    assert not props["A"].applicable  # |b(B)| = n-1 is outside the A-C gate
 
 
 def test_prop_suite_abc_on_astar():

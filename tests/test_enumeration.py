@@ -36,8 +36,29 @@ def test_enumerate_counts():
         assert ucf.enumerate_uc(n) == expected
 
 
-def test_enumerate_n2_separating_count():
-    assert ucf.enumerate_uc(2, EnumFilter(separating=True)) == 6
+def stirling1(n: int, k: int) -> int:
+    """Signed Stirling number of the first kind: s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return stirling1(n - 1, k - 1) - (n - 1) * stirling1(n - 1, k)
+
+
+def separating_count(n: int, uc_counts: dict[int, int]) -> int:
+    # Merge the elements that no member separates: a family with base [n]
+    # becomes a separating family with full base on the k classes, and the
+    # pair (partition, quotient family) determines the family, so
+    # |UC(n)| = sum_k S(n, k) |Sep(k)| with S the Stirling numbers of the
+    # second kind. Inverting with the first kind gives this sum.
+    return sum(stirling1(n, k) * uc_counts[k] for k in range(1, n + 1))
+
+
+def test_separating_counts_derived_from_uc_counts():
+    derived = {n: separating_count(n, KNOWN_COUNTS) for n in KNOWN_COUNTS}
+    assert derived == {1: 2, 2: 6, 3: 70, 4: 4078}
+    for n, expected in derived.items():
+        assert ucf.enumerate_uc(n, EnumFilter(separating=True)) == expected
 
 
 def test_enumerate_n1_families():
@@ -93,6 +114,10 @@ def test_enumerate_filters():
     seen = []
     ucf.enumerate_uc(3, visitor=lambda f: seen.append(ucf.b_report(f).size))
     assert b1 == sum(1 for s in seen if s == 1)
+    # the range form agrees with the exact queries
+    exact = [ucf.enumerate_uc(3, EnumFilter(bsize=s)) for s in range(3)]
+    assert exact[1] == b1
+    assert ucf.enumerate_uc(3, EnumFilter(bsize=(0, 2))) == sum(exact) == sum(s <= 2 for s in seen)
 
 
 @pytest.mark.parametrize("n, h_cap", [(4, None), (4, 3), (4, 4), (5, 3)])
@@ -249,26 +274,22 @@ def test_enumerate_n5_count_pinned():
     # families with empty bottom, M0(n) = M(n) - sum_{k>=1} C(n,k) M0(n-k),
     # and the empty set is a free extra member, so |UC([n])| = 2 M0(n):
     # 2, 8, 90, 4542 (as pinned above) and 2 * 1373701 = 2747402 for n = 5.
-    assert ucf.enumerate_uc(5) == 2747402
+    # The same walk counts the separating families, pinned to the Stirling
+    # sum 48 - 400 + 3150 - 45420 + 2747402 (see separating_count).
+    separating = 0
 
+    def count_separating(fam):
+        nonlocal separating
+        separating += ucf.is_separating(fam)
 
-@pytest.mark.deep
-def test_verify_t21_n5():
-    report = ucf.verify_theorem("T2.1", 5)
-    assert (report.families_checked, report.violations) == (255018, ())
+    assert ucf.enumerate_uc(5, visitor=count_separating) == 2747402
+    assert separating == separating_count(5, {**KNOWN_COUNTS, 5: 2747402}) == 2704780
 
 
 @pytest.mark.deep
 def test_verify_c22_n5():
     report = ucf.verify_theorem("C2.2", 5)
     assert (report.families_checked, report.violations) == (255018, ())
-
-
-@pytest.mark.deep
-def test_verify_t41_and_props_n5():
-    for tid, checked in (("T4.1", 505), ("PROPS", 346028)):
-        report = ucf.verify_theorem(tid, 5)
-        assert (report.families_checked, report.violations) == (checked, ())
 
 
 # ---------------------------------------------------------------------------
