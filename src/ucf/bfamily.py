@@ -164,8 +164,8 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     height 4. Inapplicable propositions are
     reported with holds=None. E and G-L read the lexicographically least
     minimum cover (the one `b_report` returns); that their verdicts do not
-    depend on which minimum cover is read is checked by the tests on
-    relabeled n = 5 families with several covers, not proven.
+    depend on which minimum cover is read is checked for every family with
+    n <= 5 (in the deep tests), not proven.
     """
     return _prop_suite(fam, _checked_height(fam), is_separating(fam))
 

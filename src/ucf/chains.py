@@ -117,13 +117,11 @@ def _min_maximal_chain(
             up_min[i] = 1 + min(up_min[p] for p in parents[i])
 
     r = min(up_min[i] for i in minimal)
-    cur = min((i for i in minimal if up_min[i] == r), key=lambda i: ms[i])
+    # Ties go to the least mask: member indices follow mask order.
+    cur = min(i for i in minimal if up_min[i] == r)
     chain = [ms[cur]]
     while parents[cur]:
-        cur = min(
-            (p for p in parents[cur] if up_min[p] == up_min[cur] - 1),
-            key=lambda p: ms[p],
-        )
+        cur = min(p for p in parents[cur] if up_min[p] == up_min[cur] - 1)
         chain.append(ms[cur])
     return r, tuple(reversed(chain))
 
@@ -240,8 +238,7 @@ def _thm12_witness(fam: Family, rep: ChainReport) -> Thm12Witness:
     for e in picks:
         bit = 1 << (e - 1)
         counts.append(sum(1 for m in fam.members if m not in skip and m & bit))
-    j = max(range(h - 1), key=lambda i: (counts[i], -i))
-    elem = picks[j]
+    elem = picks[counts.index(max(counts))]
     total = sum(1 for m in fam.members if m & (1 << (elem - 1)))
     return Thm12Witness(elem, total, thm12_bound(len(fam), h), chain)
 
@@ -310,5 +307,4 @@ def _size_bound_trace(fam: Family) -> SizeBoundTrace:
 
 def _max_freq_element(members: list[SetWord], n: int) -> int:
     counts = _member_counts(members, n)
-    best = max(range(n), key=lambda i: (counts[i], -i))
-    return best + 1
+    return counts.index(max(counts)) + 1

@@ -68,6 +68,12 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _progress(visited: int) -> None:
+    """Progress of an n = ENUMERATION_CAP walk, on stderr."""
+    sys.stderr.write(f"... {visited} families visited\n")
+    sys.stderr.flush()
+
+
 def _inapplicable(exc: UcfError) -> dict:
     return {"applicable": False, "reason": type(exc).__name__}
 
@@ -208,7 +214,10 @@ def _cmd_construct(args) -> int:
     text = format_family(fam)
     cert_json = json.dumps(_cert_json(cert), indent=2) + "\n" if cert else ""
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _fail(str(exc))
         if cert_json:
             sys.stdout.write(cert_json)
     else:
@@ -225,28 +234,30 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n == ENUMERATION_CAP and not args.deep:
         return _fail(f"n={ENUMERATION_CAP} enumeration takes minutes; pass --deep to confirm")
-    progress = None
-    if args.n >= ENUMERATION_CAP:
-        def progress(visited: int) -> None:
-            sys.stderr.write(f"... {visited} families visited\n")
-            sys.stderr.flush()
+    outdir = Path(args.out) if args.out else None
+    if outdir:
+        try:  # before the walk, which can take minutes
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail(str(exc))
     try:
         report = verify_theorem(
             args.id,
             args.n,
             hypothesis_necessity=args.hypothesis_necessity,
-            progress=progress,
+            progress=_progress if args.n == ENUMERATION_CAP else None,
         )
     except (UcfError, ValueError) as exc:
         return _fail(str(exc))
 
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for idx, violation in enumerate(report.violations):
-            name = f"{args.id.replace('.', '')}_n{args.n}_{idx:04d}.family"
-            body = f"# {report.mode}: {violation.detail}\n" + format_family(violation.family)
-            (outdir / name).write_text(body)
+    if outdir:
+        try:
+            for idx, violation in enumerate(report.violations):
+                name = f"{args.id.replace('.', '')}_n{args.n}_{idx:04d}.family"
+                body = f"# {report.mode}: {violation.detail}\n" + format_family(violation.family)
+                (outdir / name).write_text(body)
+        except OSError as exc:
+            return _fail(str(exc))
 
     _emit(
         {
@@ -330,12 +341,13 @@ def _cmd_enumerate(args) -> int:
     if args.n == ENUMERATION_CAP and not args.deep:
         return _fail(f"n={ENUMERATION_CAP} enumeration takes minutes; pass --deep to confirm")
     filt = EnumFilter(separating=True) if args.separating else None
+    progress = _progress if args.n == ENUMERATION_CAP else None
     try:
         if args.canonical:
             classes = set()
-            enumerate_uc(args.n, filt, lambda f: classes.add(canonical_form(f)))
+            enumerate_uc(args.n, filt, lambda f: classes.add(canonical_form(f)), progress)
         if args.count_only:
-            count = len(classes) if args.canonical else enumerate_uc(args.n, filt)
+            count = len(classes) if args.canonical else enumerate_uc(args.n, filt, None, progress)
             _emit(
                 {
                     "command": ["enumerate", f"n={args.n}"],
@@ -359,7 +371,7 @@ def _cmd_enumerate(args) -> int:
                 index += 1
                 sys.stdout.write(f"# family {index}\n{format_family(fam)}\n")
 
-            enumerate_uc(args.n, filt, dump)
+            enumerate_uc(args.n, filt, dump, progress)
     except UcfError as exc:
         return _fail(str(exc))
     return 0

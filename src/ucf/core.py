@@ -324,7 +324,7 @@ def frankl_witness(fam: Family) -> FranklWitness:
     if not fam.members:
         raise EmptyFamily("frankl_witness of empty family")
     counts = frequencies(fam)
-    best = max(range(fam.n), key=lambda i: (counts[i], -i))
+    best = counts.index(max(counts))
     threshold = Fraction(len(fam.members), 2)
     return FranklWitness(best + 1, counts[best], threshold, counts[best] >= threshold)
 

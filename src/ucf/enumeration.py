@@ -11,11 +11,13 @@ already-excluded union is dead and is pruned. Every leaf of this DFS is
 therefore union-closed, visited exactly once, in a deterministic order
 (include tried before exclude at each candidate).
 
-Alongside membership the DFS maintains, per member, the length of the
-longest chain bottoming out at that member; a new set sits below every
-existing one in integer order, so older values never change and the family
-height is an O(|F|) incremental update. A filter's height range caps the
-walk: subtrees above its top are pruned (adding sets never lowers the height).
+The whole DFS state is one dict mapping each member to the length of the
+longest chain bottoming out at it; members enter in decreasing order, so it
+iterates in descending member order and `popitem()` removes the newest. A
+new set sits below every existing one, so older values never change and the
+height is an O(|F|) update. Excluding a candidate is a loop step, not a
+call, so the recursion is at most |F| deep. A filter's height range caps the
+walk: subtrees above its top are pruned (adding sets never lowers height).
 
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
@@ -71,11 +73,7 @@ class EnumFilter:
     contains_empty: bool | None = None
 
     def height_range(self) -> tuple[int, int] | None:
-        if self.height is None:
-            return None
-        if isinstance(self.height, int):
-            return self.height, self.height
-        return self.height
+        return None if self.height is None else _bounds(self.height)
 
     def matches(self, fam: Family, h: int) -> bool:
         if self.contains_empty is not None and (0 in fam.members) != self.contains_empty:
@@ -89,70 +87,63 @@ class EnumFilter:
         return True
 
 
+def _bounds(spec: int | tuple[int, int]) -> tuple[int, int]:
+    """The inclusive (lo, hi) range an exact int or (lo, hi) spec stands for."""
+    return (spec, spec) if isinstance(spec, int) else spec
+
+
 def _within(value: int, spec: int | tuple[int, int]) -> bool:
-    lo, hi = (spec, spec) if isinstance(spec, int) else spec
+    lo, hi = _bounds(spec)
     return lo <= value <= hi
 
 
 def _dfs(
     n: int,
-    emit: Callable[[list[int], int], None],
+    emit: Callable[[dict[int, int], int], None],
     h_cap: int | None,
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     stop: int = -1,
 ) -> None:
-    """Run the generator, emitting (descending member list, height) leaves.
+    """Run the generator, emitting (state dict, height) leaves; emit must not
+    change the dict, which iterates in descending member order.
 
     The walk decides the candidates from `start` (default [n] - 1) down to
-    `stop` + 1 and emits on reaching `stop`. `prefix` lists members below
+    `stop` + 1, each by recursing with it included and then stepping on
+    without it, and emits on reaching `stop`. `prefix` lists members below
     [n] taken by an earlier walk that stopped at `start`; they are legal and
-    within the height cap by construction, and are pushed first.
+    within the height cap by construction, and are added first.
     """
     full = (1 << n) - 1
     cap = n + 1 if h_cap is None else h_cap  # no chain over [n] is longer than n + 1
-    members = [full]
-    member_set = {full}
     ups = {full: 1}
 
     def try_add(s: int) -> int:
         """Longest-chain length bottoming at s if added, 0 if s is illegal."""
         up_s = 1
-        for x in members:
+        for x, up_x in ups.items():
             u = s | x
             if u == x:
-                if ups[x] + 1 > up_s:
-                    up_s = ups[x] + 1
-            elif u not in member_set:
+                if up_x >= up_s:
+                    up_s = up_x + 1
+            elif u not in ups:
                 return 0
         return up_s
 
-    def push(s: int, up_s: int) -> None:
-        members.append(s)
-        member_set.add(s)
-        ups[s] = up_s
-
-    def pop(s: int) -> None:
-        members.pop()
-        member_set.remove(s)
-        del ups[s]
-
     def rec(v: int, h: int) -> None:
-        if v == stop:
-            emit(members, h)
-            return
-        up_s = try_add(v)
-        if up_s and max(h, up_s) <= cap:
-            push(v, up_s)
-            rec(v - 1, max(h, up_s))
-            pop(v)
-        rec(v - 1, h)
+        while v != stop:
+            up_s = try_add(v)
+            if up_s and max(h, up_s) <= cap:
+                ups[v] = up_s
+                rec(v - 1, max(h, up_s))
+                ups.popitem()
+            v -= 1
+        emit(ups, h)
 
     h = 1
     for s in prefix:
-        up_s = try_add(s)
-        push(s, up_s)
-        h = max(h, up_s)
+        ups[s] = try_add(s)
+        h = max(h, ups[s])
     rec(full - 1 if start is None else start, h)
 
 
@@ -162,7 +153,7 @@ def _split(n: int, h_cap: int | None) -> tuple[int, list[tuple[int, ...]]]:
     _SPLIT_DEPTH decisions, holds there, in DFS order."""
     split = max(-1, (1 << n) - 2 - _SPLIT_DEPTH)
     prefixes: list[tuple[int, ...]] = []
-    _dfs(n, lambda members, h: prefixes.append(tuple(members[1:])), h_cap, stop=split)
+    _dfs(n, lambda ups, h: prefixes.append(tuple(ups)[1:]), h_cap, stop=split)
     return split, prefixes
 
 
@@ -180,12 +171,12 @@ def _walk(
     rng = filt.height_range() if filt else None
     visited = passed = 0
 
-    def emit(members_desc: list[int], h: int) -> None:
+    def emit(ups: dict[int, int], h: int) -> None:
         nonlocal visited, passed
         visited += 1
         if progress is not None and visited % 100000 == 0:
             progress(visited)
-        fam = Family(n, tuple(reversed(members_desc)))
+        fam = Family(n, tuple(reversed(ups)))
         if filt is None or filt.matches(fam, h):
             passed += 1
             visit(fam, h)
@@ -198,12 +189,14 @@ def enumerate_uc(
     n: int,
     filt: EnumFilter | None = None,
     visitor: Callable[[Family], None] | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> int:
     """Visit every union-closed family with base exactly [n] that passes the
-    filter, in deterministic order; returns how many passed."""
+    filter, in deterministic order; returns how many passed. `progress`
+    gets the visited count every 100,000 families."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration is capped at n <= {ENUMERATION_CAP}")
-    return _walk(n, filt, lambda fam, h: visitor(fam) if visitor else None)
+    return _walk(n, filt, lambda fam, h: visitor(fam) if visitor else None, progress=progress)
 
 
 def canonical_form(fam: Family) -> Family:
@@ -363,17 +356,17 @@ def _run_serial(
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
-) -> tuple[int, list[tuple[tuple[int, ...], str]]]:
+) -> tuple[int, list[Violation]]:
     check = _CHECKS[tid]
     checked = 0
-    violations: list[tuple[tuple[int, ...], str]] = []
+    violations: list[Violation] = []
 
     def visit(fam: Family, h: int) -> None:
         nonlocal checked
         details = check.conclude(fam, h)
         if details is not None:
             checked += 1
-            violations.extend((fam.members, d) for d in details)
+            violations.extend(Violation(fam, d) for d in details)
 
     _walk(n, check.filt, visit, prefix, start, progress)
     return checked, violations
@@ -406,9 +399,9 @@ def verify_theorem(
     check = _CHECKS[tid]
     start = time.perf_counter()
     if n < check.least_n and not hypothesis_necessity:
-        checked, raw = 0, []
+        checked, violations = 0, []
     elif workers == 1 or n <= 3:
-        checked, raw = _run_serial(tid, n, progress=progress)
+        checked, violations = _run_serial(tid, n, progress=progress)
     else:
         rng = check.filt.height_range()
         split, prefixes = _split(n, rng and rng[1])
@@ -416,16 +409,14 @@ def verify_theorem(
         with get_context().Pool(processes=min(workers, len(jobs))) as pool:
             parts = pool.starmap(_run_serial, jobs)
         checked = sum(c for c, _ in parts)
-        raw = [v for _, vs in parts for v in vs]
+        violations = [v for _, vs in parts for v in vs]
 
-    elapsed = time.perf_counter() - start
-    violations = tuple(Violation(Family(n, ms), d) for ms, d in raw)
     return VerifyReport(
         theorem=tid,
         n=n,
         hypothesis=check.hypothesis,
         families_checked=checked,
-        violations=violations,
-        elapsed=elapsed,
+        violations=tuple(violations),
+        elapsed=time.perf_counter() - start,
         mode="hypothesis-necessity" if hypothesis_necessity else "verify",
     )

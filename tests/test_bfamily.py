@@ -2,14 +2,15 @@
 proposition battery on hand-built families."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 import ucf
-from ucf import Family
-from ucf.enumeration import _dfs
+from ucf import Family, bfamily
+from ucf.enumeration import EnumFilter, _dfs
 from ucf.errors import BaseNotFull, EmptyFamily, NotUnionClosed
 
 from strategies import relabel, spanning_uc_families, union_closed_families
@@ -261,3 +262,31 @@ def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
             assert _verdicts(image) == expected, (fam.member_sets(), perm)
             moved += ucf.b_report(image).cover != relabel(cover, perm)
     assert moved > 0
+
+
+@pytest.mark.deep
+def test_prop_verdicts_independent_of_minimum_cover_n5(monkeypatch):
+    # Every separating height-4 family at n = 5 with several minimum covers,
+    # its propositions run once per cover: _prop_suite reads the first cover
+    # _min_covers yields, so the patch yields the cover under test.
+    covers_of = bfamily._min_covers
+    read = None
+    monkeypatch.setattr(bfamily, "_min_covers", lambda *args: iter((read,)))
+    by_size = Counter()
+    most = 0
+
+    def visit(fam):
+        nonlocal read, most
+        covers = tuple(covers_of(5, *bfamily._small_slice(fam), 4))
+        if len(covers) == 1:
+            return
+        by_size[len(covers[0])] += 1
+        most = max(most, len(covers))
+        verdicts = set()
+        for read in covers:
+            results = bfamily._prop_suite(fam, 4, True)
+            verdicts.add(tuple((key, r.applicable, r.holds) for key, r in results.items()))
+        assert len(verdicts) == 1, fam.member_sets()
+
+    ucf.enumerate_uc(5, EnumFilter(separating=True, height=4), visit)
+    assert (sum(by_size.values()), by_size, most) == (47885, {3: 30005, 2: 17880}, 30)

@@ -146,6 +146,26 @@ def test_verify_necessity_dumps_counterexamples(capsys, tmp_path):
     assert ucf.Family.of(3, [(), (1,), (2,), (1, 2), (1, 2, 3)]) in parsed
 
 
+def test_construct_out_to_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.family"
+    code, out, err = run(capsys, "construct", "astar", "--n", "8", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_verify_out_below_a_file_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys,
+        "verify", "--id", "T2.1", "--n", "3", "--hypothesis-necessity",
+        "--out", str(blocker / "sub"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_n5_requires_deep_flag(capsys):
     code, _, err = run(capsys, "verify", "--id", "T1.4", "--n", "5")
     assert code == 2

@@ -275,15 +275,18 @@ def test_enumerate_n5_count_pinned():
     # and the empty set is a free extra member, so |UC([n])| = 2 M0(n):
     # 2, 8, 90, 4542 (as pinned above) and 2 * 1373701 = 2747402 for n = 5.
     # The same walk counts the separating families, pinned to the Stirling
-    # sum 48 - 400 + 3150 - 45420 + 2747402 (see separating_count).
+    # sum 48 - 400 + 3150 - 45420 + 2747402 (see separating_count), and
+    # the progress callback gets every 100,000th visited count.
     separating = 0
+    progress = []
 
     def count_separating(fam):
         nonlocal separating
         separating += ucf.is_separating(fam)
 
-    assert ucf.enumerate_uc(5, visitor=count_separating) == 2747402
+    assert ucf.enumerate_uc(5, visitor=count_separating, progress=progress.append) == 2747402
     assert separating == separating_count(5, {**KNOWN_COUNTS, 5: 2747402}) == 2704780
+    assert progress == list(range(100000, 2747402, 100000))
 
 
 @pytest.mark.deep
