@@ -40,8 +40,10 @@ any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
+import struct
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,32 +197,62 @@ def enumerate_uc(
     filter, in deterministic order; returns how many passed. `progress`
     gets the visited count every 100,000 families."""
     if not 1 <= n <= ENUMERATION_CAP:
-        raise NTooLarge(f"enumeration is capped at n <= {ENUMERATION_CAP}")
+        raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
     return _walk(n, filt, lambda fam, h: visitor(fam) if visitor else None, progress=progress)
 
 
+@functools.cache
+def _relabel_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], struct.Struct]:
+    """Per permutation of [n], in itertools.permutations order, the image of
+    every mask; per mask m, its lane word: lane p (`max(8, 2^n)` bits wide)
+    has bit 2^n - 1 - image_p(m) set; and the struct that unpacks a sum of
+    lane words into its n! lane keys."""
+    size = 1 << n
+    width = max(8, size)
+    images = tuple(
+        tuple(sum(((m >> i) & 1) << perm[i] for i in range(n)) for m in range(size))
+        for perm in itertools.permutations(range(n))
+    )
+    words = tuple(
+        sum(1 << (p * width + size - 1 - image[m]) for p, image in enumerate(images))
+        for m in range(size)
+    )
+    code = {8: "B", 16: "H", 32: "I"}[width]
+    return images, words, struct.Struct(f"<{len(images)}{code}")
+
+
 def canonical_form(fam: Family) -> Family:
-    """Minimum image of the family under all n! relabelings of [n].
+    """Least image of the family under all n! relabelings of [n]: the image
+    whose ascending member tuple is lexicographically least.
+
+    Each member's lane word marks, in lane p, its image under permutation p
+    by the bit 2^n - 1 - image. A permutation maps distinct members to
+    distinct images, so summing the members' words never carries between
+    lanes, and lane p holds the key sum(2^(2^n - 1 - s)) of the image set
+    under p. All images have |F| members, and for two sets of equal size the
+    larger key is the smaller ascending tuple: the least element of their
+    symmetric difference decides both orders. So the first lane with the
+    largest key names the least image (a tie means an equal image); only
+    that image is sorted.
 
     Isomorphism reduction is never applied implicitly (the verification
     quantifies over all families); this pass exists for reporting, e.g.
     counting enumerated families up to relabeling. Same n <= 5 cap as the
-    enumerator, since n! images are computed.
+    enumerator, since the tables hold n! images.
     """
     if fam.n > ENUMERATION_CAP:
         raise NTooLarge(f"canonical form is capped at n <= {ENUMERATION_CAP}")
-    best = min(
-        tuple(sorted(sum(((m >> i) & 1) << perm[i] for i in range(fam.n)) for m in fam.members))
-        for perm in itertools.permutations(range(fam.n))
-    )
-    return Family(fam.n, best)
+    images, words, lanes = _relabel_tables(fam.n)
+    keys = lanes.unpack(sum(map(words.__getitem__, fam.members)).to_bytes(lanes.size, "little"))
+    image = images[keys.index(max(keys))]
+    return Family(fam.n, tuple(sorted(map(image.__getitem__, fam.members))))
 
 
 def brute_force_uc(n: int) -> list[Family]:
     """Independent oracle: filter all 2^(2^n) subfamilies of the power set
     for union-closedness with base [n]; used only to validate enumerate_uc."""
     if not 1 <= n <= ORACLE_CAP:
-        raise NTooLarge(f"the naive oracle is capped at n <= {ORACLE_CAP}")
+        raise NTooLarge(f"the naive oracle needs 1 <= n <= {ORACLE_CAP}")
     full = (1 << n) - 1
     full_bit = 1 << full
     out = []
@@ -388,7 +420,7 @@ def verify_theorem(
     if tid not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
     if not 1 <= n <= ENUMERATION_CAP:
-        raise NTooLarge(f"enumeration is capped at n <= {ENUMERATION_CAP}")
+        raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
     if hypothesis_necessity and tid != "T2.1":
         raise ValueError("hypothesis-necessity mode applies to T2.1 only")
 

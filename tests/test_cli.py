@@ -172,6 +172,22 @@ def test_verify_n5_requires_deep_flag(capsys):
     assert "--deep" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "0"),
+        ("enumerate", "--n", "0", "--count-only", "--canonical"),
+        ("verify", "--id", "T1.4", "--n", "0"),
+        ("enumerate", "--n", "6", "--deep"),
+    ],
+    ids=" ".join,
+)
+def test_n_outside_the_enumeration_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 1 <= n <= 5\n"
+
+
 def test_verify_byte_stable(capsys):
     _, first, _ = run(capsys, "verify", "--id", "T1.4", "--n", "3")
     _, second, _ = run(capsys, "verify", "--id", "T1.4", "--n", "3")

@@ -1,5 +1,7 @@
 """Enumerator against the naive power-set oracle; verification harness runs."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ucf
 from ucf import EnumFilter, Family, enumeration
@@ -138,6 +141,15 @@ def test_enumerate_caps():
         ucf.enumerate_uc(6)
     with pytest.raises(NTooLarge):
         ucf.brute_force_uc(5)
+
+
+def test_n_below_1_is_out_of_range_not_over_a_cap():
+    with pytest.raises(NTooLarge, match=r"^enumeration needs 1 <= n <= 5$"):
+        ucf.enumerate_uc(0)
+    with pytest.raises(NTooLarge, match=r"^enumeration needs 1 <= n <= 5$"):
+        ucf.verify_theorem("T1.4", 0)
+    with pytest.raises(NTooLarge, match=r"^the naive oracle needs 1 <= n <= 4$"):
+        ucf.brute_force_uc(0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +311,19 @@ def test_verify_c22_n5():
 # canonical form (relabeling reduction, off by default)
 # ---------------------------------------------------------------------------
 
-def test_canonical_form_identifies_relabelings():
-    import itertools
+def brute_force_canonical(fam: Family) -> Family:
+    """canonical_form's oracle: relabel every member bit by bit under each of
+    the n! permutations, sort each image and keep the least."""
+    return Family(
+        fam.n,
+        min(
+            tuple(sorted(sum(((m >> i) & 1) << perm[i] for i in range(fam.n)) for m in fam.members))
+            for perm in itertools.permutations(range(fam.n))
+        ),
+    )
 
+
+def test_canonical_form_identifies_relabelings():
     fam = Family.of(3, [(2,), (2, 3), (1, 2, 3)])
     canon = ucf.canonical_form(fam)
     for perm in itertools.permutations(range(3)):
@@ -309,13 +331,135 @@ def test_canonical_form_identifies_relabelings():
     assert ucf.canonical_form(canon) == canon  # idempotent
 
 
+def test_canonical_form_matches_brute_force_n_at_most_4():
+    for n, expected in KNOWN_COUNTS.items():
+        fams = []
+        ucf.enumerate_uc(n, visitor=fams.append)
+        assert len(fams) == expected
+        assert [ucf.canonical_form(f) for f in fams] == [brute_force_canonical(f) for f in fams]
+
+
+class _Enough(Exception):
+    pass
+
+
+def test_canonical_form_matches_brute_force_first_n5_families():
+    fams = []
+
+    def take(fam):  # the first 1,000 families in DFS order
+        fams.append(fam)
+        if len(fams) == 1000:
+            raise _Enough
+
+    with pytest.raises(_Enough):
+        ucf.enumerate_uc(5, visitor=take)
+    assert [ucf.canonical_form(f) for f in fams] == [brute_force_canonical(f) for f in fams]
+
+
+def test_canonical_form_of_the_empty_family():
+    for n in range(1, 6):
+        assert ucf.canonical_form(Family(n, ())) == Family(n, ())
+
+
+@given(st.data())
+def test_larger_lane_key_is_smaller_sorted_tuple(data):
+    # Lane 0 belongs to the identity, the first of itertools.permutations.
+    n = data.draw(st.integers(1, 5))
+    size = data.draw(st.integers(0, 1 << n))
+    masks = st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
+    a, b = data.draw(masks), data.draw(masks)
+    words = enumeration._relabel_tables(n)[1]
+    lane = (1 << max(8, 1 << n)) - 1
+
+    def key(ms):
+        return sum(words[m] for m in ms) & lane
+
+    assert key(a) == sum(1 << ((1 << n) - 1 - m) for m in a)
+    assert (key(a) > key(b)) == (sorted(a) < sorted(b))
+    assert (key(a) == key(b)) == (sorted(a) == sorted(b))
+
+
+def cycle_type_representatives(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """One permutation of range(n) per cycle type, with how many have that type."""
+    reps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for perm in itertools.permutations(range(n)):
+        seen, lengths = set(), []
+        for i in range(n):
+            length, j = 0, i
+            while j not in seen:
+                seen.add(j)
+                j, length = perm[j], length + 1
+            if length:
+                lengths.append(length)
+        cycle_type = tuple(sorted(lengths))
+        rep, count = reps.get(cycle_type, (perm, 0))
+        reps[cycle_type] = (rep, count + 1)
+    return list(reps.values())
+
+
+class Burnside:
+    """Classes up to relabeling by Burnside's lemma: the number of families
+    each permutation fixes, averaged over S_n. Permutations of one cycle type
+    are conjugate and fix equally many families of a relabeling-closed set,
+    so one representative per type is tested, with its multiplicity."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.types = [
+            ({m: sum(((m >> i) & 1) << perm[i] for i in range(n)) for m in range(1 << n)}, count)
+            for perm, count in cycle_type_representatives(n)
+        ]
+        self.fixed = [0] * len(self.types)
+
+    def add(self, fam: Family) -> None:
+        members = set(fam.members)
+        for t, (moves, _) in enumerate(self.types):
+            if all(moves[m] in members for m in members):
+                self.fixed[t] += 1
+
+    def classes(self) -> int:
+        total = sum(fixed * count for fixed, (_, count) in zip(self.fixed, self.types))
+        orbits, rest = divmod(total, math.factorial(self.n))
+        assert rest == 0
+        return orbits
+
+
 def test_canonical_class_counts():
     # hand count at n=2: {12}, {12,0}, {12,1}~{12,2}, {12,1,0}~{12,2,0},
-    # {12,1,2}, {12,1,2,0} -> 6 classes; n=3 pinned from the first run
-    for n, expected in ((2, 6), (3, 28)):
-        classes = set()
-        ucf.enumerate_uc(n, visitor=lambda f: classes.add(ucf.canonical_form(f)))
-        assert len(classes) == expected
+    # {12,1,2}, {12,1,2,0} -> 6 classes; each count is also Burnside's
+    # (n = 5 under height cap 3: height is kept by relabeling)
+    for n, filt, expected in (
+        (1, None, 2), (2, None, 6), (3, None, 28), (4, None, 330),
+        (5, EnumFilter(height=(1, 3)), 359),
+    ):
+        classes, burnside = set(), Burnside(n)
+
+        def visit(fam):
+            classes.add(ucf.canonical_form(fam))
+            burnside.add(fam)
+
+        ucf.enumerate_uc(n, filt, visit)
+        assert len(classes) == burnside.classes() == expected
+
+
+@pytest.mark.deep
+def test_canonical_class_counts_n5():
+    # One walk: 28,960 classes in all and 4,864 under height cap 4, each
+    # counted from canonical forms and by Burnside's lemma.
+    classes, capped = set(), set()
+    burnside, burnside_capped = Burnside(5), Burnside(5)
+
+    def visit(fam, h):
+        canon = ucf.canonical_form(fam)
+        classes.add(canon)
+        burnside.add(fam)
+        if h <= 4:
+            capped.add(canon)
+            burnside_capped.add(fam)
+
+    assert enumeration._walk(5, None, visit) == 2747402
+    assert len(classes) == burnside.classes() == 28960
+    assert len(capped) == burnside_capped.classes() == 4864
 
 
 def test_canonical_form_cap():

@@ -3,7 +3,8 @@
 The first nine digests were recorded before the duplicate code paths in
 enumeration, bfamily, chains, constructions and cli were merged, the
 `analyze` ones after them before `ucf analyze` derived each fact once, the
-off-grid `bounds` ones before the minimizers scanned y's endpoints only; any
+off-grid `bounds` ones before the minimizers scanned y's endpoints only, the
+n=4 `--canonical` ones before `canonical_form` read cached lane words; any
 refactor must keep every report byte-identical. A digest changes only with a deliberate
 change to a report, which must then be recorded in CHANGES.md.
 """
@@ -49,6 +50,11 @@ GOLDEN = {
         "95c505c45dda28edaf94c9af84d1ffc1f17656e69fb5b3c7908d574e48e6ebef",
     ("enumerate", "--n", "3", "--canonical"):
         "dca809cebaa475c547d510ab673c23bf805e79949378a166e299b9f7e6bb7729",
+    # the 330 classes at n=4, recorded before canonical_form read lane words
+    ("enumerate", "--n", "4", "--canonical"):
+        "23bcfea6fab4e686843be85ee8a1fec25091f202c496d66d2cd384cef32713d2",
+    ("enumerate", "--n", "4", "--count-only", "--canonical"):
+        "ff91ac932ee239c31147bec7b2290ce5a87f02f89662914248e5a45a1ffd24bb",
     ("analyze", "open.family"):
         "8290392fad7c66b1b24d4b3a6d000339e6670c5c464e8203bec3c7da3576ea4c",
     ("analyze", "partial.family"):
