@@ -54,7 +54,12 @@ def f_relax(n: int, x: Rat, y: Rat) -> Fraction:
 
 def eta(n: int, bsize: Rat, asub: Rat) -> Fraction:
     """Height-4, cover-size-2 lower bound for the trimmed average."""
-    return g_relax(n, bsize, asub)
+    if n < 1:
+        raise BadN("eta requires n >= 1")
+    b, a = Fraction(bsize), Fraction(asub)
+    if a == -3:
+        raise ZeroDenominator("eta has a pole at a = -3")
+    return (2 * n - 1 + b * a) / (a + 3)
 
 
 def g_relax(n: int, x: Rat, y: Rat) -> Fraction:

@@ -7,13 +7,16 @@ chain are therefore cover pairs of the family's inclusion order (anything
 strictly between two consecutive elements would be comparable to the whole
 chain). r denotes the minimum size of a maximal chain.
 
-Heights come from a longest-path DP over the proper-inclusion DAG; r comes
-from a shortest-path DP restricted to cover (Hasse) edges, running from the
-minimal members up to the maximal ones.
+Every result here reads one cover-relation (Hasse) scan, `_hasse`, which
+gives each member's children and the longest chain it tops. The height is
+the largest of those; r comes from a shortest-path DP over the cover edges,
+from the maximal members down; Lemma 1.3 reads the children of [n].
 
-Witness chains are reported top-down (strictly decreasing by inclusion) and
-are deterministic: among maximum chains we return the one whose top-down
-mask tuple is lexicographically smallest in canonical (integer) order.
+Chains are reported top-down (strictly decreasing by inclusion) and are
+deterministic. The witness chain is the maximum chain whose top-down mask
+tuple is lexicographically smallest in canonical (integer) order. The
+r witness is the size-r maximal chain whose bottom-up mask tuple is
+lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from .core import (
 from .errors import DegenerateHeight, InternalError, TooSmall
 
 
-def _is_proper_subset(a: SetWord, b: SetWord) -> bool:
-    return a | b == b and a != b
-
-
 @dataclass(frozen=True)
 class ChainReport:
     """Height and minimum-maximal-chain data with explicit witnesses."""
@@ -49,73 +48,58 @@ class ChainReport:
     r_witness: tuple[SetWord, ...]
 
 
-def _longest_chains(ms: tuple[SetWord, ...]) -> tuple[list[int], list[int]]:
-    """Member indices by (popcount, value), and down[i]: longest chain topped by member i."""
-    order = sorted(range(len(ms)), key=lambda i: (ms[i].bit_count(), ms[i]))
-    down = [1] * len(ms)
-    for pos, i in enumerate(order):
-        for j in order[:pos]:
-            if _is_proper_subset(ms[j], ms[i]) and down[j] + 1 > down[i]:
-                down[i] = down[j] + 1
-    return order, down
+def _hasse(ms: tuple[SetWord, ...]) -> tuple[list[int], list[list[int]]]:
+    """down[i]: longest chain topped by member i; kids[i]: the indices it
+    covers, descending.
+
+    Members ascend by value and a proper subset has a smaller value, so j
+    runs from i - 1 down to 0: a subset of ms[i] is a child unless it lies
+    under a child already found, and `under` holds exactly those indices.
+    """
+    down: list[int] = []
+    kids: list[list[int]] = []
+    below: list[int] = []  # below[i]: bitset of i and every index under it
+    for i, m in enumerate(ms):
+        under = 0
+        ks = []
+        d = 0
+        for j in range(i - 1, -1, -1):
+            if ms[j] | m == m and not under >> j & 1:
+                ks.append(j)
+                under |= below[j]
+                if down[j] > d:
+                    d = down[j]
+        down.append(d + 1)
+        kids.append(ks)
+        below.append(under | 1 << i)
+    return down, kids
 
 
 def chain_report(fam: Family) -> ChainReport:
     require_nonempty(fam)
     ms = fam.members
-    order, down = _longest_chains(ms)
+    down, kids = _hasse(ms)
     h = max(down)
 
-    # Greedy top-down reconstruction gives the lexicographically least
-    # maximum chain: at each level pick the smallest mask that still heads
-    # a chain of the required remaining length inside the current top.
-    witness = []
-    need = h
-    top = None
-    for _ in range(h):
-        candidates = [
-            m
-            for i, m in enumerate(ms)
-            if down[i] == need and (top is None or _is_proper_subset(m, top))
-        ]
-        top = min(candidates)
-        witness.append(top)
-        need -= 1
+    # The least member of height h, then at each level the least child one
+    # lower: any member inside the top with that height is a child of it.
+    cur = down.index(h)
+    witness = [ms[cur]]
+    while down[cur] > 1:
+        cur = min(j for j in kids[cur] if down[j] == down[cur] - 1)
+        witness.append(ms[cur])
 
-    r, r_witness = _min_maximal_chain(ms, order)
-    return ChainReport(h, tuple(witness), r, r_witness)
-
-
-def _hasse_parents(ms: tuple[SetWord, ...], order: list[int]) -> list[list[int]]:
-    """parents[i] = indices covering member i (minimal strict supersets)."""
     parents: list[list[int]] = [[] for _ in ms]
-    for i in range(len(ms)):
-        covers: list[int] = []
-        # Ascending (popcount, value) scan keeps exactly the minimal supersets.
-        for j in order:
-            if not _is_proper_subset(ms[i], ms[j]):
-                continue
-            if any(_is_proper_subset(ms[k], ms[j]) for k in covers):
-                continue
-            covers.append(j)
-        parents[i] = covers
-    return parents
-
-
-def _min_maximal_chain(
-    ms: tuple[SetWord, ...], order: list[int]
-) -> tuple[int, tuple[SetWord, ...]]:
-    parents = _hasse_parents(ms, order)
-    # A member is minimal iff it covers nothing, i.e. is nobody's Hasse parent.
-    covering = {p for ps in parents for p in ps}
-    minimal = [i for i in range(len(ms)) if i not in covering]
-
-    # up_min[i]: fewest members on a cover path from i up to a maximal member.
+    for i, ks in enumerate(kids):
+        for j in ks:
+            parents[j].append(i)
+    # up_min[i]: fewest members on a cover path from i up to a maximal
+    # member; parents have larger indices, so a descending pass suffices.
     up_min = [1] * len(ms)
-    for i in reversed(order):
+    for i in reversed(range(len(ms))):
         if parents[i]:
             up_min[i] = 1 + min(up_min[p] for p in parents[i])
-
+    minimal = [i for i in range(len(ms)) if not kids[i]]
     r = min(up_min[i] for i in minimal)
     # Ties go to the least mask: member indices follow mask order.
     cur = min(i for i in minimal if up_min[i] == r)
@@ -123,13 +107,13 @@ def _min_maximal_chain(
     while parents[cur]:
         cur = min(p for p in parents[cur] if up_min[p] == up_min[cur] - 1)
         chain.append(ms[cur])
-    return r, tuple(reversed(chain))
+    return ChainReport(h, tuple(witness), r, tuple(reversed(chain)))
 
 
 def height(fam: Family) -> int:
     """Maximum chain size: chain_report(fam).height without its chains or r."""
     require_nonempty(fam)
-    return max(_longest_chains(fam.members)[1])
+    return max(_hasse(fam.members)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +127,6 @@ def height(fam: Family) -> int:
 class Lemma13Report:
     ok: bool
     offending_chain: tuple[SetWord, ...] | None
-
-
-def _children(fam: Family, x: SetWord) -> list[SetWord]:
-    """Hasse children of x: the maximal members properly inside x."""
-    below = [m for m in fam.members if _is_proper_subset(m, x)]
-    return [m for m in below if not any(_is_proper_subset(m, b) for b in below)]
-
-
-def _descend_maximal(fam: Family, start: SetWord) -> list[SetWord]:
-    """Extend start downward along cover edges, smallest mask first."""
-    chain = [start]
-    children = _children(fam, start)
-    while children:
-        chain.append(min(children))
-        children = _children(fam, chain[-1])
-    return chain
 
 
 def lemma13_check(fam: Family) -> Lemma13Report:
@@ -175,10 +143,18 @@ def lemma13_check(fam: Family) -> Lemma13Report:
 
 
 def _lemma13_status(fam: Family) -> Lemma13Report:
-    n = fam.n
-    for child in sorted(_children(fam, full_word(n))):
-        if child.bit_count() != n - 1:
-            chain = [full_word(n)] + _descend_maximal(fam, child)
+    """lemma13_check for a family whose last member is [n]; the offending
+    chain starts at the least bad child of [n] and descends by least child."""
+    n, ms = fam.n, fam.members
+    if not ms or ms[-1] != full_word(n):
+        raise InternalError("Lemma 1.3 needs [n] as the top member")
+    _, kids = _hasse(ms)
+    for cur in reversed(kids[-1]):
+        if ms[cur].bit_count() != n - 1:
+            chain = [ms[-1], ms[cur]]
+            while kids[cur]:
+                cur = kids[cur][-1]
+                chain.append(ms[cur])
             return Lemma13Report(False, tuple(chain))
     return Lemma13Report(True, None)
 

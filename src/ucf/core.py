@@ -50,6 +50,8 @@ def word_from_elements(elements: Iterable[int]) -> SetWord:
 
 def word_elements(word: SetWord) -> tuple[int, ...]:
     """1-based elements of a bitmask, ascending."""
+    if word < 0:
+        raise ValueError(f"a set word is non-negative, got {word}")
     out = []
     e = 1
     while word:

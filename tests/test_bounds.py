@@ -57,9 +57,21 @@ def test_eta_equals_g(n, x, y):
     assert ucf.eta(n, x, y) == ucf.g_relax(n, x, y)
 
 
+def test_eta_identity_check_can_fail(monkeypatch):
+    # eta has its own formula, so a wrong g must break `ucf bounds`' identity.
+    from ucf import cli
+
+    monkeypatch.setattr(bounds, "g_relax", lambda n, x, y: Fraction(x + y))
+    assert cli._identity_on_grid(10) == (True, False)
+
+
 def test_g_pole():
     with pytest.raises(ZeroDenominator):
         ucf.g_relax(10, 1, -3)
+    with pytest.raises(ZeroDenominator):
+        ucf.eta(10, 1, -3)
+    with pytest.raises(BadN):
+        ucf.eta(0, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ucf import Family
 from ucf.errors import (
     BaseNotFull,
     DegenerateHeight,
+    InternalError,
     NotSeparating,
     NotUnionClosed,
     TooSmall,
@@ -42,21 +43,25 @@ def brute_height(fam):
     return max(grow(m, 1) for m in ms)
 
 
-def brute_maximal_chains(fam):
-    """All maximal chains, as frozensets of masks."""
+def downward_maximal_chains(fam):
+    """Every maximal chain, top-down: extend each top through any member below
+    until nothing lies below, then keep the chains no member can join."""
     ms = fam.members
-    out = set()
+    ends = []
 
-    def rec(chain):
-        ext = [m for m in ms if m not in chain and all(comparable(m, c) for c in chain)]
-        if not ext:
-            out.add(frozenset(chain))
-            return
-        for m in ext:
-            rec(chain + [m])
+    def grow(chain):
+        below = [m for m in ms if is_proper_subset(m, chain[-1])]
+        if not below:
+            ends.append(tuple(chain))
+        for m in below:
+            grow(chain + [m])
 
-    rec([])
-    return out
+    for top in ms:
+        grow([top])
+    return [
+        c for c in ends
+        if not any(m not in c and all(comparable(m, x) for x in c) for m in ms)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +99,11 @@ def test_height_matches_brute_force(fam):
 @settings(max_examples=100)
 def test_r_matches_brute_force(fam):
     rep = ucf.chain_report(fam)
-    chains = brute_maximal_chains(fam)
+    chains = downward_maximal_chains(fam)
     assert rep.r == min(len(c) for c in chains)
     assert rep.r <= rep.height
     # r_witness must itself be a maximal chain of size r
-    assert frozenset(rep.r_witness) in chains
+    assert rep.r_witness in chains
     assert len(rep.r_witness) == rep.r
 
 
@@ -107,6 +112,30 @@ def test_r_can_undershoot_height():
     fam = Family.of(3, [(1,), (1, 2), (1, 2, 3), (3,)])
     rep = ucf.chain_report(fam)
     assert (rep.height, rep.r) == (3, 2)
+
+
+def test_tie_breaks_match_brute_force_on_every_small_leaf():
+    from ucf.chains import _lemma13_status
+    from ucf.enumeration import _dfs
+
+    leaves = []
+    for n in range(1, 5):
+        _dfs(n, lambda members, h, n=n: leaves.append(Family(n, tuple(reversed(members)))), None)
+    assert len(leaves) == 4642
+    failing = 0
+    for fam in leaves:
+        rep = ucf.chain_report(fam)
+        chains = downward_maximal_chains(fam)
+        assert rep.witness_chain == min(c for c in chains if len(c) == rep.height)
+        assert rep.r == min(len(c) for c in chains)
+        assert rep.r_witness == min((c for c in chains if len(c) == rep.r), key=lambda c: c[::-1])
+        bad = [c for c in chains if len(c) > 1 and c[1].bit_count() != fam.n - 1]
+        status = _lemma13_status(fam)
+        assert status.offending_chain == (min(bad) if bad else None)
+        if bad:
+            failing += 1
+            assert not ucf.is_separating(fam)
+    assert failing == 325
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +172,9 @@ def test_lemma13_internal_status_finds_offender():
     rep = _lemma13_status(fam)
     assert not rep.ok
     assert rep.offending_chain == (0b1111, 0b0001)
+    # the core reads the children of the last member, which must be [n]
+    with pytest.raises(InternalError):
+        _lemma13_status(Family.of(3, [(1,), (1, 2)]))
 
 
 @given(separating_uc_families(max_n=5))

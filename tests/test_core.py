@@ -19,6 +19,12 @@ def masks(fam):
     return set(fam.members)
 
 
+def test_word_elements_rejects_negative_word():
+    # -1 >> 1 == -1, so a bit walk over a negative word would never end.
+    with pytest.raises(ValueError):
+        ucf.word_elements(-1)
+
+
 # ---------------------------------------------------------------------------
 # base_set
 # ---------------------------------------------------------------------------
