@@ -41,9 +41,11 @@ SetWord = int
 
 
 def word_from_elements(elements: Iterable[int]) -> SetWord:
-    """Bitmask for a collection of 1-based elements."""
+    """Bitmask for a collection of 1-based elements, each in [1, WORD_CAPACITY]."""
     word = 0
     for e in elements:
+        if not 1 <= e <= WORD_CAPACITY:
+            raise ValueError(f"element {e} outside [1, {WORD_CAPACITY}]")
         word |= 1 << (e - 1)
     return word
 

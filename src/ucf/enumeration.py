@@ -11,13 +11,26 @@ already-excluded union is dead and is pruned. Every leaf of this DFS is
 therefore union-closed, visited exactly once, in a deterministic order
 (include tried before exclude at each candidate).
 
-The whole DFS state is one dict mapping each member to the length of the
-longest chain bottoming out at it; members enter in decreasing order, so it
-iterates in descending member order and `popitem()` removes the newest. A
-new set sits below every existing one, so older values never change and the
-height is an O(|F|) update. Excluding a candidate is a loop step, not a
-call, so the recursion is at most |F| deep. A filter's height range caps the
-walk: subtrees above its top are pruned (adding sets never lowers height).
+The DFS state is one dict, `ups`, mapping each member to the length of the
+longest chain from it up to [n], plus words of 2^n bits, bit m standing for
+mask m (32 bits at n = 5): `have`, the members; `legal`, the masks t with
+t | x a member for every member x; and `under[k]`, the masks inside some
+member whose longest upward chain has at least k + 1 sets. Members enter in
+decreasing order, so `ups` iterates in descending member order and
+`popitem()` removes the newest. A candidate s lies below every member, so a
+member holding s holds it properly: s's chain length is 2 + the largest k
+with s in `under[k]`, and s is within a height cap c exactly when it is
+outside `under[c - 1]`. So the next candidate is the highest bit of
+`legal & ~under[c - 1]` below the last one, and the walk never tries a dead
+or over-cap set. Adding s sets one bit of `have`, raises one level word
+(s already lies inside a member whose chain is one set shorter than its
+own, so every lower level holds s's subsets) and narrows `legal` to the t
+with t | s a member. The update is exact: every older member x exceeds s,
+so s | x is never s, and older chains and unions are unchanged. Words only
+shrink (`legal`) or grow (`under`) on the way down, so a candidate dead at
+one node is dead below it, and a pop restores the one level word it raised.
+Excluding a candidate is a loop step, not a call, so the recursion is at
+most |F| deep.
 
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
@@ -74,6 +87,14 @@ class EnumFilter:
     bsize: int | tuple[int, int] | None = None
     contains_empty: bool | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("height", "bsize"):
+            spec = getattr(self, name)
+            if spec is not None:
+                lo, hi = _bounds(spec)
+                if lo > hi:
+                    raise ValueError(f"empty {name} range {spec}: lo > hi")
+
     def height_range(self) -> tuple[int, int] | None:
         return None if self.height is None else _bounds(self.height)
 
@@ -99,6 +120,21 @@ def _within(value: int, spec: int | tuple[int, int]) -> bool:
     return lo <= value <= hi
 
 
+@functools.cache
+def _lattice(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per mask m < 2^n, as 2^n-bit words: `below[m]`, its subsets;
+    `above[m]`, its supersets; and `lifts[m]`, one (word of the masks holding
+    i, 2^i) pair per element i of m."""
+    size = 1 << n
+    holding = [sum(1 << t for t in range(size) if t >> i & 1) for i in range(n)]
+    below = tuple(sum(1 << t for t in range(size) if t & m == t) for m in range(size))
+    above = tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
+    lifts = tuple(tuple((holding[i], 1 << i) for i in range(n) if m >> i & 1) for m in range(size))
+    return below, above, lifts
+
+
 def _dfs(
     n: int,
     emit: Callable[[dict[int, int], int], None],
@@ -112,41 +148,55 @@ def _dfs(
 
     The walk decides the candidates from `start` (default [n] - 1) down to
     `stop` + 1, each by recursing with it included and then stepping on
-    without it, and emits on reaching `stop`. `prefix` lists members below
-    [n] taken by an earlier walk that stopped at `start`; they are legal and
-    within the height cap by construction, and are added first.
+    without it, and emits on reaching `stop`. Only candidates in
+    `legal & ~under[cap - 1]` are tried: every other one fails the union or
+    height test, so skipping it visits the same leaves in the same order.
+    `prefix` lists members below [n] taken by an earlier walk that stopped at
+    `start`; they are legal and within the height cap by construction, and
+    are added first by the same `push`.
     """
+    below, above, lifts = _lattice(n)
     full = (1 << n) - 1
-    cap = n + 1 if h_cap is None else h_cap  # no chain over [n] is longer than n + 1
+    # no chain over [n] is longer than n + 1, and under a cap below 2 only [n] fits
+    top = (n + 1 if h_cap is None else max(1, min(h_cap, n + 1))) - 1
+    under = [below[full]] + [0] * top
     ups = {full: 1}
+    low = (1 << (stop + 1)) - 1  # a candidate word above low has a bit above stop
 
-    def try_add(s: int) -> int:
-        """Longest-chain length bottoming at s if added, 0 if s is illegal."""
-        up_s = 1
-        for x, up_x in ups.items():
-            u = s | x
-            if u == x:
-                if up_x >= up_s:
-                    up_s = up_x + 1
-            elif u not in ups:
-                return 0
-        return up_s
+    def push(s: int, legal: int, have: int) -> tuple[int, int, int]:
+        """Add s to a family with members `have` (s included): s's level k
+        (chain length k + 1), the old `under[k]` to restore on pop, and the
+        legal word narrowed to the t with t | s in `have`."""
+        k = 1
+        while under[k] >> s & 1:
+            k += 1
+        # t | s = u for a member u above s exactly when t is u less some subset of s
+        p = have & above[s]
+        for holding, shift in lifts[s]:
+            p |= (p & holding) >> shift
+        ups[s] = k + 1
+        old = under[k]
+        under[k] = old | below[s]
+        return k, old, legal & p
 
-    def rec(v: int, h: int) -> None:
-        while v != stop:
-            up_s = try_add(v)
-            if up_s and max(h, up_s) <= cap:
-                ups[v] = up_s
-                rec(v - 1, max(h, up_s))
-                ups.popitem()
-            v -= 1
+    def rec(window: int, h: int, legal: int, have: int) -> None:
+        cand = legal & ~under[top] & window
+        while cand > low:
+            s = cand.bit_length() - 1
+            bit = 1 << s
+            cand ^= bit
+            k, old, narrowed = push(s, legal, have | bit)
+            rec(bit - 1, h if h > k else k + 1, narrowed, have | bit)
+            ups.popitem()
+            under[k] = old
         emit(ups, h)
 
-    h = 1
+    h, legal, have = 1, below[full], 1 << full
     for s in prefix:
-        ups[s] = try_add(s)
-        h = max(h, ups[s])
-    rec(full - 1 if start is None else start, h)
+        have |= 1 << s
+        k, _, legal = push(s, legal, have)
+        h = max(h, k + 1)
+    rec((1 << (full if start is None else start + 1)) - 1, h, legal, have)
 
 
 def _split(n: int, h_cap: int | None) -> tuple[int, list[tuple[int, ...]]]:

@@ -25,6 +25,17 @@ def test_word_elements_rejects_negative_word():
         ucf.word_elements(-1)
 
 
+@pytest.mark.parametrize("element", [0, -1, 65, 10**10])
+def test_word_from_elements_rejects_elements_outside_the_word(element):
+    # Range-checked before the shift: 1 << (10**10 - 1) is a 1.25 GB int,
+    # and 1 << -1 raises "negative shift count".
+    with pytest.raises(ValueError, match=rf"^element {element} outside \[1, 64\]$"):
+        ucf.word_from_elements((1, element))
+    with pytest.raises(ValueError, match=rf"^element {element} outside \[1, 64\]$"):
+        Family.of(3, [(element,)])
+    assert ucf.word_from_elements((1, 64)) == 1 | 1 << 63
+
+
 # ---------------------------------------------------------------------------
 # base_set
 # ---------------------------------------------------------------------------

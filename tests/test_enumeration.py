@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from array import array
 from pathlib import Path
 
 import pytest
@@ -123,17 +124,109 @@ def test_enumerate_filters():
     assert ucf.enumerate_uc(3, EnumFilter(bsize=(0, 2))) == sum(exact) == sum(s <= 2 for s in seen)
 
 
+def reference_dfs(n, emit, h_cap, prefix=(), start=None, stop=-1):
+    """_dfs's oracle: the walk that tests every candidate against every member.
+
+    Same arguments and leaves as _dfs. A candidate s is added when s | x is a
+    member for every member x (the union was decided earlier, since it is at
+    least s) and its longest upward chain, one more than the longest over the
+    members holding it, keeps the height within the cap.
+    """
+    full = (1 << n) - 1
+    cap = n + 1 if h_cap is None else h_cap  # no chain over [n] is longer than n + 1
+    ups = {full: 1}
+
+    def try_add(s: int) -> int:
+        """Longest-chain length bottoming at s if added, 0 if s is illegal."""
+        up_s = 1
+        for x, up_x in ups.items():
+            u = s | x
+            if u == x:
+                if up_x >= up_s:
+                    up_s = up_x + 1
+            elif u not in ups:
+                return 0
+        return up_s
+
+    def rec(v: int, h: int) -> None:
+        while v != stop:
+            up_s = try_add(v)
+            if up_s and max(h, up_s) <= cap:
+                ups[v] = up_s
+                rec(v - 1, max(h, up_s))
+                ups.popitem()
+            v -= 1
+        emit(ups, h)
+
+    h = 1
+    for s in prefix:
+        ups[s] = try_add(s)
+        h = max(h, ups[s])
+    rec(full - 1 if start is None else start, h)
+
+
+def walk_leaves(walk, n, h_cap, **kwargs):
+    """Every (member -> chain length pairs, height) leaf of one walk, in order."""
+    out = []
+    walk(n, lambda ups, h: out.append((tuple(ups.items()), h)), h_cap, **kwargs)
+    return out
+
+
+def test_dfs_matches_reference_walk():
+    cases = [(n, cap) for n in range(1, 5) for cap in (None, *range(n + 2))]
+    cases += [(5, cap) for cap in (1, 2, 3)]
+    for n, cap in cases:
+        assert walk_leaves(_dfs, n, cap) == walk_leaves(reference_dfs, n, cap), (n, cap)
+
+
+@pytest.mark.parametrize("n, h_cap", [(3, None), (4, None), (4, 3), (5, 3)])
+def test_dfs_matches_reference_walk_on_split_subtrees_and_stops(n, h_cap):
+    split, prefixes = _split(n, h_cap)
+    for prefix in prefixes:
+        for stop in (-1, split // 2):
+            kwargs = {"prefix": prefix, "start": split, "stop": stop}
+            ours = walk_leaves(_dfs, n, h_cap, **kwargs)
+            assert ours == walk_leaves(reference_dfs, n, h_cap, **kwargs), kwargs
+    for stop in range(-1, (1 << n) - 1) if n < 5 else (-1, 3, 10, 20, 29):
+        ours = walk_leaves(_dfs, n, h_cap, stop=stop)
+        assert ours == walk_leaves(reference_dfs, n, h_cap, stop=stop), stop
+
+
+def leaf_hashes(walk, n, h_cap):
+    """One 64-bit hash per leaf of one walk, in order (int tuples hash the
+    same in every process)."""
+    out = array("q")
+    walk(n, lambda ups, h: out.append(hash((tuple(ups.items()), h))), h_cap)
+    return out
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("h_cap, leaves", [(4, 382210), (None, 2747402)])
+def test_dfs_matches_reference_walk_n5(h_cap, leaves):
+    ours = leaf_hashes(_dfs, 5, h_cap)
+    assert len(ours) == leaves
+    assert ours == leaf_hashes(reference_dfs, 5, h_cap)
+
+
 @pytest.mark.parametrize("n, h_cap", [(4, None), (4, 3), (4, 4), (5, 3)])
 def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
-    def leaves(**kwargs):
-        out = []
-        _dfs(n, lambda members, h: out.append((tuple(members), h)), h_cap, **kwargs)
-        return out
-
     split, prefixes = _split(n, h_cap)
     assert len(prefixes) > 1 and len(set(prefixes)) == len(prefixes)
-    subtrees = [leaf for prefix in prefixes for leaf in leaves(prefix=prefix, start=split)]
-    assert subtrees == leaves()
+    subtrees = [
+        leaf for prefix in prefixes for leaf in walk_leaves(_dfs, n, h_cap, prefix=prefix, start=split)
+    ]
+    assert subtrees == walk_leaves(_dfs, n, h_cap)
+
+
+def test_empty_filter_ranges_are_rejected():
+    # A check row built on an empty range would walk, pass nothing and read "ok".
+    with pytest.raises(ValueError, match=r"^empty height range \(3, 1\): lo > hi$"):
+        EnumFilter(height=(3, 1))
+    with pytest.raises(ValueError, match=r"^empty bsize range \(2, 0\): lo > hi$"):
+        EnumFilter(bsize=(2, 0))
+    assert ucf.enumerate_uc(4, EnumFilter(height=(3, 3), bsize=(0, 0))) == ucf.enumerate_uc(
+        4, EnumFilter(height=3, bsize=0)
+    )
 
 
 def test_enumerate_caps():
