@@ -37,7 +37,6 @@ from .core import (
     is_separating,
     require_base_full,
     require_union_closed,
-    slice_by_size,
     word_elements,
 )
 from .errors import EmptyFamily, InternalError
@@ -61,7 +60,7 @@ def _checked_height(fam: Family) -> int:
 
 def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
     """Members of size below n/2 and their base."""
-    small = slice_by_size(fam, "lt", Fraction(fam.n, 2)).members
+    small = tuple(m for m in fam.members if 2 * m.bit_count() < fam.n)
     target = 0
     for m in small:
         target |= m

@@ -35,11 +35,22 @@ most |F| deep.
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
-every check, so `EnumFilter.matches` is the only per-leaf gate. Public
-analysis functions validate their input; the filter and the conclusions
-instead pass these facts about a leaf (union-closed, base [n], height h) to
-the private cores behind those functions, as the construction certifier and
-`ucf analyze` do with the facts they derive once.
+every check. It hands each leaf on as a `_Leaf`: the member word `have`, the
+height and the walk's state. The gate (`EnumFilter._admits`) and the cheap
+conclusions (L1.3, T1.4, L2.1.1, T2.1, C2.2, T4.1) read the leaf's facts as
+a few exact int operations on `have` and the per-n words of `_leaf_words`:
+separation, frequencies, |F|, the empty set, |B| up to 3, Lemma 1.3 and the
+size-bound levels. A `Family` is built only where a fact has no word form
+(T1.2, PROPS and |B| > 3), for a leaf whose word conclusion fails (the
+`Family` conclusion then gives the violation's details), and for a caller's
+visitor, so a count-only `enumerate_uc` builds none. `EnumFilter.matches`
+and the `Family` conclusions stay as the public gate and the oracle:
+tests/test_enumeration.py compares every word fact with them on every leaf
+for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the deep
+suite. Public analysis functions validate their input; the `Family` gate
+and conclusions instead pass these facts about a leaf (union-closed, base
+[n], height h) to the private cores behind those functions, as the
+construction certifier and `ucf analyze` do with the facts they derive once.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -79,7 +90,9 @@ class EnumFilter:
 
     `height` and `bsize` (the minimum cover size |B| of the small slice)
     each accept an exact int or an inclusive (lo, hi) pair. The gates run
-    cheapest first: height, separation, then the cover search.
+    cheapest first: height, separation, then the cover search. `matches`
+    tests a `Family`; the walk calls `_admits`, the same gate on a leaf's
+    member word, and the tests hold it to `matches` on every leaf.
     """
 
     separating: bool | None = None
@@ -109,6 +122,19 @@ class EnumFilter:
             return False
         return True
 
+    def _admits(self, leaf: _Leaf) -> bool:
+        """`matches` on a DFS leaf's words; the walk's gate."""
+        if self.contains_empty is not None and bool(leaf.have & 1) != self.contains_empty:
+            return False
+        if self.height is not None and not _within(leaf.h, self.height):
+            return False
+        if self.separating is not None and leaf.separating() != self.separating:
+            return False
+        if self.bsize is not None:
+            lo, hi = _bounds(self.bsize)
+            return lo <= leaf.cover_size(hi) <= hi
+        return True
+
 
 def _bounds(spec: int | tuple[int, int]) -> tuple[int, int]:
     """The inclusive (lo, hi) range an exact int or (lo, hi) spec stands for."""
@@ -135,16 +161,139 @@ def _lattice(
     return below, above, lifts
 
 
+class _Words:
+    """The words of 2^n bits that the leaf facts read, bit m standing for
+    mask m: `holding[i]`, the masks holding element i; `pairs`, one word
+    holding[i] ^ holding[j] per pair i < j, the masks that split i from j;
+    `small`, the masks m with 2|m| < n; `coatoms`, one (bit, `below` word)
+    pair per mask of n - 1 elements; and `above` and `lifts` from `_lattice`."""
+
+    def __init__(self, n: int) -> None:
+        below, self.above, self.lifts = _lattice(n)
+        full = (1 << n) - 1
+        self.n = n
+        self.holding = tuple(word for word, _ in self.lifts[full])
+        self.pairs = tuple(a ^ b for a, b in itertools.combinations(self.holding, 2))
+        self.small = sum(1 << m for m in range(full + 1) if 2 * m.bit_count() < n)
+        self.coatoms = tuple((1 << c, below[c]) for c in (full ^ (1 << i) for i in range(n)))
+
+
+_leaf_words = functools.cache(_Words)
+
+
+class _Leaf:
+    """One DFS leaf: its member word `have` (bit m for mask m), its height
+    `h`, and the facts the gates and the cheap conclusions read, each a few
+    operations on `have` and the words of `_leaf_words`. `fam`, the leaf as
+    a `Family`, is built from the walk's state dict on first use, so it is
+    read only while the walk is at the leaf."""
+
+    __slots__ = ("words", "have", "h", "_ups", "_fam")
+
+    def __init__(self, words: _Words, have: int, h: int, ups: dict[int, int]) -> None:
+        self.words, self.have, self.h, self._ups, self._fam = words, have, h, ups, None
+
+    @property
+    def fam(self) -> Family:
+        if self._fam is None:
+            self._fam = Family(self.words.n, tuple(reversed(self._ups)))
+        return self._fam
+
+    def separating(self) -> bool:
+        """Some member splits every pair of elements: each pair word meets `have`."""
+        return all(map(self.have.__and__, self.words.pairs))
+
+    def frequencies(self) -> list[int]:
+        """How many members hold each element (`core.frequencies`); they sum
+        to the total member size."""
+        have = self.have
+        return [(have & word).bit_count() for word in self.words.holding]
+
+    def cover_size(self, most: int) -> int:
+        """|B|, the least number of small-slice members whose union is the
+        slice's base b, when it is at most `most`; else a number above `most`.
+
+        Every member lies inside b, so sizes 0 to 3 are word tests: b is
+        empty; b is a member; b less some member x lies inside a member;
+        b less the union of some pair does. For size 2, flipping the bits of
+        b in every index turns the member word into the word of the sets
+        b less x, which must meet the word of the members' subsets. A larger
+        size is `_b_report`'s.
+        """
+        words = self.words
+        part = self.have & words.small
+        every = words.lifts[-1]  # (holding[i], 2^i) for each element i
+        b = 0
+        for word, bit in every:
+            if part & word:
+                b |= bit
+        if not b:
+            return 0
+        if part >> b & 1:
+            return 1
+        if most < 2:
+            return 2
+        down = turned = part
+        for word, shift in every:
+            down |= (down & word) >> shift
+        for word, shift in words.lifts[b]:
+            turned = (turned & word) >> shift | (turned & ~word) << shift
+        if turned & down:
+            return 2
+        if most < 3:
+            return 3
+        above = words.above
+        xs = [m for m in range(b) if part >> m & 1]
+        if any(part & above[b & ~(x | y)] for x, y in itertools.combinations(xs, 2)):
+            return 3
+        return 4 if most < 4 else _b_report(self.fam, self.h).size
+
+    def lemma13_holds(self) -> bool:
+        """Lemma 1.3's conclusion: every member but [n] lies in an
+        (n-1)-element member, so every child of [n] has n - 1 elements."""
+        have = self.have
+        covered = 1 << (1 << self.words.n) - 1  # [n] itself
+        for bit, below in self.words.coatoms:
+            if have & bit:
+                covered |= below
+        return not have & ~covered
+
+    def size_levels(self) -> tuple[tuple[int, int], ...]:
+        """`_size_bound_trace`'s (size, base size) levels, with the same
+        tie-breaks. Restricting to the members holding x is `& holding[x]`;
+        deleting an x that every member holds moves bit m to m - 2^x, which
+        is one shift of the whole word."""
+        holding = self.words.holding
+        members = self.have
+        levels = []
+        while True:
+            counts = [(members & word).bit_count() for word in holding]
+            size = members.bit_count()
+            levels.append((size, len(counts) - counts.count(0)))
+            if size == 1:
+                break
+            x = counts.index(max(counts))
+            kept = members & holding[x]
+            if kept == members:
+                members >>= 1 << x
+                counts = [(members & word).bit_count() for word in holding]
+                kept = members & holding[counts.index(max(counts))]
+            if not kept or kept.bit_count() >= size:
+                raise InternalError("size-bound reduction failed to shrink the family")
+            members = kept
+        return tuple(levels)
+
+
 def _dfs(
     n: int,
-    emit: Callable[[dict[int, int], int], None],
+    emit: Callable[[dict[int, int], int, int], None],
     h_cap: int | None,
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     stop: int = -1,
 ) -> None:
-    """Run the generator, emitting (state dict, height) leaves; emit must not
-    change the dict, which iterates in descending member order.
+    """Run the generator, emitting (state dict, height, member word) leaves;
+    emit must not change the dict, which iterates in descending member order.
 
     The walk decides the candidates from `start` (default [n] - 1) down to
     `stop` + 1, each by recursing with it included and then stepping on
@@ -189,7 +338,7 @@ def _dfs(
             rec(bit - 1, h if h > k else k + 1, narrowed, have | bit)
             ups.popitem()
             under[k] = old
-        emit(ups, h)
+        emit(ups, h, have)
 
     h, legal, have = 1, below[full], 1 << full
     for s in prefix:
@@ -205,33 +354,34 @@ def _split(n: int, h_cap: int | None) -> tuple[int, list[tuple[int, ...]]]:
     _SPLIT_DEPTH decisions, holds there, in DFS order."""
     split = max(-1, (1 << n) - 2 - _SPLIT_DEPTH)
     prefixes: list[tuple[int, ...]] = []
-    _dfs(n, lambda ups, h: prefixes.append(tuple(ups)[1:]), h_cap, stop=split)
+    _dfs(n, lambda ups, h, have: prefixes.append(tuple(ups)[1:]), h_cap, stop=split)
     return split, prefixes
 
 
 def _walk(
     n: int,
     filt: EnumFilter | None,
-    visit: Callable[[Family, int], None],
+    visit: Callable[[_Leaf], None],
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> int:
     """Run the DFS (arguments as in _dfs) under the filter's height cap and
-    call visit(family, height) on each leaf that passes the filter; returns
-    how many passed. `progress` gets the visited count every 100,000 leaves."""
+    call visit(leaf) on each leaf that passes the filter; returns how many
+    passed. `progress` gets the visited count every 100,000 leaves."""
     rng = filt.height_range() if filt else None
+    words = _leaf_words(n)
     visited = passed = 0
 
-    def emit(ups: dict[int, int], h: int) -> None:
+    def emit(ups: dict[int, int], h: int, have: int) -> None:
         nonlocal visited, passed
         visited += 1
         if progress is not None and visited % 100000 == 0:
             progress(visited)
-        fam = Family(n, tuple(reversed(ups)))
-        if filt is None or filt.matches(fam, h):
+        leaf = _Leaf(words, have, h, ups)
+        if filt is None or filt._admits(leaf):
             passed += 1
-            visit(fam, h)
+            visit(leaf)
 
     _dfs(n, emit, rng and rng[1], prefix, start)
     return passed
@@ -248,7 +398,8 @@ def enumerate_uc(
     gets the visited count every 100,000 families."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
-    return _walk(n, filt, lambda fam, h: visitor(fam) if visitor else None, progress=progress)
+    visit = (lambda leaf: visitor(leaf.fam)) if visitor else (lambda leaf: None)
+    return _walk(n, filt, visit, progress=progress)
 
 
 @functools.cache
@@ -372,6 +523,11 @@ def _avg_half(fam: Family, h: int) -> list[str]:
     return [] if avg >= half else [f"avg {avg} < {half}"]
 
 
+def _avg_half_holds(leaf: _Leaf) -> bool:
+    # avg >= n/2 with avg = total / |F|, the total being the sum of the frequencies
+    return 2 * sum(leaf.frequencies()) >= leaf.words.n * leaf.have.bit_count()
+
+
 def _size_bound(fam: Family, h: int) -> list[str]:
     details = [f"|family| {len(fam)} < n {fam.n}"] if len(fam) < fam.n else []
     try:
@@ -383,14 +539,30 @@ def _size_bound(fam: Family, h: int) -> list[str]:
     return details
 
 
+def _size_bound_holds(leaf: _Leaf) -> bool:
+    # the first level is (|F|, n), so it also tests |F| >= n
+    try:
+        return all(size >= base for size, base in leaf.size_levels())
+    except InternalError:
+        return False
+
+
 def _frankl(fam: Family, h: int) -> list[str]:
     w = frankl_witness(fam)
     return [] if w.ok else [f"best element {w.element} in {w.count} members < {w.threshold}"]
 
 
+def _frankl_holds(leaf: _Leaf) -> bool:
+    return 2 * max(leaf.frequencies()) >= leaf.have.bit_count()
+
+
 def _avg_floor(fam: Family, h: int) -> list[str]:
     avg, floor_bound = avg_size(fam), fam.n // 2 - 1
     return [] if avg > floor_bound else [f"avg {avg} <= {floor_bound}"]
+
+
+def _avg_floor_holds(leaf: _Leaf) -> bool:
+    return sum(leaf.frequencies()) > (leaf.words.n // 2 - 1) * leaf.have.bit_count()
 
 
 def _props(fam: Family, h: int) -> list[str]:
@@ -402,12 +574,22 @@ def _props(fam: Family, h: int) -> list[str]:
 class _Check:
     """One check id: its hypotheses as text, as a leaf filter and as the least n
     the result is stated for, and its conclusion: the violation details for a
-    (leaf, height) pair, or None for a leaf it leaves unchecked."""
+    (family, height) pair, or None for a leaf it leaves unchecked. `holds`,
+    where given, decides the conclusion on a leaf's words; only a leaf it
+    rejects runs `conclude`, which gives the details."""
 
     hypothesis: str
     filt: EnumFilter
     conclude: Callable[[Family, int], list[str] | None]
     least_n: int = 1
+    holds: Callable[[_Leaf], bool] | None = None
+
+
+def _conclude(check: _Check, leaf: _Leaf) -> list[str] | None:
+    """The check's violation details for a leaf, or None if it is unchecked."""
+    if check.holds is not None and check.holds(leaf):
+        return []
+    return check.conclude(leaf.fam, leaf.h)
 
 
 _SEP = EnumFilter(separating=True)
@@ -415,16 +597,20 @@ _SEP_H4_B2 = EnumFilter(separating=True, height=4, bsize=(0, 2))
 _CHECKS = {
     "T1.2": _Check("union-closed, |family| > 1"
                    " (max frequency >= (|family|+h-3)/(h-1), also with r)", EnumFilter(), _thm12),
-    "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13),
+    "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13,
+                   holds=_Leaf.lemma13_holds),
     "T1.4": _Check("separating, height <= 3 (average size >= n/2)",
-                   EnumFilter(separating=True, height=(1, 3)), _avg_half),
-    "L2.1.1": _Check("separating (|family| >= n, with reduction trace)", _SEP, _size_bound),
+                   EnumFilter(separating=True, height=(1, 3)), _avg_half, holds=_avg_half_holds),
+    "L2.1.1": _Check("separating (|family| >= n, with reduction trace)", _SEP, _size_bound,
+                     holds=_size_bound_holds),
     "T2.1": _Check("separating, height 4, n >= 4, cover size <= 2 (average size >= n/2)",
-                   _SEP_H4_B2, _avg_half, least_n=4),
+                   _SEP_H4_B2, _avg_half, least_n=4, holds=_avg_half_holds),
     "C2.2": _Check("separating, height 4, n >= 4, cover size <= 2"
-                   " (some element in half the members)", _SEP_H4_B2, _frankl, least_n=4),
+                   " (some element in half the members)", _SEP_H4_B2, _frankl, least_n=4,
+                   holds=_frankl_holds),
     "T4.1": _Check("separating, height 4, cover size 4 (average size > floor(n/2) - 1)",
-                   EnumFilter(separating=True, height=4, bsize=4), _avg_floor),
+                   EnumFilter(separating=True, height=4, bsize=4), _avg_floor,
+                   holds=_avg_floor_holds),
     "PROPS": _Check("separating, height 4 (all applicable propositions A-L hold)",
                     EnumFilter(separating=True, height=4), _props),
 }
@@ -443,12 +629,12 @@ def _run_serial(
     checked = 0
     violations: list[Violation] = []
 
-    def visit(fam: Family, h: int) -> None:
+    def visit(leaf: _Leaf) -> None:
         nonlocal checked
-        details = check.conclude(fam, h)
+        details = _conclude(check, leaf)
         if details is not None:
             checked += 1
-            violations.extend(Violation(fam, d) for d in details)
+            violations.extend(Violation(leaf.fam, d) for d in details)
 
     _walk(n, check.filt, visit, prefix, start, progress)
     return checked, violations

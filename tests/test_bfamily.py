@@ -244,7 +244,7 @@ def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
     # family at n = 4 has two, so the sample is drawn at n = 5.
     sample = []
 
-    def visit(members, h):
+    def visit(members, h, have):
         fam = Family(5, tuple(reversed(members)))
         if h == 4 and ucf.is_separating(fam) and len(ucf.minimum_covers(fam)) > 1:
             sample.append(fam)

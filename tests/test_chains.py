@@ -120,7 +120,7 @@ def test_tie_breaks_match_brute_force_on_every_small_leaf():
 
     leaves = []
     for n in range(1, 5):
-        _dfs(n, lambda members, h, n=n: leaves.append(Family(n, tuple(reversed(members)))), None)
+        _dfs(n, lambda ups, h, have, n=n: leaves.append(Family(n, tuple(reversed(ups)))), None)
     assert len(leaves) == 4642
     failing = 0
     for fam in leaves:

@@ -32,7 +32,7 @@ PUBLIC_DIGEST_N4 = "bcbcedd9486b636c60706457329175765c339e3cf96721ec094f0ae352b3
 
 def test_cores_match_public_functions_on_every_n4_family():
     leaves = []
-    _dfs(4, lambda members, h: leaves.append((Family(4, tuple(reversed(members))), h)), None)
+    _dfs(4, lambda members, h, have: leaves.append((Family(4, tuple(reversed(members))), h)), None)
     assert len(leaves) == 4542
     inapplicable = dict.fromkeys(PROP_KEYS, PropResult(False, None))
     digest = hashlib.sha256()
@@ -85,10 +85,16 @@ def calls(monkeypatch):
     "tid, n, expected",
     [
         ("T1.2", 4, {"chain_report": 4541, "is_union_closed": 0}),
-        ("L1.3", 4, {"is_separating": 4542}),
-        ("T2.1", 4, {"chain_report": 0, "is_union_closed": 0}),
+        # the walk's gates and the cheap conclusions read the leaf's member word
+        ("L1.3", 4, {"is_separating": 0}),
+        (
+            "T2.1",
+            4,
+            {"chain_report": 0, "is_union_closed": 0, "is_separating": 0, "_min_covers": 0},
+        ),
         ("C2.2", 4, {"chain_report": 0, "is_union_closed": 0}),
-        ("T4.1", 4, {"chain_report": 0, "is_union_closed": 0}),
+        # only the one leaf whose cover size is over 3 runs the cover search
+        ("T4.1", 4, {"chain_report": 0, "is_union_closed": 0, "_min_covers": 1}),
         ("PROPS", 4, {"chain_report": 0, "is_union_closed": 0}),
         ("T2.1", 3, {"_min_covers": 0}),
     ],

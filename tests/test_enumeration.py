@@ -14,8 +14,10 @@ from hypothesis import given, strategies as st
 
 import ucf
 from ucf import EnumFilter, Family, enumeration
-from ucf.enumeration import _dfs, _split
-from ucf.errors import NTooLarge
+from ucf.bfamily import _b_report
+from ucf.chains import _lemma13_status, _size_bound_trace
+from ucf.enumeration import _conclude, _dfs, _Leaf, _leaf_words, _split
+from ucf.errors import InternalError, NTooLarge
 
 from strategies import relabel
 
@@ -127,7 +129,8 @@ def test_enumerate_filters():
 def reference_dfs(n, emit, h_cap, prefix=(), start=None, stop=-1):
     """_dfs's oracle: the walk that tests every candidate against every member.
 
-    Same arguments and leaves as _dfs. A candidate s is added when s | x is a
+    Same arguments and leaves as _dfs; each leaf's member word is summed
+    from its members. A candidate s is added when s | x is a
     member for every member x (the union was decided earlier, since it is at
     least s) and its longest upward chain, one more than the longest over the
     members holding it, keeps the height within the cap.
@@ -156,7 +159,7 @@ def reference_dfs(n, emit, h_cap, prefix=(), start=None, stop=-1):
                 rec(v - 1, max(h, up_s))
                 ups.popitem()
             v -= 1
-        emit(ups, h)
+        emit(ups, h, sum(1 << m for m in ups))
 
     h = 1
     for s in prefix:
@@ -166,9 +169,10 @@ def reference_dfs(n, emit, h_cap, prefix=(), start=None, stop=-1):
 
 
 def walk_leaves(walk, n, h_cap, **kwargs):
-    """Every (member -> chain length pairs, height) leaf of one walk, in order."""
+    """Every (member -> chain length pairs, height, member word) leaf of one
+    walk, in order."""
     out = []
-    walk(n, lambda ups, h: out.append((tuple(ups.items()), h)), h_cap, **kwargs)
+    walk(n, lambda ups, h, have: out.append((tuple(ups.items()), h, have)), h_cap, **kwargs)
     return out
 
 
@@ -196,7 +200,7 @@ def leaf_hashes(walk, n, h_cap):
     """One 64-bit hash per leaf of one walk, in order (int tuples hash the
     same in every process)."""
     out = array("q")
-    walk(n, lambda ups, h: out.append(hash((tuple(ups.items()), h))), h_cap)
+    walk(n, lambda ups, h, have: out.append(hash((tuple(ups.items()), h, have))), h_cap)
     return out
 
 
@@ -401,6 +405,194 @@ def test_verify_c22_n5():
 
 
 # ---------------------------------------------------------------------------
+# leaf facts on words, against the Family functions
+# ---------------------------------------------------------------------------
+
+# The distinct gates of the check table; at n <= 4 also the empty-set gates
+# and a cover-size gate at each size. Each cover-size gate runs the cover
+# search on every leaf, so n = 5 compares the table's gates only.
+TABLE_GATES = tuple(dict.fromkeys(check.filt for check in enumeration._CHECKS.values()))
+GATES = TABLE_GATES + (
+    EnumFilter(contains_empty=True),
+    EnumFilter(contains_empty=False, separating=False),
+    *(EnumFilter(bsize=b) for b in (0, 1, 2, 3, 4, (1, 3), (3, 5))),
+)
+
+
+def family_facts(fam, h, gates):
+    """The oracle: each fact the walk reads from words, through the Family
+    functions and EnumFilter.matches. The levels are None where the
+    reduction fails, as it does on 358 non-separating leaves at n <= 4."""
+    size = _b_report(fam, h).size
+    try:
+        levels = _size_bound_trace(fam).levels
+    except InternalError:
+        levels = None
+    return (
+        ucf.is_separating(fam),
+        ucf.frequencies(fam),
+        len(fam),
+        0 in fam.members,
+        size,
+        tuple(min(size, most + 1) for most in range(5)),
+        _lemma13_status(fam).ok,
+        levels,
+        tuple(g.matches(fam, h) for g in gates),
+    )
+
+
+def word_facts(leaf, gates):
+    try:
+        levels = leaf.size_levels()
+    except InternalError:
+        levels = None
+    return (
+        leaf.separating(),
+        tuple(leaf.frequencies()),
+        leaf.have.bit_count(),
+        bool(leaf.have & 1),
+        leaf.cover_size(leaf.h),  # the cover size is at most the height
+        tuple(min(leaf.cover_size(most), most + 1) for most in range(5)),
+        leaf.lemma13_holds(),
+        levels,
+        tuple(g._admits(leaf) for g in gates),
+    )
+
+
+def compare_leaf_facts(n, h_cap, gates, oracle):
+    """Walk under the cap and compare every leaf's word facts with the
+    oracle's, cached per family in `oracle` (a family's facts do not depend
+    on the cap it is reached under); returns the number of leaves."""
+    words = _leaf_words(n)
+    count = 0
+
+    def emit(ups, h, have):
+        nonlocal count
+        count += 1
+        leaf = _Leaf(words, have, h, ups)
+        fam = leaf.fam
+        assert fam == Family(n, tuple(reversed(ups)))
+        want = oracle.get(fam)
+        if want is None:
+            want = oracle[fam] = family_facts(fam, h, gates)
+        assert word_facts(leaf, gates) == want, (fam.member_sets(), h)
+
+    _dfs(n, emit, h_cap)
+    return count
+
+
+def test_word_facts_match_family_oracle():
+    for n in range(1, 5):
+        oracle = {}
+        for cap in (None, *range(n + 2)):
+            compare_leaf_facts(n, cap, GATES, oracle)
+        assert len(oracle) == KNOWN_COUNTS[n]
+    assert compare_leaf_facts(5, 3, TABLE_GATES, {}) == 15067
+
+
+@pytest.mark.deep
+def test_word_facts_match_family_oracle_n5():
+    assert compare_leaf_facts(5, 4, TABLE_GATES, {}) == 382210
+
+
+def leaf_of(fam, h):
+    """A leaf record for a hand-built family, as the walk would make it."""
+    ups = dict.fromkeys(reversed(fam.members), 0)
+    return _Leaf(_leaf_words(fam.n), sum(1 << m for m in fam.members), h, ups)
+
+
+@pytest.mark.parametrize(
+    "tid, n, sets",
+    [
+        ("L1.3", 3, [(), (1, 2, 3)]),
+        ("T1.4", 3, [(), (1,), (2,), (1, 2), (1, 2, 3)]),
+        ("L2.1.1", 3, [(), (1, 2, 3)]),
+        ("L2.1.1", 3, [(1, 2), (1, 2, 3)]),  # the reduction cannot shrink it
+        ("T2.1", 3, [(), (1,), (2,), (1, 2), (1, 2, 3)]),
+        ("C2.2", 3, [(), (1,), (2,), (3,), (1, 2, 3)]),
+        ("T4.1", 6, [(), (1,), (2,), (3,), (4,), (5,), (6,), (1, 2, 3, 4, 5, 6)]),
+        ("T4.1", 6, [(), (1,), (2,), (3, 4), (1, 2, 3, 4, 5, 6)]),
+    ],
+)
+def test_failing_word_conclusion_gives_the_family_details(tid, n, sets):
+    check = enumeration._CHECKS[tid]
+    fam = Family.of(n, sets)
+    h = ucf.chains.height(fam)
+    leaf = leaf_of(fam, h)
+    assert check.holds(leaf) is False
+    details = check.conclude(fam, h)
+    assert details and _conclude(check, leaf) == details
+
+
+@pytest.mark.parametrize(
+    "n, sets",
+    [
+        (2, [(), (1, 2)]),  # average exactly n/2, an element in exactly half the members
+        (2, [(), (1,), (2,), (1, 2)]),
+        (2, [(1,), (1, 2)]),  # exactly n members
+        (6, [(), (1,), (2,), (3, 4), (1, 2, 3, 4, 5, 6)]),  # average exactly floor(n/2) - 1
+        (3, [(), (1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
+        (3, [(), (1,), (2,), (1, 2), (1, 2, 3)]),
+    ],
+)
+def test_word_conclusions_agree_with_the_family_ones_on_their_boundaries(n, sets):
+    fam = Family.of(n, sets)
+    h = ucf.chains.height(fam)
+    leaf = leaf_of(fam, h)
+    for tid, check in enumeration._CHECKS.items():
+        if check.holds is not None:
+            assert check.holds(leaf) == (check.conclude(fam, h) == []), tid
+
+
+def bell_numbers(count):
+    """B(0), ..., B(count - 1) from the Bell triangle: each row starts with
+    the last entry of the row above, each further entry is its left
+    neighbour plus the entry above that neighbour, and B(k) opens row k."""
+    row, out = [1], [1]
+    while len(out) < count:
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row = nxt
+        out.append(row[0])
+    return out
+
+
+def test_height_at_most_2_counts_are_bell_numbers():
+    # A family of height <= 2 is [n] over an antichain of proper subsets.
+    # The union of two of them is a member above both, so it is [n]: their
+    # complements are pairwise disjoint nonempty blocks (the empty set's is
+    # [n]). The elements in no block, with one extra point, make one more
+    # block, so the families match the partitions of [n + 1] and
+    # |UC_{h<=2}(n)| = B(n + 1).
+    bell = bell_numbers(8)
+    counts = []
+    for n in range(1, 7):
+        leaves = []
+        _dfs(n, lambda ups, h, have: leaves.append(h), 2)
+        counts.append(len(leaves))
+    assert counts == [bell[n + 1] for n in range(1, 7)] == [2, 5, 15, 52, 203, 877]
+
+
+def test_count_only_walks_build_no_family(monkeypatch):
+    builds = 0
+    init = Family.__init__
+
+    def counted(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Family, "__init__", counted)
+    assert ucf.enumerate_uc(4) == 4542
+    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
+    assert ucf.verify_theorem("T2.1", 4, workers=1).families_checked == 1961
+    assert ucf.verify_theorem("L2.1.1", 4, workers=1).families_checked == 4078
+    assert builds == 0
+    assert ucf.enumerate_uc(3, visitor=lambda fam: None) == builds == 90
+
+
+# ---------------------------------------------------------------------------
 # canonical form (relabeling reduction, off by default)
 # ---------------------------------------------------------------------------
 
@@ -542,7 +734,8 @@ def test_canonical_class_counts_n5():
     classes, capped = set(), set()
     burnside, burnside_capped = Burnside(5), Burnside(5)
 
-    def visit(fam, h):
+    def visit(leaf):
+        fam, h = leaf.fam, leaf.h
         canon = ucf.canonical_form(fam)
         classes.add(canon)
         burnside.add(fam)
