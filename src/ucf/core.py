@@ -85,8 +85,24 @@ class Family:
         if not 1 <= self.n <= WORD_CAPACITY:
             raise ValueError(f"ground size must be in [1, {WORD_CAPACITY}], got {self.n}")
         top = 1 << self.n
+        ms = self.members
+        # The accept path: one pass checks that the members ascend strictly,
+        # so they lie in range when the two end members do. Any other input
+        # takes the member loop below, whose first failure is reported.
+        if type(ms) is tuple:
+            try:
+                prev = -1
+                for m in ms:
+                    if m <= prev:
+                        break
+                    prev = m
+                else:
+                    if not ms or (0 <= ms[0] and prev < top):
+                        return
+            except TypeError:  # a member that is not a number
+                pass
         prev = -1
-        for m in self.members:
+        for m in ms:
             if not 0 <= m < top:
                 raise ValueError(f"member {m:#x} sets bits outside [{self.n}]")
             if m <= prev:

@@ -36,21 +36,23 @@ Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
 every check. It hands each leaf on as a `_Leaf`: the member word `have`, the
-height and the walk's state. The gate (`EnumFilter._admits`) and the cheap
-conclusions (L1.3, T1.4, L2.1.1, T2.1, C2.2, T4.1) read the leaf's facts as
-a few exact int operations on `have` and the per-n words of `_leaf_words`:
-separation, frequencies, |F|, the empty set, |B| up to 3, Lemma 1.3 and the
-size-bound levels. A `Family` is built only where a fact has no word form
-(T1.2, PROPS and |B| > 3), for a leaf whose word conclusion fails (the
-`Family` conclusion then gives the violation's details), and for a caller's
-visitor, so a count-only `enumerate_uc` builds none. `EnumFilter.matches`
-and the `Family` conclusions stay as the public gate and the oracle:
-tests/test_enumeration.py compares every word fact with them on every leaf
-for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the deep
-suite. Public analysis functions validate their input; the `Family` gate
-and conclusions instead pass these facts about a leaf (union-closed, base
-[n], height h) to the private cores behind those functions, as the
-construction certifier and `ucf analyze` do with the facts they derive once.
+height and the walk's state. The gate (`EnumFilter._admits`) and every
+conclusion but PROPS's (T1.2, L1.3, T1.4, L2.1.1, T2.1, C2.2, T4.1) read the
+leaf's facts as a few exact int operations on `have` and the per-n words of
+`_leaf_words`: separation, frequencies, |F|, the empty set, |B| up to 3,
+Lemma 1.3, the size-bound levels, and T1.2's witness chain, r and witness
+element. A `Family` is built only where a fact has no word form (PROPS and
+|B| > 3), for a leaf whose word conclusion fails (the `Family` conclusion
+then gives the violation's details), for the one-member leaf {[n]} that T1.2
+leaves unchecked, and for a caller's visitor, so a count-only `enumerate_uc`
+builds none. `EnumFilter.matches` and the `Family` conclusions stay as the
+public gate and the oracle: tests/test_enumeration.py compares every word
+fact with them on every leaf for n <= 4 and at n = 5 under height cap 3,
+and under cap 4 in the deep suite. Public analysis functions validate their
+input; the `Family` gate and conclusions instead pass these facts about a
+leaf (union-closed, base [n], height h) to the private cores behind those
+functions, as the construction certifier and `ucf analyze` do with the
+facts they derive once.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -166,16 +168,17 @@ class _Words:
     mask m: `holding[i]`, the masks holding element i; `pairs`, one word
     holding[i] ^ holding[j] per pair i < j, the masks that split i from j;
     `small`, the masks m with 2|m| < n; `coatoms`, one (bit, `below` word)
-    pair per mask of n - 1 elements; and `above` and `lifts` from `_lattice`."""
+    pair per mask of n - 1 elements; and `below`, `above` and `lifts` from
+    `_lattice`."""
 
     def __init__(self, n: int) -> None:
-        below, self.above, self.lifts = _lattice(n)
+        self.below, self.above, self.lifts = _lattice(n)
         full = (1 << n) - 1
         self.n = n
         self.holding = tuple(word for word, _ in self.lifts[full])
         self.pairs = tuple(a ^ b for a, b in itertools.combinations(self.holding, 2))
         self.small = sum(1 << m for m in range(full + 1) if 2 * m.bit_count() < n)
-        self.coatoms = tuple((1 << c, below[c]) for c in (full ^ (1 << i) for i in range(n)))
+        self.coatoms = tuple((1 << c, self.below[c]) for c in (full ^ (1 << i) for i in range(n)))
 
 
 _leaf_words = functools.cache(_Words)
@@ -282,6 +285,74 @@ class _Leaf:
                 raise InternalError("size-bound reduction failed to shrink the family")
             members = kept
         return tuple(levels)
+
+    def chain_facts(self) -> tuple[tuple[int, ...], int]:
+        """`chain_report`'s witness chain and r, from the down levels:
+        D_1 = `have`, and D_{k+1} the members that properly contain a member
+        of D_k, so D_k holds the members that top a chain of k sets. A
+        one-element shift lifts D_k to the sets with one more element, and
+        one pass over the elements closes that upward; h levels suffice.
+
+        The witness chain starts at [n], the only member of height h. A
+        member inside cur that tops a chain one set shorter than cur's is a
+        child of cur, so each step takes the least of `below[cur]` in
+        D_{d-1} but not D_d. r is the first level of a breadth-first pass
+        from [n] over cover edges that holds a member with no children (a
+        member outside D_2). The children of x are the maximal members
+        properly inside x. They come off from the top: the highest member
+        left is maximal, since a member above it is larger, so it is a child
+        already taken or lies inside one, and taking a child drops its
+        subsets.
+        """
+        words, have, h = self.words, self.have, self.h
+        every, below = words.lifts[-1], words.below
+        levels = [have]
+        for _ in range(h - 1):
+            up = 0
+            for word, shift in every:
+                up |= levels[-1] << shift & word
+            for word, shift in every:
+                up |= up << shift & word
+            levels.append(have & up)
+
+        cur = (1 << words.n) - 1
+        chain = [cur]
+        for d in range(h - 1, 0, -1):
+            cur = _lowest(below[cur] & levels[d - 1] & ~levels[d])
+            chain.append(cur)
+
+        childless = have & ~levels[1] if h > 1 else have
+        frontier = 1 << chain[0]
+        for r in range(1, h + 1):  # the witness chain is maximal, so r <= h
+            if frontier & childless:
+                break
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                inside = have & below[bit.bit_length() - 1] ^ bit
+                while inside:
+                    y = inside.bit_length() - 1
+                    nxt |= 1 << y
+                    inside &= ~below[y]
+            frontier = nxt
+        return tuple(chain), r
+
+    def thm12_pick(self, chain: tuple[int, ...]) -> tuple[int, int]:
+        """`_thm12_witness`'s element (1-based) and its frequency over the
+        family: the least element of each difference down the chain, counted
+        over the members but the chain's ends, the first maximum winning."""
+        holding = self.words.holding
+        rest = self.have & ~(1 << chain[0] | 1 << chain[-1])
+        picks = [_lowest(a & ~b) for a, b in zip(chain, chain[1:])]
+        counts = [(rest & holding[e]).bit_count() for e in picks]
+        e = picks[counts.index(max(counts))]
+        return e + 1, (self.have & holding[e]).bit_count()
+
+
+def _lowest(word: int) -> int:
+    """The index of the lowest set bit of a nonzero word."""
+    return (word & -word).bit_length() - 1
 
 
 def _dfs(
@@ -512,6 +583,20 @@ def _thm12(fam: Family, h: int) -> list[str] | None:
     return details
 
 
+def _thm12_holds(leaf: _Leaf) -> bool:
+    # _thm12's three bounds as max frequency * (k - 1) >= |F| + k - 3; False
+    # on the one-member leaf sends it to _thm12, which leaves it unchecked
+    size = leaf.have.bit_count()
+    if size <= 1:
+        return False
+    h = leaf.h
+    chain, r = leaf.chain_facts()
+    _, count = leaf.thm12_pick(chain)
+    most = max(leaf.frequencies())
+    return (most * (h - 1) >= size + h - 3 and most * (r - 1) >= size + r - 3
+            and count * (h - 1) >= size + h - 3)
+
+
 def _lemma13(fam: Family, h: int) -> list[str]:
     rep = _lemma13_status(fam)
     return [] if rep.ok else [f"maximal chain without size-(n-1) member: {rep.offending_chain}"]
@@ -596,7 +681,8 @@ _SEP = EnumFilter(separating=True)
 _SEP_H4_B2 = EnumFilter(separating=True, height=4, bsize=(0, 2))
 _CHECKS = {
     "T1.2": _Check("union-closed, |family| > 1"
-                   " (max frequency >= (|family|+h-3)/(h-1), also with r)", EnumFilter(), _thm12),
+                   " (max frequency >= (|family|+h-3)/(h-1), also with r)", EnumFilter(), _thm12,
+                   holds=_thm12_holds),
     "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13,
                    holds=_Leaf.lemma13_holds),
     "T1.4": _Check("separating, height <= 3 (average size >= n/2)",

@@ -1,6 +1,7 @@
 """Core family operations against hand-checked examples and naive oracles."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,31 @@ def test_parse_errors_carry_line_numbers(text, line):
 def test_family_canonical_order_is_integer_order():
     fam = Family.of(3, [(3,), (1,), (1, 2)])
     assert fam.member_sets() == ((1,), (1, 2), (3,))
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ((1, 8), "member 0x8 sets bits outside [3]"),
+        ((-1, 2), "member -0x1 sets bits outside [3]"),
+        ((2, 1), "members must be distinct and canonically ordered"),
+        ((1, 1), "members must be distinct and canonically ordered"),
+        # both faults: the first bad member in tuple order is reported
+        ((3, 2, 9), "members must be distinct and canonically ordered"),
+        ((1, 9, 2), "member 0x9 sets bits outside [3]"),
+        ((9, 2), "member 0x9 sets bits outside [3]"),
+        ((5, 5, -2), "members must be distinct and canonically ordered"),
+    ],
+)
+def test_family_validation_reports_the_first_bad_member(members, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Family(3, members)
+
+
+@pytest.mark.parametrize("members", [(1, "a", 3), (1, 2, "a"), ("a",)])
+def test_family_reports_a_member_that_is_not_a_number_at_its_range_check(members):
+    with pytest.raises(TypeError, match="^'<=' not supported between instances of 'int' and 'str'$"):
+        Family(3, members)
 
 
 def test_family_rejects_duplicates_and_stray_bits():

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import ucf
 from ucf import EnumFilter, Family, enumeration
 from ucf.bfamily import _b_report
-from ucf.chains import _lemma13_status, _size_bound_trace
+from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
 from ucf.enumeration import _conclude, _dfs, _Leaf, _leaf_words, _split
 from ucf.errors import InternalError, NTooLarge
 
@@ -428,7 +428,14 @@ def family_facts(fam, h, gates):
         levels = _size_bound_trace(fam).levels
     except InternalError:
         levels = None
+    rep = chain_report(fam)
+    pick = None
+    if len(fam) > 1:
+        witness = _thm12_witness(fam, rep)
+        pick = (witness.element, witness.count)
     return (
+        (rep.height, rep.witness_chain, rep.r),
+        pick,
         ucf.is_separating(fam),
         ucf.frequencies(fam),
         len(fam),
@@ -446,7 +453,10 @@ def word_facts(leaf, gates):
         levels = leaf.size_levels()
     except InternalError:
         levels = None
+    chain, r = leaf.chain_facts()
     return (
+        (leaf.h, chain, r),
+        leaf.thm12_pick(chain) if leaf.have.bit_count() > 1 else None,
         leaf.separating(),
         tuple(leaf.frequencies()),
         leaf.have.bit_count(),
@@ -512,6 +522,9 @@ def leaf_of(fam, h):
         ("C2.2", 3, [(), (1,), (2,), (3,), (1, 2, 3)]),
         ("T4.1", 6, [(), (1,), (2,), (3,), (4,), (5,), (6,), (1, 2, 3, 4, 5, 6)]),
         ("T4.1", 6, [(), (1,), (2,), (3, 4), (1, 2, 3, 4, 5, 6)]),
+        # not union-closed, as every leaf that fails T1.2 must be: max frequency 2 < bound 3
+        ("T1.2", 3, [(1,), (2,), (3,), (1, 2, 3)]),
+        ("T1.2", 3, [(1,), (2,), (3,), (1, 2), (1, 2, 3)]),  # only the bound at r = 2 < h fails
     ],
 )
 def test_failing_word_conclusion_gives_the_family_details(tid, n, sets):
@@ -529,10 +542,12 @@ def test_failing_word_conclusion_gives_the_family_details(tid, n, sets):
     [
         (2, [(), (1, 2)]),  # average exactly n/2, an element in exactly half the members
         (2, [(), (1,), (2,), (1, 2)]),
-        (2, [(1,), (1, 2)]),  # exactly n members
+        (2, [(1,), (1, 2)]),  # exactly n members; T1.2's witness count 1 is its bound at h = 2
         (6, [(), (1,), (2,), (3, 4), (1, 2, 3, 4, 5, 6)]),  # average exactly floor(n/2) - 1
         (3, [(), (1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
         (3, [(), (1,), (2,), (1, 2), (1, 2, 3)]),
+        # T1.2: max frequency 4 is the bound (5 + 2 - 3) / (2 - 1) at r = 2 < h = 3
+        (3, [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
     ],
 )
 def test_word_conclusions_agree_with_the_family_ones_on_their_boundaries(n, sets):
@@ -589,6 +604,9 @@ def test_count_only_walks_build_no_family(monkeypatch):
     assert ucf.verify_theorem("T2.1", 4, workers=1).families_checked == 1961
     assert ucf.verify_theorem("L2.1.1", 4, workers=1).families_checked == 4078
     assert builds == 0
+    assert ucf.verify_theorem("T1.2", 4, workers=1).families_checked == 4541
+    assert builds == 1  # the one-member leaf {[4]}, which T1.2 leaves unchecked
+    builds = 0
     assert ucf.enumerate_uc(3, visitor=lambda fam: None) == builds == 90
 
 
