@@ -279,19 +279,26 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
         witness = None if ok else {"irrs": [word_elements(w) for w in irrs]}
         results["K"] = PropResult(True, ok, witness)
 
-        # L: four-set cover size arithmetic. Even n pins every cover member to
-        # (n-2)/2; odd n allows a window, rigid once one member hits (n-5)/2.
+        # L: four-set cover size arithmetic.
         sizes = [m.bit_count() for m in cover.members]
-        total = sum(sizes)
-        if n % 2 == 0:
-            ok = total == 2 * n - 4 and all(2 * s == n - 2 for s in sizes)
-        else:
-            ok = 2 * n - 4 <= total <= 2 * n - 2 and all(2 * s >= n - 5 for s in sizes)
-            if ok and any(2 * s == n - 5 for s in sizes):
-                ok = all(2 * s == n - 1 for s in sizes if 2 * s != n - 5)
+        ok = _four_cover_sizes_ok(n, sizes)
         results["L"] = PropResult(True, ok, None if ok else {"sizes": sizes})
 
     return results
+
+
+def _four_cover_sizes_ok(n: int, sizes: list[int]) -> bool:
+    """Proposition L on the member sizes of a four-set cover. Even n pins
+    every member to (n-2)/2; odd n allows a window, rigid once one member
+    hits (n-5)/2."""
+    total = sum(sizes)
+    if n % 2 == 0:
+        return total == 2 * n - 4 and all(2 * s == n - 2 for s in sizes)
+    if not (2 * n - 4 <= total <= 2 * n - 2 and all(2 * s >= n - 5 for s in sizes)):
+        return False
+    if any(2 * s == n - 5 for s in sizes):
+        return all(2 * s == n - 1 for s in sizes if 2 * s != n - 5)
+    return True
 
 
 def _classify_form(

@@ -37,18 +37,18 @@ an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
 every check. It hands each leaf on as a `_Leaf`: the member word `have`, the
 height and the walk's state. The gate (`EnumFilter._admits`) and every
-conclusion but PROPS's (T1.2, L1.3, T1.4, L2.1.1, T2.1, C2.2, T4.1) read the
-leaf's facts as a few exact int operations on `have` and the per-n words of
-`_leaf_words`: separation, frequencies, |F|, the empty set, |B| up to 3,
-Lemma 1.3, the size-bound levels, and T1.2's witness chain, r and witness
-element. A `Family` is built only where a fact has no word form (PROPS and
-|B| > 3), for a leaf whose word conclusion fails (the `Family` conclusion
-then gives the violation's details), for the one-member leaf {[n]} that T1.2
-leaves unchecked, and for a caller's visitor, so a count-only `enumerate_uc`
-builds none. `EnumFilter.matches` and the `Family` conclusions stay as the
-public gate and the oracle: tests/test_enumeration.py compares every word
-fact with them on every leaf for n <= 4 and at n = 5 under height cap 3,
-and under cap 4 in the deep suite. Public analysis functions validate their
+conclusion read the leaf's facts as a few exact int operations on `have` and
+the per-n words of `_leaf_words`: separation, frequencies, |F|, the empty
+set, |B| up to 3, the least minimum cover, Lemma 1.3, the size-bound levels,
+T1.2's witness chain, r and witness element, and the PROPS letters. A
+`Family` is built only for a leaf whose word conclusion fails (the `Family`
+conclusion then gives the violation's details), for the one-member leaf
+{[n]} that T1.2 leaves unchecked, and for a caller's visitor, so a
+count-only `enumerate_uc` builds none. `EnumFilter.matches` and the
+`Family` conclusions stay as the public gate and the oracle:
+tests/test_enumeration.py compares every word fact with them on every leaf
+for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the deep
+suite. Public analysis functions validate their
 input; the `Family` gate and conclusions instead pass these facts about a
 leaf (union-closed, base [n], height h) to the private cores behind those
 functions, as the construction certifier and `ucf analyze` do with the
@@ -76,7 +76,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bfamily import _b_report, _prop_suite
+from .bfamily import VIOLATION, _b_report, _classify_form, _four_cover_sizes_ok, _prop_suite
 from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
 from .core import Family, avg_size, frankl_witness, frequencies, is_separating
 from .errors import InternalError, NTooLarge
@@ -221,7 +221,7 @@ class _Leaf:
         b less the union of some pair does. For size 2, flipping the bits of
         b in every index turns the member word into the word of the sets
         b less x, which must meet the word of the members' subsets. A larger
-        size is `_b_report`'s.
+        size is the length of `min_cover`.
         """
         words = self.words
         part = self.have & words.small
@@ -246,10 +246,50 @@ class _Leaf:
         if most < 3:
             return 3
         above = words.above
-        xs = [m for m in range(b) if part >> m & 1]
+        xs = self.slice_members()
         if any(part & above[b & ~(x | y)] for x, y in itertools.combinations(xs, 2)):
             return 3
-        return 4 if most < 4 else _b_report(self.fam, self.h).size
+        return 4 if most < 4 else len(self.min_cover())
+
+    def slice_members(self) -> list[int]:
+        """The small-slice members, the members m with 2|m| < n, ascending."""
+        part = self.have & self.words.small
+        xs = []
+        while part:
+            bit = part & -part
+            part ^= bit
+            xs.append(bit.bit_length() - 1)
+        return xs
+
+    def min_cover(self) -> tuple[int, ...]:
+        """`_b_report`'s cover: the first combination of the ascending slice
+        members, by size from 0 up to the height, whose union is the slice's
+        base b. Within one size, combinations run in order of their first
+        size - 1 members, so the least last member that completes a head is
+        the lowest bit of the slice members above the head's last that hold
+        b less the head's union."""
+        xs = self.slice_members()
+        part = self.have & self.words.small
+        above = self.words.above
+        b = 0
+        for x in xs:
+            b |= x
+        if not b:
+            return ()
+        for size in range(1, self.h + 1):
+            for head in itertools.combinations(xs, size - 1):
+                acc = 0
+                for x in head:
+                    acc |= x
+                last = part & above[b & ~acc]
+                if head:
+                    last &= -2 << head[-1]
+                if last:
+                    cover = (*head, _lowest(last))
+                    if not all(_private_parts(cover)):
+                        raise InternalError("minimum cover must be irredundant")
+                    return cover
+        raise InternalError("cover search exceeded the height cap")
 
     def lemma13_holds(self) -> bool:
         """Lemma 1.3's conclusion: every member but [n] lies in an
@@ -353,6 +393,16 @@ class _Leaf:
 def _lowest(word: int) -> int:
     """The index of the lowest set bit of a nonzero word."""
     return (word & -word).bit_length() - 1
+
+
+def _private_parts(cover: tuple[int, ...]) -> list[int]:
+    """Each cover member less the union of the others (`core.irr`): its
+    elements that no second member holds."""
+    once = twice = 0
+    for c in cover:
+        twice |= once & c
+        once |= c
+    return [c & ~twice for c in cover]
 
 
 def _dfs(
@@ -655,24 +705,80 @@ def _props(fam: Family, h: int) -> list[str]:
     return [f"proposition {k} failed: {r.witness}" for k, r in failed]
 
 
+def _props_holds(leaf: _Leaf) -> bool:
+    """True when `_props` finds no failing letter: `_prop_suite`'s letters
+    on the leaf's words, the gate having tested separation. b is the base
+    of the cover; sub_b, the members properly inside b, is one word, so A
+    and C count per element i of b the sub_b members holding i: A fails
+    when two lack i, and C's total size is the sum of those counts. E's
+    least sum of four slice sizes is that of the four smallest."""
+    if leaf.h != 4:
+        return True
+    words, have = leaf.words, leaf.have
+    n, below, above, part = words.n, words.below, words.above, have & words.small
+    cover = leaf.min_cover()
+    b = 0
+    for c in cover:
+        b |= c
+    bsize = b.bit_count()
+    if len(cover) <= 2:
+        if n >= 4 and bsize < n - 1:
+            sub_b = have & below[b] & ~(1 << b)
+            count = sub_b.bit_count()
+            total = 0
+            for word, _ in words.lifts[b]:
+                held = (sub_b & word).bit_count()
+                if count - held > 1:  # A
+                    return False
+                total += held
+            if not 1 <= count <= bsize and 2 * sum(leaf.frequencies()) < n * have.bit_count():
+                return False  # B
+            if total < (count - 1) * bsize:  # C
+                return False
+        if n >= 4 and len(cover) == 2 and bsize == n - 1 and part.bit_count() >= 4:
+            full = (1 << n) - 1
+            x, y = cover
+            # a slice member besides the cover's two that meets both
+            if part & ~below[full ^ x] & ~below[full ^ y] & ~(1 << x | 1 << y):
+                sizes = sorted(m.bit_count() for m in leaf.slice_members())
+                return 2 * sum(sizes[:4]) >= 3 * n + 1  # E
+        return True
+    irrs = _private_parts(cover)
+    if len(cover) == 4:  # J, K, L
+        return (bsize == n and all(w.bit_count() == 1 for w in irrs)
+                and _four_cover_sizes_ok(n, [c.bit_count() for c in cover]))
+    if bsize < n - 1:  # F
+        return False
+    irr_union = irrs[0] | irrs[1] | irrs[2]
+    in_cover = 1 << cover[0] | 1 << cover[1] | 1 << cover[2]
+    if bsize == n - 1:  # I
+        others = [m for m in leaf.slice_members() if not in_cover >> m & 1]
+        return all(_classify_form(m, cover, irrs, irr_union) != VIOLATION for m in others)
+    if part & above[irr_union] & ~in_cover:  # G
+        return False
+    wide = [(w, w.bit_count()) for w in irrs if w.bit_count() > 1]
+    return all((m & w).bit_count() in (0, size - 1, size)  # H
+               for m in leaf.slice_members() for w, size in wide)
+
+
 @dataclass(frozen=True)
 class _Check:
     """One check id: its hypotheses as text, as a leaf filter and as the least n
     the result is stated for, and its conclusion: the violation details for a
-    (family, height) pair, or None for a leaf it leaves unchecked. `holds`,
-    where given, decides the conclusion on a leaf's words; only a leaf it
-    rejects runs `conclude`, which gives the details."""
+    (family, height) pair, or None for a leaf it leaves unchecked. `holds`
+    decides the conclusion on a leaf's words; only a leaf it rejects runs
+    `conclude`, which gives the details."""
 
     hypothesis: str
     filt: EnumFilter
     conclude: Callable[[Family, int], list[str] | None]
+    holds: Callable[[_Leaf], bool]
     least_n: int = 1
-    holds: Callable[[_Leaf], bool] | None = None
 
 
 def _conclude(check: _Check, leaf: _Leaf) -> list[str] | None:
     """The check's violation details for a leaf, or None if it is unchecked."""
-    if check.holds is not None and check.holds(leaf):
+    if check.holds(leaf):
         return []
     return check.conclude(leaf.fam, leaf.h)
 
@@ -698,7 +804,7 @@ _CHECKS = {
                    EnumFilter(separating=True, height=4, bsize=4), _avg_floor,
                    holds=_avg_floor_holds),
     "PROPS": _Check("separating, height 4 (all applicable propositions A-L hold)",
-                    EnumFilter(separating=True, height=4), _props),
+                    EnumFilter(separating=True, height=4), _props, holds=_props_holds),
 }
 
 THEOREM_IDS = tuple(_CHECKS)
@@ -747,7 +853,11 @@ def verify_theorem(
         raise ValueError("hypothesis-necessity mode applies to T2.1 only")
 
     if workers is None:
-        workers = int(os.environ.get("UCF_THREADS", "1"))
+        threads = os.environ.get("UCF_THREADS", "1")
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise ValueError(f"UCF_THREADS must be an integer, got {threads!r}") from None
     workers = max(1, workers)
 
     check = _CHECKS[tid]

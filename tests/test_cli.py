@@ -188,6 +188,13 @@ def test_n_outside_the_enumeration_range_exits_2(capsys, argv):
     assert err == "error: enumeration needs 1 <= n <= 5\n"
 
 
+def test_verify_non_integer_ucf_threads_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("UCF_THREADS", "abc")
+    code, out, err = run(capsys, "verify", "--id", "T1.4", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: UCF_THREADS must be an integer, got 'abc'\n"
+
+
 def test_verify_byte_stable(capsys):
     _, first, _ = run(capsys, "verify", "--id", "T1.4", "--n", "3")
     _, second, _ = run(capsys, "verify", "--id", "T1.4", "--n", "3")

@@ -65,6 +65,7 @@ def calls(monkeypatch):
         (core, "is_separating"),
         (chains, "chain_report"),
         (bfamily, "_min_covers"),
+        (bfamily, "_prop_suite"),
     ]
     modules = [m for k, m in sys.modules.items() if k == "ucf" or k.startswith("ucf.")]
     for home, name in targets:
@@ -84,7 +85,7 @@ def calls(monkeypatch):
 @pytest.mark.parametrize(
     "tid, n, expected",
     [
-        # the walk's gates and every conclusion but PROPS's read the leaf's member word
+        # the walk's gates and every conclusion read the leaf's member word
         ("T1.2", 4, {"chain_report": 0, "is_union_closed": 0}),
         ("L1.3", 4, {"is_separating": 0}),
         (
@@ -93,9 +94,13 @@ def calls(monkeypatch):
             {"chain_report": 0, "is_union_closed": 0, "is_separating": 0, "_min_covers": 0},
         ),
         ("C2.2", 4, {"chain_report": 0, "is_union_closed": 0}),
-        # only the one leaf whose cover size is over 3 runs the cover search
-        ("T4.1", 4, {"chain_report": 0, "is_union_closed": 0, "_min_covers": 1}),
-        ("PROPS", 4, {"chain_report": 0, "is_union_closed": 0}),
+        # the one leaf whose cover size is over 3 reads the word's cover too
+        ("T4.1", 4, {"chain_report": 0, "is_union_closed": 0, "_min_covers": 0}),
+        (
+            "PROPS",
+            4,
+            {"chain_report": 0, "is_union_closed": 0, "_prop_suite": 0, "_min_covers": 0},
+        ),
         ("T2.1", 3, {"_min_covers": 0}),
     ],
 )

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,13 +11,13 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ucf
 from ucf import EnumFilter, Family, enumeration
 from ucf.bfamily import _b_report
 from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
-from ucf.enumeration import _conclude, _dfs, _Leaf, _leaf_words, _split
+from ucf.enumeration import _conclude, _dfs, _Leaf, _leaf_words, _props, _props_holds, _split
 from ucf.errors import InternalError, NTooLarge
 
 from strategies import relabel
@@ -337,6 +338,14 @@ def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
     )
 
 
+def test_non_integer_ucf_threads_is_named(monkeypatch):
+    # even a serial run at n <= 3 reads the variable
+    monkeypatch.setenv("UCF_THREADS", "abc")
+    with pytest.raises(ValueError, match=r"^UCF_THREADS must be an integer, got 'abc'$"):
+        ucf.verify_theorem("PROPS", 3)
+    assert ucf.verify_theorem("PROPS", 3, workers=1).families_checked == 31
+
+
 def test_parallel_report_matches_serial_under_spawn():
     # The pool uses the platform's default start method; spawn (the default
     # on Windows and macOS) starts fresh interpreters that import ucf anew.
@@ -422,8 +431,10 @@ GATES = TABLE_GATES + (
 def family_facts(fam, h, gates):
     """The oracle: each fact the walk reads from words, through the Family
     functions and EnumFilter.matches. The levels are None where the
-    reduction fails, as it does on 358 non-separating leaves at n <= 4."""
-    size = _b_report(fam, h).size
+    reduction fails, as it does on 358 non-separating leaves at n <= 4; the
+    PROPS verdict is None off PROPS's gate (separating, height 4)."""
+    cover = _b_report(fam, h).cover.members
+    size = len(cover)
     try:
         levels = _size_bound_trace(fam).levels
     except InternalError:
@@ -445,6 +456,8 @@ def family_facts(fam, h, gates):
         _lemma13_status(fam).ok,
         levels,
         tuple(g.matches(fam, h) for g in gates),
+        cover,
+        _props(fam, h) == [] if h == 4 and ucf.is_separating(fam) else None,
     )
 
 
@@ -466,18 +479,21 @@ def word_facts(leaf, gates):
         leaf.lemma13_holds(),
         levels,
         tuple(g._admits(leaf) for g in gates),
+        leaf.min_cover(),
+        _props_holds(leaf) if leaf.h == 4 and leaf.separating() else None,
     )
 
 
 def compare_leaf_facts(n, h_cap, gates, oracle):
     """Walk under the cap and compare every leaf's word facts with the
     oracle's, cached per family in `oracle` (a family's facts do not depend
-    on the cap it is reached under); returns the number of leaves."""
+    on the cap it is reached under); returns the number of leaves and how
+    many of them got a PROPS verdict."""
     words = _leaf_words(n)
-    count = 0
+    count = verdicts = 0
 
     def emit(ups, h, have):
-        nonlocal count
+        nonlocal count, verdicts
         count += 1
         leaf = _Leaf(words, have, h, ups)
         fam = leaf.fam
@@ -486,9 +502,10 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
         if want is None:
             want = oracle[fam] = family_facts(fam, h, gates)
         assert word_facts(leaf, gates) == want, (fam.member_sets(), h)
+        verdicts += want[-1] is not None
 
     _dfs(n, emit, h_cap)
-    return count
+    return count, verdicts
 
 
 def test_word_facts_match_family_oracle():
@@ -497,12 +514,13 @@ def test_word_facts_match_family_oracle():
         for cap in (None, *range(n + 2)):
             compare_leaf_facts(n, cap, GATES, oracle)
         assert len(oracle) == KNOWN_COUNTS[n]
-    assert compare_leaf_facts(5, 3, TABLE_GATES, {}) == 15067
+    assert compare_leaf_facts(4, None, GATES, oracle) == (4542, 2034)
+    assert compare_leaf_facts(5, 3, TABLE_GATES, {}) == (15067, 0)
 
 
 @pytest.mark.deep
 def test_word_facts_match_family_oracle_n5():
-    assert compare_leaf_facts(5, 4, TABLE_GATES, {}) == 382210
+    assert compare_leaf_facts(5, 4, TABLE_GATES, {}) == (382210, 346028)
 
 
 def leaf_of(fam, h):
@@ -525,6 +543,23 @@ def leaf_of(fam, h):
         # not union-closed, as every leaf that fails T1.2 must be: max frequency 2 < bound 3
         ("T1.2", 3, [(1,), (2,), (3,), (1, 2, 3)]),
         ("T1.2", 3, [(1,), (2,), (3,), (1, 2), (1, 2, 3)]),  # only the bound at r = 2 < h fails
+        # PROPS, one row per letter that can fail, all of height 4 and not
+        # union-closed or not separating. C holds whenever A does (each of the
+        # |sub_b| members lacks an element of b, each lacked at most once), and
+        # B does too unless sub_b is empty; L holds whenever J and K do. G
+        # never fails: three slice members cover [n] only if
+        # 2n - |private parts| <= 3 (ceil(n/2) - 1), so the private parts
+        # outgrow every slice member.
+        ("PROPS", 7, [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4, 5, 6, 7)]),  # A
+        ("PROPS", 4, [(), (2,), (3,), (2, 4), (1, 2, 4)]),  # A, B and C
+        ("PROPS", 8, [(), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]),  # B, sub_b empty
+        ("PROPS", 5, [(1,), (1, 2), (1, 3), (3, 4), (1, 2, 3, 4), (1, 2, 3, 4, 5)]),  # E by 1/2
+        ("PROPS", 5, [(), (2,), (3,), (2, 3, 4), (5,), (1, 2, 3, 4, 5)]),  # F
+        ("PROPS", 7, [(1,), (1, 2, 3), (4, 5, 6), (6, 7), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6, 7)]),  # H
+        ("PROPS", 4, [(), (1,), (3,), (4,), (3, 4), (1, 2, 3, 4)]),  # I
+        ("PROPS", 6, [(5,), (1, 5), (2, 5), (3, 5), (4, 5), (1, 2, 5, 6), (1, 2, 3, 4, 5, 6)]),  # J
+        ("PROPS", 6, [(), (1, 2), (3, 4), (4, 5), (1, 3, 4, 5), (4, 6), (1, 2, 3, 4, 5, 6)]),  # K
+        ("PROPS", 5, [(2,), (3,), (1, 3), (1, 2, 3), (1, 4), (1, 2, 3, 4), (5,)]),  # K and L
     ],
 )
 def test_failing_word_conclusion_gives_the_family_details(tid, n, sets):
@@ -548,6 +583,11 @@ def test_failing_word_conclusion_gives_the_family_details(tid, n, sets):
         (3, [(), (1,), (2,), (1, 2), (1, 2, 3)]),
         # T1.2: max frequency 4 is the bound (5 + 2 - 3) / (2 - 1) at r = 2 < h = 3
         (3, [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]),
+        # PROPS's A, B and C at their edges: each element of b is missing from
+        # exactly one of |b| members inside b, which total (|b| - 1) |b|
+        (7, [(1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6, 7)]),
+        # PROPS's E: the four smallest slice members total exactly (3n + 1) / 2
+        (5, [(1, 2), (1, 3), (2, 4), (3, 4), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]),
     ],
 )
 def test_word_conclusions_agree_with_the_family_ones_on_their_boundaries(n, sets):
@@ -555,8 +595,37 @@ def test_word_conclusions_agree_with_the_family_ones_on_their_boundaries(n, sets
     h = ucf.chains.height(fam)
     leaf = leaf_of(fam, h)
     for tid, check in enumeration._CHECKS.items():
-        if check.holds is not None:
-            assert check.holds(leaf) == (check.conclude(fam, h) == []), tid
+        assert check.holds(leaf) == (check.conclude(fam, h) == []), tid
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_props_word_verdict_matches_the_family_one_on_random_member_words(data):
+    # Any nonempty member word, union-closed or not, read at height 4; a
+    # slice that needs a cover of more than four members raises on both sides.
+    n = data.draw(st.integers(4, 6))
+    fam = Family.from_masks(n, data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
+    leaf = leaf_of(fam, 4)
+    try:
+        want = _props(fam, 4) == []
+    except InternalError as exc:
+        with pytest.raises(InternalError, match=f"^{re.escape(str(exc))}$"):
+            _props_holds(leaf)
+    else:
+        assert _props_holds(leaf) == want
+
+
+def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
+    # not union-closed, so its three-member cover outgrows its height 2
+    fam = Family.of(4, [(1,), (2,), (3,), (1, 2, 3, 4)])
+    with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
+        leaf_of(fam, 2).min_cover()
+    leaf = leaf_of(fam, 3)
+    assert leaf.min_cover() == _b_report(fam, 3).cover.members == (0b1, 0b10, 0b100)
+    # a search that handed back a redundant cover is caught
+    monkeypatch.setattr(enumeration, "_private_parts", lambda cover: [0] * len(cover))
+    with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
+        leaf.min_cover()
 
 
 def bell_numbers(count):
@@ -603,6 +672,8 @@ def test_count_only_walks_build_no_family(monkeypatch):
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
     assert ucf.verify_theorem("T2.1", 4, workers=1).families_checked == 1961
     assert ucf.verify_theorem("L2.1.1", 4, workers=1).families_checked == 4078
+    assert ucf.verify_theorem("PROPS", 4, workers=1).families_checked == 2034
+    assert ucf.verify_theorem("T4.1", 4, workers=1).families_checked == 1
     assert builds == 0
     assert ucf.verify_theorem("T1.2", 4, workers=1).families_checked == 4541
     assert builds == 1  # the one-member leaf {[4]}, which T1.2 leaves unchecked
