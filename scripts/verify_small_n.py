@@ -3,11 +3,12 @@
 
 Default covers n in 1..4 (seconds). --deep adds n=5 for the checks whose
 walk has a height cap (T1.4 at height 3; T2.1, C2.2, T4.1 and PROPS at
-height 4; 19 s in all on one core of a 2-vCPU VM, Python 3.11). T1.2, L1.3 and L2.1.1 have no cap and walk
-all 2,747,402 union-closed families at n=5, so they stop at n=4 here. Run
-once each on one core (Python 3.11, 2-vCPU VM), they found 0 violations:
-T1.2 checked 2,747,401 families in 145 s, L1.3 2,704,780 in 22 s and
-L2.1.1 2,704,780 in 76 s (`ucf verify --id <id> --n 5 --deep`).
+height 4; 15-18 s in all on one core of a 2-vCPU VM, Python 3.11). T1.2,
+L1.3 and L2.1.1 have no cap and walk all 2,747,402 union-closed families at
+n=5, so they stop at n=4 here. Run once each on one core (Python 3.11,
+2-vCPU VM), they found 0 violations: T1.2 checked 2,747,401 families in
+40 s, L1.3 2,704,780 in 20 s and L2.1.1 2,704,780 in 31 s
+(`ucf verify --id <id> --n 5 --deep`).
 """
 
 import argparse

@@ -170,7 +170,14 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
 
 
 def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
-    """prop_suite for a union-closed family with base [n], its height and separation."""
+    """prop_suite for a union-closed family with base [n], its height and separation.
+
+    G cannot fail on any family, union-closed or not, so a "G holds" is no
+    evidence. Its cover c1, c2, c3 is made of slice members, each of at most
+    s = ceil(n/2) - 1 elements, with union [n]. An element outside the
+    private parts P lies in two or three of them, so 2n - |P| <= sum |ci| <= 3s.
+    A slice member holding P would need |P| <= s, so 2n <= 4s <= 2n - 2.
+    """
     # Every proposition starts inapplicable; its gate below overwrites it.
     results = dict.fromkeys(PROP_KEYS, PropResult(False, None))
     if h != 4 or not sep:

@@ -40,7 +40,12 @@ height and the walk's state. The gate (`EnumFilter._admits`) and every
 conclusion read the leaf's facts as a few exact int operations on `have` and
 the per-n words of `_leaf_words`: separation, frequencies, |F|, the empty
 set, |B| up to 3, the least minimum cover, Lemma 1.3, the size-bound levels,
-T1.2's witness chain, r and witness element, and the PROPS letters. A
+T1.2's witness chain, r and witness element, and the PROPS letters. Two
+of them read a smaller word than the leaf's, which later leaves meet again,
+so each keeps a memo for one walk: the size-bound levels after the first
+reduction, under the reduced word, and the chain facts below each child of
+[n], under the child's member word. `_run_serial` empties both before and
+after each walk, so no run reads another's entries. A
 `Family` is built only for a leaf whose word conclusion fails (the `Family`
 conclusion then gives the violation's details), for the one-member leaf
 {[n]} that T1.2 leaves unchecked, and for a caller's visitor, so a
@@ -61,7 +66,7 @@ machinery with the DFS and exists to validate it.
 Parallel runs stop the same DFS after its first few candidate decisions;
 each state it holds there heads a disjoint subtree, run as one task, and
 per-subtree results are merged in DFS order, so reports are identical for
-any worker count.
+any worker count. Progress then comes as each subtree's results arrive.
 """
 
 from __future__ import annotations
@@ -168,8 +173,10 @@ class _Words:
     mask m: `holding[i]`, the masks holding element i; `pairs`, one word
     holding[i] ^ holding[j] per pair i < j, the masks that split i from j;
     `small`, the masks m with 2|m| < n; `coatoms`, one (bit, `below` word)
-    pair per mask of n - 1 elements; and `below`, `above` and `lifts` from
-    `_lattice`."""
+    pair per mask of n - 1 elements; `below`, `above` and `lifts` from
+    `_lattice`; and the memos `descents` of `_descent` and `tails` of
+    `size_levels`, which `_run_serial` empties before and after each
+    walk."""
 
     def __init__(self, n: int) -> None:
         self.below, self.above, self.lifts = _lattice(n)
@@ -179,6 +186,13 @@ class _Words:
         self.pairs = tuple(a ^ b for a, b in itertools.combinations(self.holding, 2))
         self.small = sum(1 << m for m in range(full + 1) if 2 * m.bit_count() < n)
         self.coatoms = tuple((1 << c, self.below[c]) for c in (full ^ (1 << i) for i in range(n)))
+        self.descents: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        self.tails: dict[int, tuple[tuple[int, int], ...] | None] = {}
+
+    def forget(self) -> None:
+        """Empty the memos, which hold facts of the member words one walk met."""
+        self.descents.clear()
+        self.tails.clear()
 
 
 _leaf_words = functools.cache(_Words)
@@ -303,80 +317,26 @@ class _Leaf:
 
     def size_levels(self) -> tuple[tuple[int, int], ...]:
         """`_size_bound_trace`'s (size, base size) levels, with the same
-        tie-breaks. Restricting to the members holding x is `& holding[x]`;
-        deleting an x that every member holds moves bit m to m - 2^x, which
-        is one shift of the whole word."""
-        holding = self.words.holding
-        members = self.have
-        levels = []
-        while True:
-            counts = [(members & word).bit_count() for word in holding]
-            size = members.bit_count()
-            levels.append((size, len(counts) - counts.count(0)))
-            if size == 1:
-                break
-            x = counts.index(max(counts))
-            kept = members & holding[x]
-            if kept == members:
-                members >>= 1 << x
-                counts = [(members & word).bit_count() for word in holding]
-                kept = members & holding[counts.index(max(counts))]
-            if not kept or kept.bit_count() >= size:
-                raise InternalError("size-bound reduction failed to shrink the family")
-            members = kept
-        return tuple(levels)
+        tie-breaks and error, one `_size_step` a level. After the first
+        level the reduction reads only the reduced word, so the rest of the
+        levels, or None for the error, is kept in `words.tails` under it."""
+        words = self.words
+        level, kept = _size_step(words.holding, self.have)
+        if not kept:
+            return (level,)
+        try:
+            tail = words.tails[kept]
+        except KeyError:
+            tail = words.tails[kept] = _size_tail(words.holding, kept)
+        if tail is None:
+            raise InternalError(_NO_SHRINK)
+        return (level, *tail)
 
     def chain_facts(self) -> tuple[tuple[int, ...], int]:
-        """`chain_report`'s witness chain and r, from the down levels:
-        D_1 = `have`, and D_{k+1} the members that properly contain a member
-        of D_k, so D_k holds the members that top a chain of k sets. A
-        one-element shift lifts D_k to the sets with one more element, and
-        one pass over the elements closes that upward; h levels suffice.
-
-        The witness chain starts at [n], the only member of height h. A
-        member inside cur that tops a chain one set shorter than cur's is a
-        child of cur, so each step takes the least of `below[cur]` in
-        D_{d-1} but not D_d. r is the first level of a breadth-first pass
-        from [n] over cover edges that holds a member with no children (a
-        member outside D_2). The children of x are the maximal members
-        properly inside x. They come off from the top: the highest member
-        left is maximal, since a member above it is larger, so it is a child
-        already taken or lies inside one, and taking a child drops its
-        subsets.
-        """
-        words, have, h = self.words, self.have, self.h
-        every, below = words.lifts[-1], words.below
-        levels = [have]
-        for _ in range(h - 1):
-            up = 0
-            for word, shift in every:
-                up |= levels[-1] << shift & word
-            for word, shift in every:
-                up |= up << shift & word
-            levels.append(have & up)
-
-        cur = (1 << words.n) - 1
-        chain = [cur]
-        for d in range(h - 1, 0, -1):
-            cur = _lowest(below[cur] & levels[d - 1] & ~levels[d])
-            chain.append(cur)
-
-        childless = have & ~levels[1] if h > 1 else have
-        frontier = 1 << chain[0]
-        for r in range(1, h + 1):  # the witness chain is maximal, so r <= h
-            if frontier & childless:
-                break
-            nxt = 0
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                inside = have & below[bit.bit_length() - 1] ^ bit
-                while inside:
-                    y = inside.bit_length() - 1
-                    nxt |= 1 << y
-                    inside &= ~below[y]
-            frontier = nxt
-        return tuple(chain), r
+        """`chain_report`'s witness chain and r, the fewest sets in a maximal
+        chain: `_descent` from [n], the top of the member word."""
+        _, fewest, chain = _descent(self.words, self.have)
+        return chain, fewest
 
     def thm12_pick(self, chain: tuple[int, ...]) -> tuple[int, int]:
         """`_thm12_witness`'s element (1-based) and its frequency over the
@@ -384,10 +344,90 @@ class _Leaf:
         over the members but the chain's ends, the first maximum winning."""
         holding = self.words.holding
         rest = self.have & ~(1 << chain[0] | 1 << chain[-1])
-        picks = [_lowest(a & ~b) for a, b in zip(chain, chain[1:])]
-        counts = [(rest & holding[e]).bit_count() for e in picks]
-        e = picks[counts.index(max(counts))]
-        return e + 1, (self.have & holding[e]).bit_count()
+        best = -1
+        for a, b in zip(chain, chain[1:]):
+            step = a ^ b  # b lies inside a
+            e = (step & -step).bit_length() - 1
+            count = (rest & holding[e]).bit_count()
+            if count > best:
+                best, pick = count, e
+        return pick + 1, (self.have & holding[pick]).bit_count()
+
+
+def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
+    """For the member x that tops a member word holding x and the members
+    inside it: the most and the fewest sets in a maximal chain down from x,
+    and `chain_report`'s witness chain from x.
+
+    The children of x, the maximal members properly inside it, come off
+    from the top: the highest member left is maximal, since a member above
+    it is larger, so it is a child already taken or lies inside one, and
+    taking a child drops its subsets. A longest chain from x runs through a
+    child with a longest chain, and a shortest maximal chain through a child
+    with a shortest one. The witness chain steps to the least member inside
+    x that tops a chain one set shorter than x's; that member is a child
+    (a member between them would top a longer chain), so it is the least
+    child with a longest chain. A child y's facts read only the members
+    inside y, `word & below[y]`, so `words.descents` keeps them under that
+    word for the rest of the walk; the word of a whole leaf is new each
+    time and is not kept."""
+    below, memo = words.below, words.descents
+    x = word.bit_length() - 1
+    rest = word ^ 1 << x
+    if not rest:
+        return 1, 1, (x,)
+    most, fewest = 0, words.n + 1  # no chain inside x has n + 1 sets
+    while rest:
+        y = rest.bit_length() - 1
+        rest &= ~below[y]
+        sub = word & below[y]
+        try:
+            facts = memo[sub]
+        except KeyError:
+            facts = memo[sub] = _descent(words, sub)
+        if facts[0] >= most:  # children come off in descending order, so the least wins a tie
+            most, chain = facts[0], facts[2]
+        if facts[1] < fewest:
+            fewest = facts[1]
+    return most + 1, fewest + 1, (x, *chain)
+
+
+_NO_SHRINK = "size-bound reduction failed to shrink the family"
+
+
+def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int], int]:
+    """One level of `_size_bound_trace` on a member word: its (size, base
+    size), and the reduced word, or 0 after a one-member level. Restricting
+    to the members holding x is `& holding[x]`; deleting an x that every
+    member holds moves bit m to m - 2^x, which is one shift of the whole
+    word."""
+    counts = [(members & word).bit_count() for word in holding]
+    size = members.bit_count()
+    level = (size, len(counts) - counts.count(0))
+    if size == 1:
+        return level, 0
+    x = counts.index(max(counts))
+    kept = members & holding[x]
+    if kept == members:
+        members >>= 1 << x
+        counts = [(members & word).bit_count() for word in holding]
+        kept = members & holding[counts.index(max(counts))]
+    if not kept or kept.bit_count() >= size:
+        raise InternalError(_NO_SHRINK)
+    return level, kept
+
+
+def _size_tail(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int], ...] | None:
+    """The levels of `_size_step` from a member word on, or None where the
+    reduction fails to shrink."""
+    levels = []
+    try:
+        while members:
+            level, members = _size_step(holding, members)
+            levels.append(level)
+    except InternalError:
+        return None
+    return tuple(levels)
 
 
 def _lowest(word: int) -> int:
@@ -486,10 +526,11 @@ def _walk(
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
-) -> int:
+) -> tuple[int, int]:
     """Run the DFS (arguments as in _dfs) under the filter's height cap and
     call visit(leaf) on each leaf that passes the filter; returns how many
-    passed. `progress` gets the visited count every 100,000 leaves."""
+    leaves it visited and how many passed. `progress` gets the visited count
+    every 100,000 leaves."""
     rng = filt.height_range() if filt else None
     words = _leaf_words(n)
     visited = passed = 0
@@ -505,7 +546,7 @@ def _walk(
             visit(leaf)
 
     _dfs(n, emit, rng and rng[1], prefix, start)
-    return passed
+    return visited, passed
 
 
 def enumerate_uc(
@@ -520,7 +561,7 @@ def enumerate_uc(
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
     visit = (lambda leaf: visitor(leaf.fam)) if visitor else (lambda leaf: None)
-    return _walk(n, filt, visit, progress=progress)
+    return _walk(n, filt, visit, progress=progress)[1]
 
 
 @functools.cache
@@ -634,17 +675,20 @@ def _thm12(fam: Family, h: int) -> list[str] | None:
 
 
 def _thm12_holds(leaf: _Leaf) -> bool:
-    # _thm12's three bounds as max frequency * (k - 1) >= |F| + k - 3; False
-    # on the one-member leaf sends it to _thm12, which leaves it unchecked
+    # _thm12's three bounds as frequency * (k - 1) >= |F| + k - 3; False on
+    # the one-member leaf sends it to _thm12, which leaves it unchecked. The
+    # witness count is at most the max frequency, so where it meets a bound
+    # the max frequency does too, and the frequencies are read only when
+    # the count falls short at r
     size = leaf.have.bit_count()
     if size <= 1:
         return False
     h = leaf.h
     chain, r = leaf.chain_facts()
     _, count = leaf.thm12_pick(chain)
-    most = max(leaf.frequencies())
-    return (most * (h - 1) >= size + h - 3 and most * (r - 1) >= size + r - 3
-            and count * (h - 1) >= size + h - 3)
+    if count * (h - 1) < size + h - 3:
+        return False
+    return count * (r - 1) >= size + r - 3 or max(leaf.frequencies()) * (r - 1) >= size + r - 3
 
 
 def _lemma13(fam: Family, h: int) -> list[str]:
@@ -711,11 +755,12 @@ def _props_holds(leaf: _Leaf) -> bool:
     of the cover; sub_b, the members properly inside b, is one word, so A
     and C count per element i of b the sub_b members holding i: A fails
     when two lack i, and C's total size is the sum of those counts. E's
-    least sum of four slice sizes is that of the four smallest."""
+    least sum of four slice sizes is that of the four smallest. G is not
+    tested, since it cannot fail."""
     if leaf.h != 4:
         return True
     words, have = leaf.words, leaf.have
-    n, below, above, part = words.n, words.below, words.above, have & words.small
+    n, below, part = words.n, words.below, have & words.small
     cover = leaf.min_cover()
     b = 0
     for c in cover:
@@ -749,13 +794,12 @@ def _props_holds(leaf: _Leaf) -> bool:
                 and _four_cover_sizes_ok(n, [c.bit_count() for c in cover]))
     if bsize < n - 1:  # F
         return False
-    irr_union = irrs[0] | irrs[1] | irrs[2]
-    in_cover = 1 << cover[0] | 1 << cover[1] | 1 << cover[2]
     if bsize == n - 1:  # I
+        irr_union = irrs[0] | irrs[1] | irrs[2]
+        in_cover = 1 << cover[0] | 1 << cover[1] | 1 << cover[2]
         others = [m for m in leaf.slice_members() if not in_cover >> m & 1]
         return all(_classify_form(m, cover, irrs, irr_union) != VIOLATION for m in others)
-    if part & above[irr_union] & ~in_cover:  # G
-        return False
+    # G (no other slice member holds every private part) cannot fail; see _prop_suite
     wide = [(w, w.bit_count()) for w in irrs if w.bit_count() > 1]
     return all((m & w).bit_count() in (0, size - 1, size)  # H
                for m in leaf.slice_members() for w, size in wide)
@@ -816,7 +860,11 @@ def _run_serial(
     prefix: tuple[int, ...] = (),
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
-) -> tuple[int, list[Violation]]:
+) -> tuple[int, list[Violation], int]:
+    """One check id over one walk, the whole DFS or one parallel subtree
+    (arguments as in _walk): how many leaves it checked, their violations
+    and how many leaves it visited. The leaf memos start and end the walk
+    empty."""
     check = _CHECKS[tid]
     checked = 0
     violations: list[Violation] = []
@@ -828,8 +876,13 @@ def _run_serial(
             checked += 1
             violations.extend(Violation(leaf.fam, d) for d in details)
 
-    _walk(n, check.filt, visit, prefix, start, progress)
-    return checked, violations
+    words = _leaf_words(n)
+    words.forget()
+    try:
+        visited, _ = _walk(n, check.filt, visit, prefix, start, progress)
+    finally:
+        words.forget()
+    return checked, violations, visited
 
 
 def verify_theorem(
@@ -843,7 +896,10 @@ def verify_theorem(
 
     With hypothesis_necessity (T2.1 only) the n >= 4 hypothesis is dropped
     and the report lists the families that then break the conclusion; the
-    run demonstrates why the hypothesis is needed.
+    run demonstrates why the hypothesis is needed. `progress` gets the
+    visited count every 100,000 leaves of a serial walk; a parallel run
+    gives it the running total as each subtree's results arrive, in DFS
+    order.
     """
     if tid not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
@@ -865,15 +921,20 @@ def verify_theorem(
     if n < check.least_n and not hypothesis_necessity:
         checked, violations = 0, []
     elif workers == 1 or n <= 3:
-        checked, violations = _run_serial(tid, n, progress=progress)
+        checked, violations, _ = _run_serial(tid, n, progress=progress)
     else:
         rng = check.filt.height_range()
         split, prefixes = _split(n, rng and rng[1])
-        jobs = [(tid, n, p, split) for p in prefixes]
-        with get_context().Pool(processes=min(workers, len(jobs))) as pool:
-            parts = pool.starmap(_run_serial, jobs)
-        checked = sum(c for c, _ in parts)
-        violations = [v for _, vs in parts for v in vs]
+        run = functools.partial(_run_serial, tid, n, start=split)
+        checked, violations, visited = 0, [], 0
+        with get_context().Pool(processes=min(workers, len(prefixes))) as pool:
+            # in DFS order, each subtree's results as soon as it and those before it are done
+            for part_checked, part_violations, part_visited in pool.imap(run, prefixes):
+                checked += part_checked
+                violations += part_violations
+                visited += part_visited
+                if progress is not None:
+                    progress(visited)
 
     return VerifyReport(
         theorem=tid,

@@ -6,12 +6,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ucf
 from ucf import Family, bfamily
 from ucf.enumeration import EnumFilter, _dfs
-from ucf.errors import BaseNotFull, EmptyFamily, NotUnionClosed
+from ucf.errors import BaseNotFull, EmptyFamily, InternalError, NotUnionClosed
 
 from strategies import relabel, spanning_uc_families, union_closed_families
 
@@ -162,6 +162,23 @@ def test_prop_suite_four_singleton_cover():
     # the height-5 variant (adding the empty set) drops out of scope
     with_empty = Family.from_masks(4, range(16))
     assert all(not r.applicable for r in ucf.prop_suite(with_empty).values())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_proposition_g_never_fails(data):
+    # _prop_suite's docstring proves it for any family. Member words, mostly
+    # slice members (2|m| < n) so that G applies to about a quarter of them
+    # at n = 5..7 (never at n = 4), read as separating at height 4.
+    n = data.draw(st.integers(4, 7))
+    small = [m for m in range(1 << n) if 2 * m.bit_count() < n]
+    members = data.draw(st.sets(st.sampled_from(small), min_size=1, max_size=8))
+    members |= data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=4))
+    try:
+        g = bfamily._prop_suite(Family.from_masks(n, members), 4, True)["G"]
+    except InternalError:  # a slice that needs a cover of more than four members
+        return
+    assert g.holds is not False
 
 
 def test_prop_suite_three_set_cover_with_full_base():

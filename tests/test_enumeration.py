@@ -321,8 +321,8 @@ def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, jobs):
-            return [fn(*job) for job in jobs]
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
 
     class FakeContext:
         Pool = FakePool
@@ -344,6 +344,21 @@ def test_non_integer_ucf_threads_is_named(monkeypatch):
     with pytest.raises(ValueError, match=r"^UCF_THREADS must be an integer, got 'abc'$"):
         ucf.verify_theorem("PROPS", 3)
     assert ucf.verify_theorem("PROPS", 3, workers=1).families_checked == 31
+
+
+def test_parallel_runs_report_progress_as_each_subtree_finishes():
+    # one call per subtree, in DFS order, with the visited count so far; the
+    # last is the capped walk's leaf count (T2.1 walks under height cap 4)
+    for tid, filt in (("T1.2", None), ("T2.1", EnumFilter(height=(1, 4)))):
+        calls = []
+        parallel = ucf.verify_theorem(tid, 4, workers=2, progress=calls.append)
+        serial = ucf.verify_theorem(tid, 4, workers=1)
+        assert (parallel.families_checked, parallel.violations) == (
+            serial.families_checked,
+            serial.violations,
+        )
+        assert len(calls) == len(_split(4, filt and 4)[1])
+        assert calls == sorted(calls) and calls[-1] == ucf.enumerate_uc(4, filt)
 
 
 def test_parallel_report_matches_serial_under_spawn():
@@ -432,7 +447,10 @@ def family_facts(fam, h, gates):
     """The oracle: each fact the walk reads from words, through the Family
     functions and EnumFilter.matches. The levels are None where the
     reduction fails, as it does on 358 non-separating leaves at n <= 4; the
-    PROPS verdict is None off PROPS's gate (separating, height 4)."""
+    T1.2 verdict is None on the one-member leaf T1.2 leaves unchecked, and
+    the PROPS verdict is None off PROPS's gate (separating, height 4). The
+    T1.2 and L2.1.1 verdicts are taken on every leaf, in their gates or not."""
+    thm12 = enumeration._CHECKS["T1.2"].conclude(fam, h)
     cover = _b_report(fam, h).cover.members
     size = len(cover)
     try:
@@ -457,6 +475,8 @@ def family_facts(fam, h, gates):
         levels,
         tuple(g.matches(fam, h) for g in gates),
         cover,
+        None if thm12 is None else thm12 == [],
+        enumeration._CHECKS["L2.1.1"].conclude(fam, h) == [],
         _props(fam, h) == [] if h == 4 and ucf.is_separating(fam) else None,
     )
 
@@ -480,6 +500,8 @@ def word_facts(leaf, gates):
         levels,
         tuple(g._admits(leaf) for g in gates),
         leaf.min_cover(),
+        enumeration._CHECKS["T1.2"].holds(leaf) if leaf.have.bit_count() > 1 else None,
+        enumeration._CHECKS["L2.1.1"].holds(leaf),
         _props_holds(leaf) if leaf.h == 4 and leaf.separating() else None,
     )
 
@@ -626,6 +648,83 @@ def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
     monkeypatch.setattr(enumeration, "_private_parts", lambda cover: [0] * len(cover))
     with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
         leaf.min_cover()
+
+
+def size_levels_or_error(leaf):
+    try:
+        return leaf.size_levels()
+    except InternalError as exc:
+        return str(exc)
+
+
+def trace_levels_or_error(fam):
+    try:
+        return _size_bound_trace(fam).levels
+    except InternalError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
+    # Random member words, mostly not union-closed; the first pass starts
+    # from an empty memo and fills it, the second reads it.
+    n = data.draw(st.integers(2, 6))
+    masks = st.sets(st.integers(0, (1 << n) - 1), min_size=1)
+    fams = [Family.from_masks(n, ms) for ms in data.draw(st.lists(masks, min_size=1, max_size=4))]
+    tails = _leaf_words(n).tails
+    tails.clear()
+    try:
+        for _ in range(2):
+            for fam in fams:
+                want = trace_levels_or_error(fam)
+                assert size_levels_or_error(leaf_of(fam, 1)) == want, (fam.member_sets(), want)
+    finally:
+        tails.clear()
+
+
+@pytest.mark.parametrize(
+    "tid, memo, fill, checked, computed",
+    [
+        # one tail per distinct first reduced word: 18 at n = 3, 280 at n = 4
+        ("L2.1.1", "tails", "_size_tail", (70, 4078, 70), 18 + 280 + 18),
+        # one call per leaf and one per distinct member word below a child:
+        # 31 at n = 3 and 417 at n = 4
+        ("T1.2", "descents", "_descent", (89, 4541, 89), 120 + 4958 + 120),
+    ],
+)
+def test_leaf_memos_live_for_one_walk(monkeypatch, tid, memo, fill, checked, computed):
+    # A walk starts from an empty memo: entries left from before the call,
+    # here None for every word, which would raise or report a violation if
+    # read, are never read; and no entry is left once the call returns.
+    memos = {n: getattr(_leaf_words(n), memo) for n in (3, 4)}
+    for n, entries in memos.items():
+        entries.update(dict.fromkeys(range(1 << (1 << n))))
+    calls = []
+    original = getattr(enumeration, fill)
+    monkeypatch.setattr(enumeration, fill, lambda *args: calls.append(1) or original(*args))
+    reports = []
+    for n in (3, 4, 3):
+        report = ucf.verify_theorem(tid, n, workers=1)
+        assert memos[n] == {}
+        reports.append((report.families_checked, report.violations))
+    assert memos[3] == memos[4] == {}
+    assert reports == [(count, ()) for count in checked]
+    assert len(calls) == computed
+    # and the runs equal fresh ones in a new interpreter
+    script = (
+        "import ucf\n"
+        "for n in (3, 4, 3):\n"
+        f"    r = ucf.verify_theorem({tid!r}, n, workers=1)\n"
+        "    print(r.families_checked, len(r.violations))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ucf.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    fresh = [tuple(map(int, line.split())) for line in run.stdout.splitlines()]
+    assert fresh == [(count, 0) for count in checked]
 
 
 def bell_numbers(count):
@@ -832,7 +931,7 @@ def test_canonical_class_counts_n5():
             capped.add(canon)
             burnside_capped.add(fam)
 
-    assert enumeration._walk(5, None, visit) == 2747402
+    assert enumeration._walk(5, None, visit) == (2747402, 2747402)
     assert len(classes) == burnside.classes() == 28960
     assert len(capped) == burnside_capped.classes() == 4864
 
