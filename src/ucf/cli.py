@@ -329,6 +329,8 @@ def _cmd_bounds(args) -> int:
         }
     except UcfError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
+    except ValueError as exc:  # a grid too fine to scan
+        return _fail(f"bad grid step {args.grid!r}: {exc}")
     _emit({"command": ["bounds", f"n={n}", f"grid={args.grid}"], "results": results, "status": "ok"})
     return 0
 

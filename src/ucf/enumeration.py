@@ -11,62 +11,59 @@ already-excluded union is dead and is pruned. Every leaf of this DFS is
 therefore union-closed, visited exactly once, in a deterministic order
 (include tried before exclude at each candidate).
 
-The DFS state is one dict, `ups`, mapping each member to the length of the
-longest chain from it up to [n], plus words of 2^n bits, bit m standing for
-mask m (32 bits at n = 5): `have`, the members; `legal`, the masks t with
-t | x a member for every member x; and `under[k]`, the masks inside some
-member whose longest upward chain has at least k + 1 sets. Members enter in
-decreasing order, so `ups` iterates in descending member order and
-`popitem()` removes the newest. A candidate s lies below every member, so a
-member holding s holds it properly: s's chain length is 2 + the largest k
-with s in `under[k]`, and s is within a height cap c exactly when it is
-outside `under[c - 1]`. So the next candidate is the highest bit of
-`legal & ~under[c - 1]` below the last one, and the walk never tries a dead
-or over-cap set. Adding s sets one bit of `have`, raises one level word
-(s already lies inside a member whose chain is one set shorter than its
-own, so every lower level holds s's subsets) and narrows `legal` to the t
-with t | s a member. The update is exact: every older member x exceeds s,
-so s | x is never s, and older chains and unions are unchanged. Words only
-shrink (`legal`) or grow (`under`) on the way down, so a candidate dead at
-one node is dead below it, and a pop restores the one level word it raised.
-Excluding a candidate is a loop step, not a call, so the recursion is at
-most |F| deep.
+The DFS state is the height h and three kinds of word of 2^n bits, bit m
+standing for mask m (32 bits at n = 5): `have`, the members; `legal`, the
+masks t with t | x a member for every member x; and `under[k]`, the masks
+inside some member whose longest chain up to [n] has at least k + 1 sets.
+A candidate s lies below every member, so a member holding s holds it
+properly: s's chain length is 2 + the largest k with s in `under[k]`, and
+s is within a height cap c exactly when it is outside `under[c - 1]`. So
+the next candidate is the highest bit of `legal & ~under[c - 1]` below the
+last one, and the walk never tries a dead or over-cap set. Adding s sets
+one bit of `have`, raises one level word (s already lies inside a member
+whose chain is one set shorter than its own, so every lower level holds
+s's subsets) and narrows `legal` to the t with t | s a member. The update
+is exact: every older member x exceeds s, so s | x is never s, and older
+chains and unions are unchanged. Words only shrink (`legal`) or grow
+(`under`) on the way down, so a candidate dead at one node is dead below
+it; `have`, `legal` and h are call arguments, so a pop restores only the
+one level word it raised. Excluding a candidate is a loop step, not a
+call, so the recursion is at most |F| deep.
 
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
-every check. It hands each leaf on as a `_Leaf`: the member word `have`, the
-height and the walk's state. The gate (`EnumFilter._admits`) and every
-conclusion read the leaf's facts as a few exact int operations on `have` and
-the per-n words of `_leaf_words`: separation, frequencies, |F|, the empty
-set, |B| up to 3, the least minimum cover, Lemma 1.3, the size-bound levels,
-T1.2's witness chain, r and witness element, and the PROPS letters. Two
-of them read a smaller word than the leaf's, which later leaves meet again,
-so each keeps a memo for one walk: the size-bound levels after the first
-reduction, under the reduced word, and the chain facts below each child of
-[n], under the child's member word. `_run_serial` empties both before and
-after each walk, so no run reads another's entries. A
-`Family` is built only for a leaf whose word conclusion fails (the `Family`
-conclusion then gives the violation's details), for the one-member leaf
-{[n]} that T1.2 leaves unchecked, and for a caller's visitor, so a
-count-only `enumerate_uc` builds none. `EnumFilter.matches` and the
-`Family` conclusions stay as the public gate and the oracle:
-tests/test_enumeration.py compares every word fact with them on every leaf
-for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the deep
-suite. Public analysis functions validate their
+every check. It hands each leaf on as a `_Leaf`, a value that outlives the
+walk: the member word `have` and the height. The gate (`EnumFilter._admits`)
+and every conclusion read the leaf's facts as a few exact int operations on
+`have` and the per-n words of `_leaf_words`: separation, frequencies, |F|,
+the empty set, |B| up to 3, the least minimum cover, Lemma 1.3, the
+size-bound levels, T1.2's witness chain, r and witness element, and the
+PROPS letters. Two of them read a smaller word than the leaf's, which later
+leaves meet again, so each keeps a memo for one walk: the size-bound levels
+after the first reduction, under the reduced word, and the chain facts below
+each child of [n], under the child's member word. `_run_serial` empties both
+before and after each walk, so no run reads another's entries. A `Family` is
+built only for a leaf whose word conclusion fails (the `Family` conclusion
+then gives the violation's details), for the one-member leaf {[n]} that T1.2
+leaves unchecked, and for a caller's visitor, so a count-only `enumerate_uc`
+builds none. `EnumFilter.matches` and the `Family` conclusions stay as the
+public gate and the oracle: tests/test_enumeration.py compares every word
+fact with them on every leaf for n <= 4 and at n = 5 under height cap 3, and
+under cap 4 in the deep suite. Public analysis functions validate their
 input; the `Family` gate and conclusions instead pass these facts about a
 leaf (union-closed, base [n], height h) to the private cores behind those
-functions, as the construction certifier and `ucf analyze` do with the
-facts they derive once.
+functions, as the construction certifier and `ucf analyze` do with the facts
+they derive once.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
 machinery with the DFS and exists to validate it.
 
 Parallel runs stop the same DFS after its first few candidate decisions;
-each state it holds there heads a disjoint subtree, run as one task, and
-per-subtree results are merged in DFS order, so reports are identical for
-any worker count. Progress then comes as each subtree's results arrive.
+each member word it holds there heads a disjoint subtree, run as one task,
+and per-subtree results are merged in DFS order, so reports are identical
+for any worker count. Progress comes as each subtree's results arrive.
 """
 
 from __future__ import annotations
@@ -154,40 +151,48 @@ def _within(value: int, spec: int | tuple[int, int]) -> bool:
 
 
 @functools.cache
-def _lattice(
-    n: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per mask m < 2^n, as 2^n-bit words: `below[m]`, its subsets;
-    `above[m]`, its supersets; and `lifts[m]`, one (word of the masks holding
-    i, 2^i) pair per element i of m."""
-    size = 1 << n
-    holding = [sum(1 << t for t in range(size) if t >> i & 1) for i in range(n)]
-    below = tuple(sum(1 << t for t in range(size) if t & m == t) for m in range(size))
-    above = tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
-    lifts = tuple(tuple((holding[i], 1 << i) for i in range(n) if m >> i & 1) for m in range(size))
-    return below, above, lifts
+def _byte_masks(shift: int) -> tuple[tuple[int, ...], ...]:
+    """Per value v of the byte at bit `shift` of a word, the masks shift + j
+    for the bits j of v, ascending; the same for every n."""
+    return tuple(tuple(shift + j for j in range(8) if v >> j & 1) for v in range(256))
 
 
 class _Words:
-    """The words of 2^n bits that the leaf facts read, bit m standing for
-    mask m: `holding[i]`, the masks holding element i; `pairs`, one word
-    holding[i] ^ holding[j] per pair i < j, the masks that split i from j;
-    `small`, the masks m with 2|m| < n; `coatoms`, one (bit, `below` word)
-    pair per mask of n - 1 elements; `below`, `above` and `lifts` from
-    `_lattice`; and the memos `descents` of `_descent` and `tails` of
-    `size_levels`, which `_run_serial` empties before and after each
-    walk."""
+    """The per-n tables of the walk and the leaf facts, as words of 2^n
+    bits, bit m standing for mask m. Per mask m < 2^n: `below[m]`, its
+    subsets; `above[m]`, its supersets; and `lifts[m]`, one (word of the
+    masks holding i, 2^i) pair per element i of m. Besides: `holding[i]`,
+    the masks holding element i; `pairs`, one word holding[i] ^ holding[j]
+    per pair i < j, the masks that split i from j; `small`, the masks m with
+    2|m| < n; `coatoms`, one (bit, `below` word) pair per mask of n - 1
+    elements; `octets`, one (`_byte_masks` table, shift) pair per byte of a
+    word, for `masks`; and the memos `descents` of `_descent` and `tails` of
+    `size_levels`, which `_run_serial` empties before and after each walk."""
 
     def __init__(self, n: int) -> None:
-        self.below, self.above, self.lifts = _lattice(n)
-        full = (1 << n) - 1
+        size = 1 << n
+        full = size - 1
         self.n = n
-        self.holding = tuple(word for word, _ in self.lifts[full])
+        self.holding = tuple(sum(1 << t for t in range(size) if t >> i & 1) for i in range(n))
+        self.below = tuple(sum(1 << t for t in range(size) if t & m == t) for m in range(size))
+        self.above = tuple(sum(1 << t for t in range(size) if t & m == m) for m in range(size))
+        self.lifts = tuple(
+            tuple((self.holding[i], 1 << i) for i in range(n) if m >> i & 1) for m in range(size)
+        )
         self.pairs = tuple(a ^ b for a, b in itertools.combinations(self.holding, 2))
-        self.small = sum(1 << m for m in range(full + 1) if 2 * m.bit_count() < n)
+        self.small = sum(1 << m for m in range(size) if 2 * m.bit_count() < n)
         self.coatoms = tuple((1 << c, self.below[c]) for c in (full ^ (1 << i) for i in range(n)))
+        self.octets = tuple((_byte_masks(shift), shift) for shift in range(0, size, 8))
         self.descents: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self.tails: dict[int, tuple[tuple[int, int], ...] | None] = {}
+
+    def masks(self, word: int) -> tuple[int, ...]:
+        """The masks whose bits a word of 2^n bits sets, ascending: one
+        table lookup per byte."""
+        out = ()
+        for table, shift in self.octets:
+            out += table[word >> shift & 255]
+        return out
 
     def forget(self) -> None:
         """Empty the memos, which hold facts of the member words one walk met."""
@@ -202,18 +207,17 @@ class _Leaf:
     """One DFS leaf: its member word `have` (bit m for mask m), its height
     `h`, and the facts the gates and the cheap conclusions read, each a few
     operations on `have` and the words of `_leaf_words`. `fam`, the leaf as
-    a `Family`, is built from the walk's state dict on first use, so it is
-    read only while the walk is at the leaf."""
+    a `Family`, is built from `have` on first use."""
 
-    __slots__ = ("words", "have", "h", "_ups", "_fam")
+    __slots__ = ("words", "have", "h", "_fam")
 
-    def __init__(self, words: _Words, have: int, h: int, ups: dict[int, int]) -> None:
-        self.words, self.have, self.h, self._ups, self._fam = words, have, h, ups, None
+    def __init__(self, words: _Words, have: int, h: int) -> None:
+        self.words, self.have, self.h, self._fam = words, have, h, None
 
     @property
     def fam(self) -> Family:
         if self._fam is None:
-            self._fam = Family(self.words.n, tuple(reversed(self._ups)))
+            self._fam = Family(self.words.n, self.words.masks(self.have))
         return self._fam
 
     def separating(self) -> bool:
@@ -265,15 +269,9 @@ class _Leaf:
             return 3
         return 4 if most < 4 else len(self.min_cover())
 
-    def slice_members(self) -> list[int]:
+    def slice_members(self) -> tuple[int, ...]:
         """The small-slice members, the members m with 2|m| < n, ascending."""
-        part = self.have & self.words.small
-        xs = []
-        while part:
-            bit = part & -part
-            part ^= bit
-            xs.append(bit.bit_length() - 1)
-        return xs
+        return self.words.masks(self.have & self.words.small)
 
     def min_cover(self) -> tuple[int, ...]:
         """`_b_report`'s cover: the first combination of the ascending slice
@@ -346,8 +344,7 @@ class _Leaf:
         rest = self.have & ~(1 << chain[0] | 1 << chain[-1])
         best = -1
         for a, b in zip(chain, chain[1:]):
-            step = a ^ b  # b lies inside a
-            e = (step & -step).bit_length() - 1
+            e = _lowest(a ^ b)  # b lies inside a
             count = (rest & holding[e]).bit_count()
             if count > best:
                 best, pick = count, e
@@ -447,30 +444,30 @@ def _private_parts(cover: tuple[int, ...]) -> list[int]:
 
 def _dfs(
     n: int,
-    emit: Callable[[dict[int, int], int, int], None],
+    emit: Callable[[int, int], None],
     h_cap: int | None,
-    prefix: tuple[int, ...] = (),
+    prefix: int = 0,
     start: int | None = None,
     stop: int = -1,
 ) -> None:
-    """Run the generator, emitting (state dict, height, member word) leaves;
-    emit must not change the dict, which iterates in descending member order.
+    """Run the generator, calling emit(height, member word) at each leaf.
 
     The walk decides the candidates from `start` (default [n] - 1) down to
     `stop` + 1, each by recursing with it included and then stepping on
     without it, and emits on reaching `stop`. Only candidates in
     `legal & ~under[cap - 1]` are tried: every other one fails the union or
     height test, so skipping it visits the same leaves in the same order.
-    `prefix` lists members below [n] taken by an earlier walk that stopped at
-    `start`; they are legal and within the height cap by construction, and
-    are added first by the same `push`.
+    `prefix` is the word of the members below [n] taken by an earlier walk
+    that stopped at `start`; they are legal and within the height cap by
+    construction, and are added first, in descending order, by the same
+    `push`.
     """
-    below, above, lifts = _lattice(n)
+    words = _leaf_words(n)
+    below, above, lifts = words.below, words.above, words.lifts
     full = (1 << n) - 1
     # no chain over [n] is longer than n + 1, and under a cap below 2 only [n] fits
     top = (n + 1 if h_cap is None else max(1, min(h_cap, n + 1))) - 1
     under = [below[full]] + [0] * top
-    ups = {full: 1}
     low = (1 << (stop + 1)) - 1  # a candidate word above low has a bit above stop
 
     def push(s: int, legal: int, have: int) -> tuple[int, int, int]:
@@ -484,7 +481,6 @@ def _dfs(
         p = have & above[s]
         for holding, shift in lifts[s]:
             p |= (p & holding) >> shift
-        ups[s] = k + 1
         old = under[k]
         under[k] = old | below[s]
         return k, old, legal & p
@@ -497,25 +493,25 @@ def _dfs(
             cand ^= bit
             k, old, narrowed = push(s, legal, have | bit)
             rec(bit - 1, h if h > k else k + 1, narrowed, have | bit)
-            ups.popitem()
             under[k] = old
-        emit(ups, h, have)
+        emit(h, have)
 
     h, legal, have = 1, below[full], 1 << full
-    for s in prefix:
+    for s in reversed(words.masks(prefix)):
         have |= 1 << s
         k, _, legal = push(s, legal, have)
         h = max(h, k + 1)
     rec((1 << (full if start is None else start + 1)) - 1, h, legal, have)
 
 
-def _split(n: int, h_cap: int | None) -> tuple[int, list[tuple[int, ...]]]:
+def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:
     """The candidate at which parallel runs split the DFS, and one prefix per
-    subtree: the members below [n] that the walk, stopped after its first
-    _SPLIT_DEPTH decisions, holds there, in DFS order."""
+    subtree: the word of the members below [n] that the walk, stopped after
+    its first _SPLIT_DEPTH decisions, holds there, in DFS order."""
     split = max(-1, (1 << n) - 2 - _SPLIT_DEPTH)
-    prefixes: list[tuple[int, ...]] = []
-    _dfs(n, lambda ups, h, have: prefixes.append(tuple(ups)[1:]), h_cap, stop=split)
+    full_bit = 1 << (1 << n) - 1
+    prefixes: list[int] = []
+    _dfs(n, lambda h, have: prefixes.append(have ^ full_bit), h_cap, stop=split)
     return split, prefixes
 
 
@@ -523,7 +519,7 @@ def _walk(
     n: int,
     filt: EnumFilter | None,
     visit: Callable[[_Leaf], None],
-    prefix: tuple[int, ...] = (),
+    prefix: int = 0,
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, int]:
@@ -535,12 +531,12 @@ def _walk(
     words = _leaf_words(n)
     visited = passed = 0
 
-    def emit(ups: dict[int, int], h: int, have: int) -> None:
+    def emit(h: int, have: int) -> None:
         nonlocal visited, passed
         visited += 1
         if progress is not None and visited % 100000 == 0:
             progress(visited)
-        leaf = _Leaf(words, have, h, ups)
+        leaf = _Leaf(words, have, h)
         if filt is None or filt._admits(leaf):
             passed += 1
             visit(leaf)
@@ -857,7 +853,7 @@ THEOREM_IDS = tuple(_CHECKS)
 def _run_serial(
     tid: str,
     n: int,
-    prefix: tuple[int, ...] = (),
+    prefix: int = 0,
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[Violation], int]:

@@ -13,6 +13,12 @@ def relabel(fam, perm):
     )
 
 
+def family_of_word(n, word):
+    """The family over [n] whose members are the masks m with bit m of
+    `word` set, as the enumerator's member words encode it."""
+    return Family(n, tuple(m for m in range(1 << n) if word >> m & 1))
+
+
 @st.composite
 def families(draw, max_n=6, min_members=0, max_members=10):
     n = draw(st.integers(1, max_n))

@@ -13,7 +13,7 @@ from ucf import Family, bfamily
 from ucf.enumeration import EnumFilter, _dfs
 from ucf.errors import BaseNotFull, EmptyFamily, InternalError, NotUnionClosed
 
-from strategies import relabel, spanning_uc_families, union_closed_families
+from strategies import family_of_word, relabel, spanning_uc_families, union_closed_families
 
 PAPER = Family.of(3, [(1, 2, 3), (1, 2), (1,), (2,), ()])
 
@@ -261,8 +261,8 @@ def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
     # family at n = 4 has two, so the sample is drawn at n = 5.
     sample = []
 
-    def visit(members, h, have):
-        fam = Family(5, tuple(reversed(members)))
+    def visit(h, have):
+        fam = family_of_word(5, have)
         if h == 4 and ucf.is_separating(fam) and len(ucf.minimum_covers(fam)) > 1:
             sample.append(fam)
             if len(sample) == 50:

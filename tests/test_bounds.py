@@ -175,6 +175,24 @@ def test_endpoint_scan_evaluates_two_points_per_x(monkeypatch):
     assert len(calls) == 2 * (301 + 4)
 
 
+def test_tick_count_is_capped_before_any_tick_is_made(monkeypatch):
+    # the count of [lo, hi] is ceil((hi - lo) / step) + 1, hi included
+    assert len(_ticks(Fraction(0), Fraction(99999), Fraction(1))) == bounds._MAX_TICKS
+    with pytest.raises(ValueError, match=r"^the grid gives 100001 ticks over \[0, 100000\], more"):
+        _ticks(Fraction(0), Fraction(100000), Fraction(1))
+    # a count too long to print is named by its size
+    with pytest.raises(ValueError, match=r"gives over 2\^16609 ticks over \[0, 1\]"):
+        _ticks(Fraction(0), Fraction(1), Fraction(1, 10**5000))
+    # minimize_f and minimize_g fail before evaluating anything
+    monkeypatch.setattr(bounds, "f_relax", None)
+    monkeypatch.setattr(bounds, "g_relax", None)
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(ValueError, match=rf"gives {35 * 10**399 + 1} ticks over \[1, 9/2\]"):
+        ucf.minimize_f(10, tiny)
+    with pytest.raises(ValueError, match=rf"gives {3 * 10**400 + 1} ticks over \[5, 8\]"):
+        ucf.minimize_g(10, tiny)
+
+
 def test_minimize_rejects_small_n():
     with pytest.raises(BadN):
         ucf.minimize_f(3, Fraction(1, 10))

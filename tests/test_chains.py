@@ -16,7 +16,7 @@ from ucf.errors import (
     TooSmall,
 )
 
-from strategies import families, separating_uc_families, spanning_uc_families
+from strategies import families, family_of_word, separating_uc_families, spanning_uc_families
 
 PAPER = Family.of(3, [(1, 2, 3), (1, 2), (1,), (2,), ()])
 
@@ -120,7 +120,7 @@ def test_tie_breaks_match_brute_force_on_every_small_leaf():
 
     leaves = []
     for n in range(1, 5):
-        _dfs(n, lambda ups, h, have, n=n: leaves.append(Family(n, tuple(reversed(ups)))), None)
+        _dfs(n, lambda h, have, n=n: leaves.append(family_of_word(n, have)), None)
     assert len(leaves) == 4642
     failing = 0
     for fam in leaves:

@@ -1,6 +1,7 @@
 """CLI behavior: report content, byte stability, exit codes, file round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -238,6 +239,17 @@ def test_usage_errors(capsys):
     assert run(capsys, "bounds", "--n", "4", "--grid", "0")[0] == 2
     assert run(capsys, "bounds", "--n", "4", "--grid=-1/10")[0] == 2
     assert run(capsys, "bounds", "--n", "65")[0] == 2
+
+
+@pytest.mark.parametrize("grid, count", [("1e-400", str(35 * 10**399 + 1)), ("1e-5000", "over 2^")])
+def test_bounds_rejects_a_grid_too_fine_to_scan(capsys, grid, count):
+    # an exact step of 10^-400 or 10^-5000; its ticks would never all be made
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--n", "10", "--grid", grid)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad grid step '{grid}': the grid gives {count}")
+    assert err.endswith(" ticks over [1, 9/2], more than 100000\n")
 
 
 def test_enumerate_canonical_count(capsys):

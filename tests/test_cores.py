@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import ucf
-from ucf import Family, PropResult, bfamily, chains, cli, core
+from ucf import PropResult, bfamily, chains, cli, core
 from ucf.bfamily import PROP_KEYS, _b_report, _prop_suite, b_report, prop_suite
 from ucf.chains import (
     _lemma13_status,
@@ -25,6 +25,8 @@ from ucf.chains import (
 )
 from ucf.enumeration import _dfs
 
+from strategies import family_of_word
+
 # SHA-256 over the public results for every family at n = 4, recorded
 # before the public functions were split into validation plus core.
 PUBLIC_DIGEST_N4 = "bcbcedd9486b636c60706457329175765c339e3cf96721ec094f0ae352b3fcea"
@@ -32,7 +34,7 @@ PUBLIC_DIGEST_N4 = "bcbcedd9486b636c60706457329175765c339e3cf96721ec094f0ae352b3
 
 def test_cores_match_public_functions_on_every_n4_family():
     leaves = []
-    _dfs(4, lambda members, h, have: leaves.append((Family(4, tuple(reversed(members))), h)), None)
+    _dfs(4, lambda h, have: leaves.append((family_of_word(4, have), h)), None)
     assert len(leaves) == 4542
     inapplicable = dict.fromkeys(PROP_KEYS, PropResult(False, None))
     digest = hashlib.sha256()

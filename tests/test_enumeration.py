@@ -20,7 +20,7 @@ from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain
 from ucf.enumeration import _conclude, _dfs, _Leaf, _leaf_words, _props, _props_holds, _split
 from ucf.errors import InternalError, NTooLarge
 
-from strategies import relabel
+from strategies import family_of_word, relabel
 
 # Counts frozen from the independent brute-force oracle (re-derived below).
 KNOWN_COUNTS = {1: 2, 2: 8, 3: 90, 4: 4542}
@@ -127,14 +127,15 @@ def test_enumerate_filters():
     assert ucf.enumerate_uc(3, EnumFilter(bsize=(0, 2))) == sum(exact) == sum(s <= 2 for s in seen)
 
 
-def reference_dfs(n, emit, h_cap, prefix=(), start=None, stop=-1):
+def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
     """_dfs's oracle: the walk that tests every candidate against every member.
 
-    Same arguments and leaves as _dfs; each leaf's member word is summed
-    from its members. A candidate s is added when s | x is a
-    member for every member x (the union was decided earlier, since it is at
-    least s) and its longest upward chain, one more than the longest over the
-    members holding it, keeps the height within the cap.
+    Same arguments and leaves as _dfs. Its state is a dict, member -> length
+    of the longest chain from it up to [n], in descending member order; each
+    leaf's member word is summed from its members. A candidate s is added
+    when s | x is a member for every member x (the union was decided earlier,
+    since it is at least s) and its longest upward chain, one more than the
+    longest over the members holding it, keeps the height within the cap.
     """
     full = (1 << n) - 1
     cap = n + 1 if h_cap is None else h_cap  # no chain over [n] is longer than n + 1
@@ -160,20 +161,19 @@ def reference_dfs(n, emit, h_cap, prefix=(), start=None, stop=-1):
                 rec(v - 1, max(h, up_s))
                 ups.popitem()
             v -= 1
-        emit(ups, h, sum(1 << m for m in ups))
+        emit(h, sum(1 << m for m in ups))
 
     h = 1
-    for s in prefix:
+    for s in (m for m in range(full - 1, -1, -1) if prefix >> m & 1):
         ups[s] = try_add(s)
         h = max(h, ups[s])
     rec(full - 1 if start is None else start, h)
 
 
 def walk_leaves(walk, n, h_cap, **kwargs):
-    """Every (member -> chain length pairs, height, member word) leaf of one
-    walk, in order."""
+    """Every (height, member word) leaf of one walk, in order."""
     out = []
-    walk(n, lambda ups, h, have: out.append((tuple(ups.items()), h, have)), h_cap, **kwargs)
+    walk(n, lambda h, have: out.append((h, have)), h_cap, **kwargs)
     return out
 
 
@@ -201,7 +201,7 @@ def leaf_hashes(walk, n, h_cap):
     """One 64-bit hash per leaf of one walk, in order (int tuples hash the
     same in every process)."""
     out = array("q")
-    walk(n, lambda ups, h, have: out.append(hash((tuple(ups.items()), h, have))), h_cap)
+    walk(n, lambda h, have: out.append(hash((h, have))), h_cap)
     return out
 
 
@@ -514,12 +514,12 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
     words = _leaf_words(n)
     count = verdicts = 0
 
-    def emit(ups, h, have):
+    def emit(h, have):
         nonlocal count, verdicts
         count += 1
-        leaf = _Leaf(words, have, h, ups)
+        leaf = _Leaf(words, have, h)
         fam = leaf.fam
-        assert fam == Family(n, tuple(reversed(ups)))
+        assert fam == family_of_word(n, have)
         want = oracle.get(fam)
         if want is None:
             want = oracle[fam] = family_facts(fam, h, gates)
@@ -545,10 +545,19 @@ def test_word_facts_match_family_oracle_n5():
     assert compare_leaf_facts(5, 4, TABLE_GATES, {}) == (382210, 346028)
 
 
+def test_leaves_kept_after_the_walk_give_their_own_families():
+    # a leaf is a value: read after the walk has moved on, it still gives
+    # the family its member word encodes
+    leaves = []
+    assert enumeration._walk(4, None, leaves.append) == (4542, 4542)
+    assert len({leaf.have for leaf in leaves}) == 4542
+    for leaf in leaves:
+        assert leaf.fam == family_of_word(4, leaf.have)
+
+
 def leaf_of(fam, h):
     """A leaf record for a hand-built family, as the walk would make it."""
-    ups = dict.fromkeys(reversed(fam.members), 0)
-    return _Leaf(_leaf_words(fam.n), sum(1 << m for m in fam.members), h, ups)
+    return _Leaf(_leaf_words(fam.n), sum(1 << m for m in fam.members), h)
 
 
 @pytest.mark.parametrize(
@@ -666,6 +675,16 @@ def trace_levels_or_error(fam):
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
+def test_masks_list_a_words_members_in_ascending_order(data):
+    # up to 64-bit words, eight bytes, past the enumeration cap
+    n = data.draw(st.integers(1, 6))
+    word = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    masks = _leaf_words(n).masks(word)
+    assert type(masks) is tuple and masks == family_of_word(n, word).members
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
 def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
     # Random member words, mostly not union-closed; the first pass starts
     # from an empty memo and fills it, the second reads it.
@@ -752,7 +771,7 @@ def test_height_at_most_2_counts_are_bell_numbers():
     counts = []
     for n in range(1, 7):
         leaves = []
-        _dfs(n, lambda ups, h, have: leaves.append(h), 2)
+        _dfs(n, lambda h, have: leaves.append(h), 2)
         counts.append(len(leaves))
     assert counts == [bell[n + 1] for n in range(1, 7)] == [2, 5, 15, 52, 203, 877]
 
