@@ -3,7 +3,7 @@
 
 Default covers n in 1..4 (seconds). --deep adds n=5 for the checks whose
 walk has a height cap (T1.4 at height 3; T2.1, C2.2, T4.1 and PROPS at
-height 4; 15-18 s in all on one core of a 2-vCPU VM, Python 3.11). T1.2,
+height 4; 7-8 s in all on one core of a 2-vCPU VM, Python 3.11). T1.2,
 L1.3 and L2.1.1 have no cap and walk all 2,747,402 union-closed families at
 n=5, so they stop at n=4 here. Run once each on one core (Python 3.11,
 2-vCPU VM), they found 0 violations: T1.2 checked 2,747,401 families in

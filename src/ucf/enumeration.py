@@ -33,17 +33,23 @@ call, so the recursion is at most |F| deep.
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
-every check. It hands each leaf on as a `_Leaf`, a value that outlives the
-walk: the member word `have` and the height. The gate (`EnumFilter._admits`)
-and every conclusion read the leaf's facts as a few exact int operations on
-`have` and the per-n words of `_leaf_words`: separation, frequencies, |F|,
-the empty set, |B| up to 3, the least minimum cover, Lemma 1.3, the
-size-bound levels, T1.2's witness chain, r and witness element, and the
-PROPS letters. Two of them read a smaller word than the leaf's, which later
-leaves meet again, so each keeps a memo for one walk: the size-bound levels
-after the first reduction, under the reduced word, and the chain facts below
-each child of [n], under the child's member word. `_run_serial` empties both
-before and after each walk, so no run reads another's entries. A `Family` is
+every check. A walk reads its filter once into one gate (`_gate`) on each
+leaf's height and member word `have`: the empty set's bit, the height range
+and separation are word tests, and only a leaf that passes them becomes a
+`_Leaf`, a value that outlives the walk, before the cover-size test. The
+gate and every conclusion read the leaf's facts as a few exact int
+operations on `have` and the per-n words of `_leaf_words`: separation,
+frequencies, |F|, the empty set, |B| up to 3, the least minimum cover,
+Lemma 1.3, the size-bound levels, T1.2's witness chain, r and witness
+element, and the PROPS letters. Four of them read a smaller word than the
+leaf's, which later leaves meet again, so each keeps a memo for one walk:
+the size-bound levels after the first reduction, under the reduced word; the
+chain facts below each child of [n], under the child's member word; and |B|
+and the least minimum cover, under the slice word `have & small` (|B| also
+under the bound it is asked up to). A cover longer than the leaf's height is
+an error tested on every leaf, since the height is the leaf's own. `_walk`
+empties the memos before and after each walk, so no run reads another's
+entries. A passing conclusion costs its leaf one count; a `Family` is
 built only for a leaf whose word conclusion fails (the `Family` conclusion
 then gives the violation's details), for the one-member leaf {[n]} that T1.2
 leaves unchecked, and for a caller's visitor, so a count-only `enumerate_uc`
@@ -93,10 +99,11 @@ class EnumFilter:
     """Per-family constraints applied to enumerated families.
 
     `height` and `bsize` (the minimum cover size |B| of the small slice)
-    each accept an exact int or an inclusive (lo, hi) pair. The gates run
-    cheapest first: height, separation, then the cover search. `matches`
-    tests a `Family`; the walk calls `_admits`, the same gate on a leaf's
-    member word, and the tests hold it to `matches` on every leaf.
+    each accept an exact int or an inclusive (lo, hi) pair of ints. The
+    gates run cheapest first: the empty set, height, separation, then the
+    cover search. `matches` tests a `Family`; a walk reads the filter once
+    into `_gate`, the same tests on a leaf's height and member word, and
+    the tests hold that to `matches` on every leaf.
     """
 
     separating: bool | None = None
@@ -107,10 +114,14 @@ class EnumFilter:
     def __post_init__(self) -> None:
         for name in ("height", "bsize"):
             spec = getattr(self, name)
-            if spec is not None:
-                lo, hi = _bounds(spec)
-                if lo > hi:
-                    raise ValueError(f"empty {name} range {spec}: lo > hi")
+            if spec is None:
+                continue
+            pair = spec if isinstance(spec, tuple) and len(spec) == 2 else (spec,)
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in pair):
+                raise ValueError(f"{name} must be an int or a (lo, hi) pair of ints, got {spec!r}")
+            lo, hi = _bounds(spec)
+            if lo > hi:
+                raise ValueError(f"empty {name} range {spec}: lo > hi")
 
     def height_range(self) -> tuple[int, int] | None:
         return None if self.height is None else _bounds(self.height)
@@ -124,19 +135,6 @@ class EnumFilter:
             return False
         if self.bsize is not None and not _within(_b_report(fam, h).size, self.bsize):
             return False
-        return True
-
-    def _admits(self, leaf: _Leaf) -> bool:
-        """`matches` on a DFS leaf's words; the walk's gate."""
-        if self.contains_empty is not None and bool(leaf.have & 1) != self.contains_empty:
-            return False
-        if self.height is not None and not _within(leaf.h, self.height):
-            return False
-        if self.separating is not None and leaf.separating() != self.separating:
-            return False
-        if self.bsize is not None:
-            lo, hi = _bounds(self.bsize)
-            return lo <= leaf.cover_size(hi) <= hi
         return True
 
 
@@ -166,8 +164,12 @@ class _Words:
     per pair i < j, the masks that split i from j; `small`, the masks m with
     2|m| < n; `coatoms`, one (bit, `below` word) pair per mask of n - 1
     elements; `octets`, one (`_byte_masks` table, shift) pair per byte of a
-    word, for `masks`; and the memos `descents` of `_descent` and `tails` of
-    `size_levels`, which `_run_serial` empties before and after each walk."""
+    word, for `masks`; and the memos of the leaf facts that read a smaller
+    word than the leaf's: `descents` of `_descent` and `tails` of
+    `size_levels`, each under a member word, and `cover_sizes` of
+    `_cover_size`, under a (slice word, most) pair, and `covers` of
+    `_least_cover`, under a slice word. `_walk` empties them before and
+    after each walk."""
 
     def __init__(self, n: int) -> None:
         size = 1 << n
@@ -185,6 +187,8 @@ class _Words:
         self.octets = tuple((_byte_masks(shift), shift) for shift in range(0, size, 8))
         self.descents: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self.tails: dict[int, tuple[tuple[int, int], ...] | None] = {}
+        self.cover_sizes: dict[tuple[int, int], int] = {}
+        self.covers: dict[int, tuple[int, ...]] = {}
 
     def masks(self, word: int) -> tuple[int, ...]:
         """The masks whose bits a word of 2^n bits sets, ascending: one
@@ -195,9 +199,11 @@ class _Words:
         return out
 
     def forget(self) -> None:
-        """Empty the memos, which hold facts of the member words one walk met."""
+        """Empty the memos, which hold facts of the words one walk met."""
         self.descents.clear()
         self.tails.clear()
+        self.cover_sizes.clear()
+        self.covers.clear()
 
 
 _leaf_words = functools.cache(_Words)
@@ -212,17 +218,17 @@ class _Leaf:
     __slots__ = ("words", "have", "h", "_fam")
 
     def __init__(self, words: _Words, have: int, h: int) -> None:
-        self.words, self.have, self.h, self._fam = words, have, h, None
+        # one store each: a four-name tuple assignment packs and unpacks a tuple
+        self.words = words
+        self.have = have
+        self.h = h
+        self._fam = None
 
     @property
     def fam(self) -> Family:
         if self._fam is None:
             self._fam = Family(self.words.n, self.words.masks(self.have))
         return self._fam
-
-    def separating(self) -> bool:
-        """Some member splits every pair of elements: each pair word meets `have`."""
-        return all(map(self.have.__and__, self.words.pairs))
 
     def frequencies(self) -> list[int]:
         """How many members hold each element (`core.frequencies`); they sum
@@ -232,76 +238,35 @@ class _Leaf:
 
     def cover_size(self, most: int) -> int:
         """|B|, the least number of small-slice members whose union is the
-        slice's base b, when it is at most `most`; else a number above `most`.
-
-        Every member lies inside b, so sizes 0 to 3 are word tests: b is
-        empty; b is a member; b less some member x lies inside a member;
-        b less the union of some pair does. For size 2, flipping the bits of
-        b in every index turns the member word into the word of the sets
-        b less x, which must meet the word of the members' subsets. A larger
-        size is the length of `min_cover`.
-        """
+        slice's base b, when it is at most `most`; else a number above
+        `most`. `_cover_size` reads only the slice word, so `words.cover_sizes`
+        keeps its answer under that word and `most`; a size above 3 is the
+        length of `min_cover`, which tests the leaf's height."""
         words = self.words
         part = self.have & words.small
-        every = words.lifts[-1]  # (holding[i], 2^i) for each element i
-        b = 0
-        for word, bit in every:
-            if part & word:
-                b |= bit
-        if not b:
-            return 0
-        if part >> b & 1:
-            return 1
-        if most < 2:
-            return 2
-        down = turned = part
-        for word, shift in every:
-            down |= (down & word) >> shift
-        for word, shift in words.lifts[b]:
-            turned = (turned & word) >> shift | (turned & ~word) << shift
-        if turned & down:
-            return 2
-        if most < 3:
-            return 3
-        above = words.above
-        xs = self.slice_members()
-        if any(part & above[b & ~(x | y)] for x, y in itertools.combinations(xs, 2)):
-            return 3
-        return 4 if most < 4 else len(self.min_cover())
+        try:
+            size = words.cover_sizes[part, most]
+        except KeyError:
+            size = words.cover_sizes[part, most] = _cover_size(words, part, most)
+        return len(self.min_cover()) if size > 3 and most > 3 else size
 
     def slice_members(self) -> tuple[int, ...]:
         """The small-slice members, the members m with 2|m| < n, ascending."""
         return self.words.masks(self.have & self.words.small)
 
     def min_cover(self) -> tuple[int, ...]:
-        """`_b_report`'s cover: the first combination of the ascending slice
-        members, by size from 0 up to the height, whose union is the slice's
-        base b. Within one size, combinations run in order of their first
-        size - 1 members, so the least last member that completes a head is
-        the lowest bit of the slice members above the head's last that hold
-        b less the head's union."""
-        xs = self.slice_members()
-        part = self.have & self.words.small
-        above = self.words.above
-        b = 0
-        for x in xs:
-            b |= x
-        if not b:
-            return ()
-        for size in range(1, self.h + 1):
-            for head in itertools.combinations(xs, size - 1):
-                acc = 0
-                for x in head:
-                    acc |= x
-                last = part & above[b & ~acc]
-                if head:
-                    last &= -2 << head[-1]
-                if last:
-                    cover = (*head, _lowest(last))
-                    if not all(_private_parts(cover)):
-                        raise InternalError("minimum cover must be irredundant")
-                    return cover
-        raise InternalError("cover search exceeded the height cap")
+        """`_b_report`'s cover: `_least_cover` of the slice word, kept in
+        `words.covers` under it, and the error `_b_report` raises where it
+        has more members than the leaf's height."""
+        words = self.words
+        part = self.have & words.small
+        try:
+            cover = words.covers[part]
+        except KeyError:
+            cover = words.covers[part] = _least_cover(words, part)
+        if len(cover) > self.h:
+            raise InternalError("cover search exceeded the height cap")
+        return cover
 
     def lemma13_holds(self) -> bool:
         """Lemma 1.3's conclusion: every member but [n] lies in an
@@ -387,6 +352,74 @@ def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
         if facts[1] < fewest:
             fewest = facts[1]
     return most + 1, fewest + 1, (x, *chain)
+
+
+def _cover_size(words: _Words, part: int, most: int) -> int:
+    """`_Leaf.cover_size` of a slice word, but 4 for every size above 3: the
+    length of the least cover is left to the leaf, which tests it against
+    its height.
+
+    Every slice member lies inside b, so sizes 0 to 3 are word tests: b is
+    empty; b is a member; b less some member x lies inside a member; b less
+    the union of some pair does. For size 2, flipping the bits of b in every
+    index turns the slice word into the word of the sets b less x, which
+    must meet the word of the slice members' subsets.
+    """
+    every = words.lifts[-1]  # (holding[i], 2^i) for each element i
+    b = 0
+    for word, bit in every:
+        if part & word:
+            b |= bit
+    if not b:
+        return 0
+    if part >> b & 1:
+        return 1
+    if most < 2:
+        return 2
+    down = turned = part
+    for word, shift in every:
+        down |= (down & word) >> shift
+    for word, shift in words.lifts[b]:
+        turned = (turned & word) >> shift | (turned & ~word) << shift
+    if turned & down:
+        return 2
+    if most < 3:
+        return 3
+    above = words.above
+    xs = words.masks(part)
+    if any(part & above[b & ~(x | y)] for x, y in itertools.combinations(xs, 2)):
+        return 3
+    return 4
+
+
+def _least_cover(words: _Words, part: int) -> tuple[int, ...]:
+    """The first combination of the ascending slice members, by size from 0
+    up, whose union is the slice's base b; the whole slice is one, so the
+    search ends. Within one size, combinations run in order of their first
+    size - 1 members, so the least last member that completes a head is the
+    lowest bit of the slice members above the head's last that hold b less
+    the head's union."""
+    xs = words.masks(part)
+    above = words.above
+    b = 0
+    for x in xs:
+        b |= x
+    if not b:
+        return ()
+    for size in range(1, len(xs) + 1):
+        for head in itertools.combinations(xs, size - 1):
+            acc = 0
+            for x in head:
+                acc |= x
+            last = part & above[b & ~acc]
+            if head:
+                last &= -2 << head[-1]
+            if last:
+                cover = (*head, _lowest(last))
+                if not all(_private_parts(cover)):
+                    raise InternalError("minimum cover must be irredundant")
+                return cover
+    raise InternalError("cover search found no cover")
 
 
 _NO_SHRINK = "size-bound reduction failed to shrink the family"
@@ -515,6 +548,37 @@ def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:
     return split, prefixes
 
 
+def _gate(filt: EnumFilter | None, words: _Words) -> Callable[[int, int], _Leaf | None]:
+    """The filter read once for a walk: a test of a leaf's member word and
+    height that gives the leaf, or None where `filt.matches` would reject
+    it. The word tests run first, in `matches`'s order: the empty set's bit,
+    the height range, and separation, which holds when every pair word meets
+    the member word. A `_Leaf` is built only for a leaf that passes them,
+    and then its cover size is tested. A filter that tests nothing is the
+    leaf constructor itself."""
+    if filt is None or filt == EnumFilter():
+        return functools.partial(_Leaf, words)
+    empty, height = filt.contains_empty, filt.height
+    separating, bsize = filt.separating, filt.bsize
+    lo, hi = _bounds(height) if height is not None else (0, 0)
+    low, most = _bounds(bsize) if bsize is not None else (0, 0)
+    pairs = words.pairs
+
+    def admit(have: int, h: int) -> _Leaf | None:
+        if empty is not None and (have & 1) != empty:
+            return None
+        if height is not None and not lo <= h <= hi:
+            return None
+        if separating is not None and all(map(have.__and__, pairs)) != separating:
+            return None
+        leaf = _Leaf(words, have, h)
+        if bsize is not None and not low <= leaf.cover_size(most) <= most:
+            return None
+        return leaf
+
+    return admit
+
+
 def _walk(
     n: int,
     filt: EnumFilter | None,
@@ -524,11 +588,13 @@ def _walk(
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, int]:
     """Run the DFS (arguments as in _dfs) under the filter's height cap and
-    call visit(leaf) on each leaf that passes the filter; returns how many
-    leaves it visited and how many passed. `progress` gets the visited count
-    every 100,000 leaves."""
+    call visit(leaf) on each leaf that passes the filter's `_gate`; returns
+    how many leaves it visited and how many passed. `progress` gets the
+    visited count every 100,000 leaves. The leaf memos of `_leaf_words(n)`
+    start and end the walk empty, so no walk reads another's entries."""
     rng = filt.height_range() if filt else None
     words = _leaf_words(n)
+    admit = _gate(filt, words)
     visited = passed = 0
 
     def emit(h: int, have: int) -> None:
@@ -536,12 +602,16 @@ def _walk(
         visited += 1
         if progress is not None and visited % 100000 == 0:
             progress(visited)
-        leaf = _Leaf(words, have, h)
-        if filt is None or filt._admits(leaf):
+        leaf = admit(have, h)
+        if leaf is not None:
             passed += 1
             visit(leaf)
 
-    _dfs(n, emit, rng and rng[1], prefix, start)
+    words.forget()
+    try:
+        _dfs(n, emit, rng and rng[1], prefix, start)
+    finally:
+        words.forget()
     return visited, passed
 
 
@@ -816,13 +886,6 @@ class _Check:
     least_n: int = 1
 
 
-def _conclude(check: _Check, leaf: _Leaf) -> list[str] | None:
-    """The check's violation details for a leaf, or None if it is unchecked."""
-    if check.holds(leaf):
-        return []
-    return check.conclude(leaf.fam, leaf.h)
-
-
 _SEP = EnumFilter(separating=True)
 _SEP_H4_B2 = EnumFilter(separating=True, height=4, bsize=(0, 2))
 _CHECKS = {
@@ -859,25 +922,25 @@ def _run_serial(
 ) -> tuple[int, list[Violation], int]:
     """One check id over one walk, the whole DFS or one parallel subtree
     (arguments as in _walk): how many leaves it checked, their violations
-    and how many leaves it visited. The leaf memos start and end the walk
-    empty."""
+    and how many leaves it visited. A leaf that `holds` passes is one more
+    checked; only a leaf it rejects runs `conclude`, whose None marks the
+    leaf unchecked."""
     check = _CHECKS[tid]
+    holds, conclude = check.holds, check.conclude
     checked = 0
     violations: list[Violation] = []
 
     def visit(leaf: _Leaf) -> None:
         nonlocal checked
-        details = _conclude(check, leaf)
+        if holds(leaf):
+            checked += 1
+            return
+        details = conclude(leaf.fam, leaf.h)
         if details is not None:
             checked += 1
             violations.extend(Violation(leaf.fam, d) for d in details)
 
-    words = _leaf_words(n)
-    words.forget()
-    try:
-        visited, _ = _walk(n, check.filt, visit, prefix, start, progress)
-    finally:
-        words.forget()
+    visited, _ = _walk(n, check.filt, visit, prefix, start, progress)
     return checked, violations, visited
 
 

@@ -17,7 +17,7 @@ import ucf
 from ucf import EnumFilter, Family, enumeration
 from ucf.bfamily import _b_report
 from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
-from ucf.enumeration import _conclude, _dfs, _Leaf, _leaf_words, _props, _props_holds, _split
+from ucf.enumeration import _dfs, _gate, _Leaf, _leaf_words, _props, _props_holds, _split
 from ucf.errors import InternalError, NTooLarge
 
 from strategies import family_of_word, relabel
@@ -232,6 +232,25 @@ def test_empty_filter_ranges_are_rejected():
     assert ucf.enumerate_uc(4, EnumFilter(height=(3, 3), bsize=(0, 0))) == ucf.enumerate_uc(
         4, EnumFilter(height=3, bsize=0)
     )
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("height", (1, 2, 3)),  # once "too many values to unpack"
+        ("height", "3"),  # once "not enough values to unpack"
+        ("height", True),  # once the height 1
+        ("height", [1, 3]),
+        ("bsize", (0, True)),
+        ("bsize", (0, 2.0)),
+        ("bsize", (2,)),
+    ],
+)
+def test_malformed_filter_specs_are_rejected(name, spec):
+    # the walk's gate reads each spec once, as an int or a (lo, hi) pair of ints
+    message = rf"^{name} must be an int or a \(lo, hi\) pair of ints, got {re.escape(repr(spec))}$"
+    with pytest.raises(ValueError, match=message):
+        EnumFilter(**{name: spec})
 
 
 def test_enumerate_caps():
@@ -481,16 +500,17 @@ def family_facts(fam, h, gates):
     )
 
 
-def word_facts(leaf, gates):
+def word_facts(leaf, admits):
     try:
         levels = leaf.size_levels()
     except InternalError:
         levels = None
     chain, r = leaf.chain_facts()
+    separating = _gate(enumeration._SEP, leaf.words)(leaf.have, leaf.h) is not None
     return (
         (leaf.h, chain, r),
         leaf.thm12_pick(chain) if leaf.have.bit_count() > 1 else None,
-        leaf.separating(),
+        separating,
         tuple(leaf.frequencies()),
         leaf.have.bit_count(),
         bool(leaf.have & 1),
@@ -498,11 +518,11 @@ def word_facts(leaf, gates):
         tuple(min(leaf.cover_size(most), most + 1) for most in range(5)),
         leaf.lemma13_holds(),
         levels,
-        tuple(g._admits(leaf) for g in gates),
+        tuple(admit(leaf.have, leaf.h) is not None for admit in admits),
         leaf.min_cover(),
         enumeration._CHECKS["T1.2"].holds(leaf) if leaf.have.bit_count() > 1 else None,
         enumeration._CHECKS["L2.1.1"].holds(leaf),
-        _props_holds(leaf) if leaf.h == 4 and leaf.separating() else None,
+        _props_holds(leaf) if leaf.h == 4 and separating else None,
     )
 
 
@@ -510,8 +530,10 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
     """Walk under the cap and compare every leaf's word facts with the
     oracle's, cached per family in `oracle` (a family's facts do not depend
     on the cap it is reached under); returns the number of leaves and how
-    many of them got a PROPS verdict."""
+    many of them got a PROPS verdict. The leaf memos, which the facts fill
+    as a walk's do, end empty as after a walk."""
     words = _leaf_words(n)
+    admits = [_gate(g, words) for g in gates]
     count = verdicts = 0
 
     def emit(h, have):
@@ -523,10 +545,13 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
         want = oracle.get(fam)
         if want is None:
             want = oracle[fam] = family_facts(fam, h, gates)
-        assert word_facts(leaf, gates) == want, (fam.member_sets(), h)
+        assert word_facts(leaf, admits) == want, (fam.member_sets(), h)
         verdicts += want[-1] is not None
 
-    _dfs(n, emit, h_cap)
+    try:
+        _dfs(n, emit, h_cap)
+    finally:
+        words.forget()
     return count, verdicts
 
 
@@ -600,7 +625,7 @@ def test_failing_word_conclusion_gives_the_family_details(tid, n, sets):
     leaf = leaf_of(fam, h)
     assert check.holds(leaf) is False
     details = check.conclude(fam, h)
-    assert details and _conclude(check, leaf) == details
+    assert details and check.conclude(leaf.fam, leaf.h) == details
 
 
 @pytest.mark.parametrize(
@@ -647,16 +672,27 @@ def test_props_word_verdict_matches_the_family_one_on_random_member_words(data):
 
 
 def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
-    # not union-closed, so its three-member cover outgrows its height 2
+    # not union-closed, so its three-member cover outgrows its height 2; each
+    # error is raised on an empty memo, as where a walk first meets the slice
     fam = Family.of(4, [(1,), (2,), (3,), (1, 2, 3, 4)])
-    with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
-        leaf_of(fam, 2).min_cover()
-    leaf = leaf_of(fam, 3)
-    assert leaf.min_cover() == _b_report(fam, 3).cover.members == (0b1, 0b10, 0b100)
-    # a search that handed back a redundant cover is caught
-    monkeypatch.setattr(enumeration, "_private_parts", lambda cover: [0] * len(cover))
-    with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
-        leaf.min_cover()
+    words = _leaf_words(4)
+    words.forget()
+    try:
+        with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
+            leaf_of(fam, 2).min_cover()
+        words.forget()
+        leaf = leaf_of(fam, 3)
+        assert leaf.min_cover() == _b_report(fam, 3).cover.members == (0b1, 0b10, 0b100)
+        # the height cap is tested on every leaf, the kept cover's included
+        with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
+            leaf_of(fam, 2).min_cover()
+        # a search that handed back a redundant cover is caught
+        words.forget()
+        monkeypatch.setattr(enumeration, "_private_parts", lambda cover: [0] * len(cover))
+        with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
+            leaf.min_cover()
+    finally:
+        words.forget()
 
 
 def size_levels_or_error(leaf):
@@ -702,39 +738,61 @@ def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
         tails.clear()
 
 
+def stale_entries(n, memo):
+    """None under every key a walk at n could read from the memo: member
+    words for `descents` and `tails`, slice words for `covers`, and (slice
+    word, most) pairs for `cover_sizes`. A walk that read one would raise or
+    report a violation."""
+    words = range(1 << (1 << n))
+    if memo in ("descents", "tails"):
+        return dict.fromkeys(words)
+    slices = [w for w in words if not w & ~_leaf_words(n).small]
+    if memo == "covers":
+        return dict.fromkeys(slices)
+    return dict.fromkeys((w, most) for w in slices for most in range(5))
+
+
 @pytest.mark.parametrize(
     "tid, memo, fill, checked, computed",
     [
         # one tail per distinct first reduced word: 18 at n = 3, 280 at n = 4
-        ("L2.1.1", "tails", "_size_tail", (70, 4078, 70), 18 + 280 + 18),
+        ("L2.1.1", "tails", "_size_tail", ((70, 0), (4078, 0), (70, 0)), 18 + 280 + 18),
         # one call per leaf and one per distinct member word below a child:
         # 31 at n = 3 and 417 at n = 4
-        ("T1.2", "descents", "_descent", (89, 4541, 89), 120 + 4958 + 120),
+        ("T1.2", "descents", "_descent", ((89, 0), (4541, 0), (89, 0)), 120 + 4958 + 120),
+        # one call per distinct slice word of the separating height-4 leaves,
+        # 7 at n = 3 and 20 at n = 4; T2.1 finds its three counterexamples
+        # at n = 3 (see below)
+        ("T2.1", "cover_sizes", "_cover_size", ((30, 3), (1961, 0), (30, 3)), 7 + 20 + 7),
+        ("T4.1", "cover_sizes", "_cover_size", ((0, 0), (1, 0), (0, 0)), 7 + 20 + 7),
+        ("PROPS", "covers", "_least_cover", ((31, 0), (2034, 0), (31, 0)), 7 + 20 + 7),
     ],
 )
 def test_leaf_memos_live_for_one_walk(monkeypatch, tid, memo, fill, checked, computed):
-    # A walk starts from an empty memo: entries left from before the call,
-    # here None for every word, which would raise or report a violation if
-    # read, are never read; and no entry is left once the call returns.
+    # A walk starts from an empty memo: entries left from before the call
+    # are never read; and no entry is left once the call returns. Each run
+    # gives (families checked, violations). T2.1 walks n = 3 only without
+    # its n >= 4 hypothesis.
+    kwargs = {"hypothesis_necessity": True} if tid == "T2.1" else {}
     memos = {n: getattr(_leaf_words(n), memo) for n in (3, 4)}
     for n, entries in memos.items():
-        entries.update(dict.fromkeys(range(1 << (1 << n))))
+        entries.update(stale_entries(n, memo))
     calls = []
     original = getattr(enumeration, fill)
     monkeypatch.setattr(enumeration, fill, lambda *args: calls.append(1) or original(*args))
-    reports = []
+    got = []
     for n in (3, 4, 3):
-        report = ucf.verify_theorem(tid, n, workers=1)
+        report = ucf.verify_theorem(tid, n, workers=1, **kwargs)
         assert memos[n] == {}
-        reports.append((report.families_checked, report.violations))
+        got.append((report.families_checked, len(report.violations)))
     assert memos[3] == memos[4] == {}
-    assert reports == [(count, ()) for count in checked]
+    assert got == list(checked)
     assert len(calls) == computed
     # and the runs equal fresh ones in a new interpreter
     script = (
         "import ucf\n"
         "for n in (3, 4, 3):\n"
-        f"    r = ucf.verify_theorem({tid!r}, n, workers=1)\n"
+        f"    r = ucf.verify_theorem({tid!r}, n, workers=1, **{kwargs!r})\n"
         "    print(r.families_checked, len(r.violations))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ucf.__file__).parents[1])}
@@ -743,7 +801,17 @@ def test_leaf_memos_live_for_one_walk(monkeypatch, tid, memo, fill, checked, com
     )
     assert run.returncode == 0, run.stderr
     fresh = [tuple(map(int, line.split())) for line in run.stdout.splitlines()]
-    assert fresh == [(count, 0) for count in checked]
+    assert fresh == list(checked)
+
+
+def test_enumerate_uc_leaves_the_memos_empty():
+    # a cover-size gate fills the cover memos as a check's walk does
+    words = _leaf_words(4)
+    memos = [words.descents, words.tails, words.covers, words.cover_sizes]
+    for memo, name in zip(memos, ("descents", "tails", "covers", "cover_sizes")):
+        memo.update(stale_entries(4, name))
+    assert ucf.enumerate_uc(4, EnumFilter(bsize=(0, 2))) == 4396
+    assert memos == [{}, {}, {}, {}]
 
 
 def bell_numbers(count):
@@ -797,6 +865,24 @@ def test_count_only_walks_build_no_family(monkeypatch):
     assert builds == 1  # the one-member leaf {[4]}, which T1.2 leaves unchecked
     builds = 0
     assert ucf.enumerate_uc(3, visitor=lambda fam: None) == builds == 90
+
+
+def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
+    # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4;
+    # only those get a `_Leaf`, with or without a cover-size gate after.
+    builds = 0
+    init = _Leaf.__init__
+
+    def counted(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_Leaf, "__init__", counted)
+    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4)) == builds == 2034
+    builds = 0
+    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
+    assert builds == 2034
 
 
 # ---------------------------------------------------------------------------
