@@ -21,9 +21,10 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseNotFull,
@@ -50,18 +51,26 @@ def word_from_elements(elements: Iterable[int]) -> SetWord:
     return word
 
 
+@functools.cache
+def _byte_masks(shift: int) -> tuple[tuple[int, ...], ...]:
+    """Per value v of the byte at bit `shift` of a word, the numbers shift + j
+    for the bits j of v, ascending: the one bit-walk table. Read at shift 8k
+    it gives bit positions, at 8k + 1 the 1-based elements of those bits."""
+    return tuple(tuple(shift + j for j in range(8) if v >> j & 1) for v in range(256))
+
+
 def word_elements(word: SetWord) -> tuple[int, ...]:
-    """1-based elements of a bitmask, ascending."""
-    if word < 0:
-        raise ValueError(f"a set word is non-negative, got {word}")
-    out = []
-    e = 1
+    """1-based elements of a bitmask, ascending: one table lookup per byte.
+    The word lies in [0, 2^WORD_CAPACITY), so at most 8 tables are read."""
+    if not 0 <= word >> WORD_CAPACITY == 0:
+        raise ValueError(f"a set word lies in [0, 2^{WORD_CAPACITY}), got {word:#x}")
+    out = ()
+    shift = 1
     while word:
-        if word & 1:
-            out.append(e)
-        word >>= 1
-        e += 1
-    return tuple(out)
+        out += _byte_masks(shift)[word & 255]
+        word >>= 8
+        shift += 8
+    return out
 
 
 def full_word(n: int) -> SetWord:
@@ -189,7 +198,7 @@ def format_family(fam: Family) -> str:
     """Render in the text format; round-trips through parse_family."""
     lines = [f"n={fam.n}"]
     for m in fam.members:
-        lines.append(" ".join(str(e) for e in word_elements(m)) if m else "{}")
+        lines.append(" ".join(map(str, word_elements(m))) if m else "{}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,18 +252,10 @@ def is_separating(fam: Family) -> bool:
     elements of [n] being split by some member.
 
     Elements of [n] lying in no member all share the empty signature, so two
-    such elements make the family non-separating.
+    such elements make the family non-separating. The signatures are the
+    columns of the transposed members, compared as strings.
     """
-    sigs = [0] * fam.n
-    for idx, m in enumerate(fam.members):
-        bit = 1 << idx
-        e = 0
-        while m:
-            if m & 1:
-                sigs[e] |= bit
-            m >>= 1
-            e += 1
-    return len(set(sigs)) == fam.n
+    return len(set(_columns(fam.members, fam.n))) == fam.n
 
 
 _SIZE_TESTS = {
@@ -310,18 +311,18 @@ def avg_size(fam: Family) -> Fraction:
     return Fraction(sum(m.bit_count() for m in fam.members), len(fam.members))
 
 
-def _member_counts(masks: Iterable[SetWord], n: int) -> list[int]:
+def _member_counts(masks: Sequence[SetWord], n: int) -> list[int]:
     """count[i-1] = number of masks containing element i, for i in [n]; masks
     may repeat."""
-    counts = [0] * n
-    for m in masks:
-        e = 0
-        while m:
-            if m & 1:
-                counts[e] += 1
-            m >>= 1
-            e += 1
-    return counts
+    return [column.count("1") for column in _columns(masks, n)]
+
+
+def _columns(words: Sequence[SetWord], width: int) -> list[str]:
+    """The words, each below 2^width, transposed: column e is a string of
+    "0"/"1" with one character per word, and int(column, 2) sets bit i when
+    word i holds element e + 1. With no words every column is ""."""
+    rows = (f"{{:0{width}b}}" * len(words)).format(*words)[::-1]
+    return [rows[e::width] for e in range(width)]
 
 
 def frequencies(fam: Family) -> tuple[int, ...]:

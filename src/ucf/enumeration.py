@@ -86,7 +86,7 @@ from typing import Callable
 
 from .bfamily import VIOLATION, _b_report, _classify_form, _four_cover_sizes_ok, _prop_suite
 from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
-from .core import Family, avg_size, frankl_witness, frequencies, is_separating
+from .core import Family, _byte_masks, avg_size, frankl_witness, frequencies, is_separating
 from .errors import InternalError, NTooLarge
 
 ENUMERATION_CAP = 5
@@ -98,6 +98,7 @@ _SPLIT_DEPTH = 4
 class EnumFilter:
     """Per-family constraints applied to enumerated families.
 
+    `separating` and `contains_empty` are None (no test), True or False;
     `height` and `bsize` (the minimum cover size |B| of the small slice)
     each accept an exact int or an inclusive (lo, hi) pair of ints. The
     gates run cheapest first: the empty set, height, separation, then the
@@ -112,6 +113,10 @@ class EnumFilter:
     contains_empty: bool | None = None
 
     def __post_init__(self) -> None:
+        for name in ("separating", "contains_empty"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, bool):
+                raise ValueError(f"{name} must be None, True or False, got {value!r}")
         for name in ("height", "bsize"):
             spec = getattr(self, name)
             if spec is None:
@@ -138,6 +143,9 @@ class EnumFilter:
         return True
 
 
+_NO_FILTER = EnumFilter()
+
+
 def _bounds(spec: int | tuple[int, int]) -> tuple[int, int]:
     """The inclusive (lo, hi) range an exact int or (lo, hi) spec stands for."""
     return (spec, spec) if isinstance(spec, int) else spec
@@ -146,13 +154,6 @@ def _bounds(spec: int | tuple[int, int]) -> tuple[int, int]:
 def _within(value: int, spec: int | tuple[int, int]) -> bool:
     lo, hi = _bounds(spec)
     return lo <= value <= hi
-
-
-@functools.cache
-def _byte_masks(shift: int) -> tuple[tuple[int, ...], ...]:
-    """Per value v of the byte at bit `shift` of a word, the masks shift + j
-    for the bits j of v, ascending; the same for every n."""
-    return tuple(tuple(shift + j for j in range(8) if v >> j & 1) for v in range(256))
 
 
 class _Words:
@@ -556,7 +557,7 @@ def _gate(filt: EnumFilter | None, words: _Words) -> Callable[[int, int], _Leaf 
     the member word. A `_Leaf` is built only for a leaf that passes them,
     and then its cover size is tested. A filter that tests nothing is the
     leaf constructor itself."""
-    if filt is None or filt == EnumFilter():
+    if filt is None or filt == _NO_FILTER:
         return functools.partial(_Leaf, words)
     empty, height = filt.contains_empty, filt.height
     separating, bsize = filt.separating, filt.bsize

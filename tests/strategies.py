@@ -61,3 +61,36 @@ def spanning_uc_families(draw, max_n=8):
         st.lists(st.integers(0, full), min_size=0, max_size=8, unique=True)
     )
     return union_closure(Family.from_masks(n, set(members) | {full}))
+
+
+@st.composite
+def nested_families(draw, max_n=64):
+    """Families at n up to max_n whose members are unions of a few drawn
+    words, so many pairs nest, while the family is rarely union-closed. Words
+    with the top bit set are drawn as often as the rest, and n = max_n as
+    often as any other n."""
+    n = draw(st.one_of(st.just(max_n), st.integers(1, max_n)))
+    full = (1 << n) - 1
+    word = st.one_of(st.integers(0, full), st.integers(1 << (n - 1), full))
+    words = draw(st.lists(word, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(1, (1 << len(words)) - 1), min_size=2, max_size=24))
+    members = {words[0]}
+    for pick in picks:
+        union = 0
+        for j, w in enumerate(words):
+            if pick >> j & 1:
+                union |= w
+        members.add(union)
+    return Family.from_masks(n, members)
+
+
+@st.composite
+def wide_spanning_uc_families(draw, max_n=64):
+    """Union-closed families with top [n] at n up to max_n: the closure of a
+    few drawn words, [n] and the co-singletons [n] - {e} of a few drawn
+    elements e, so Lemma 1.3 holds for some and fails for others."""
+    n = draw(st.one_of(st.just(max_n), st.integers(1, max_n)))
+    full = (1 << n) - 1
+    words = draw(st.lists(st.integers(0, full), max_size=5))
+    drop = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return union_closure(Family.from_masks(n, {*words, *(full ^ 1 << e for e in drop), full}))

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import ucf
 from ucf import Family
+from ucf.chains import _hasse, _lemma13_status
 from ucf.errors import (
     BaseNotFull,
     DegenerateHeight,
@@ -16,7 +17,14 @@ from ucf.errors import (
     TooSmall,
 )
 
-from strategies import families, family_of_word, separating_uc_families, spanning_uc_families
+from strategies import (
+    families,
+    family_of_word,
+    nested_families,
+    separating_uc_families,
+    spanning_uc_families,
+    wide_spanning_uc_families,
+)
 
 PAPER = Family.of(3, [(1, 2, 3), (1, 2), (1,), (2,), ()])
 
@@ -62,6 +70,61 @@ def downward_maximal_chains(fam):
         c for c in ends
         if not any(m not in c and all(comparable(m, x) for x in c) for m in ms)
     ]
+
+
+def reference_hasse(ms):
+    """_hasse's oracle: the pairwise scan.
+
+    Members ascend by value and a proper subset has a smaller value, so j
+    runs from i - 1 down to 0: a subset of ms[i] is a child unless it lies
+    under a child already found, and `under` holds exactly those indices.
+    """
+    down, kids, below = [], [], []  # below[i]: bitset of i and every index under it
+    for i, m in enumerate(ms):
+        under = 0
+        ks = []
+        d = 0
+        for j in range(i - 1, -1, -1):
+            if ms[j] | m == m and not under >> j & 1:
+                ks.append(j)
+                under |= below[j]
+                d = max(d, down[j])
+        down.append(d + 1)
+        kids.append(ks)
+        below.append(under | 1 << i)
+    return down, kids
+
+
+def reference_lemma13(fam):
+    """_lemma13_status's oracle, read off the Hasse scan alone: the least
+    child of [n] whose size is not n - 1, then the least child down."""
+    ms = fam.members
+    _, kids = reference_hasse(ms)
+    for cur in reversed(kids[-1]):
+        if ms[cur].bit_count() != fam.n - 1:
+            chain = [ms[-1], ms[cur]]
+            while kids[cur]:
+                cur = kids[cur][-1]
+                chain.append(ms[cur])
+            return False, tuple(chain)
+    return True, None
+
+
+@given(nested_families(max_n=64))
+@example(Family(64, ()))
+@example(Family(64, (1 << 63, 1 << 63 | 1, (1 << 64) - 1)))
+@settings(max_examples=300, deadline=None)
+def test_hasse_matches_pairwise_scan(fam):
+    assert _hasse(fam.members) == reference_hasse(fam.members)
+
+
+@given(wide_spanning_uc_families(max_n=64))
+@example(Family.of(4, [(1,), (1, 2, 3, 4)]))
+@example(Family.of(1, [(1,)]))
+@settings(max_examples=300, deadline=None)
+def test_lemma13_status_matches_hasse_reference(fam):
+    rep = _lemma13_status(fam)
+    assert (rep.ok, rep.offending_chain) == reference_lemma13(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +178,6 @@ def test_r_can_undershoot_height():
 
 
 def test_tie_breaks_match_brute_force_on_every_small_leaf():
-    from ucf.chains import _lemma13_status
     from ucf.enumeration import _dfs
 
     leaves = []
@@ -166,8 +228,6 @@ def test_lemma13_preconditions():
 
 def test_lemma13_internal_status_finds_offender():
     # not separating (2,3 collide), and the chain {1} < [4] skips size 3
-    from ucf.chains import _lemma13_status
-
     fam = Family.of(4, [(1,), (1, 2, 3, 4)])
     rep = _lemma13_status(fam)
     assert not rep.ok

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 import ucf
 from ucf import Family
@@ -24,6 +24,14 @@ def test_word_elements_rejects_negative_word():
     # -1 >> 1 == -1, so a bit walk over a negative word would never end.
     with pytest.raises(ValueError):
         ucf.word_elements(-1)
+
+
+@pytest.mark.parametrize("word", [1 << 64, 1 << 10**6], ids=["2^64", "2^(10^6)"])
+def test_word_elements_rejects_words_over_the_capacity(word):
+    # each byte of a wider word would cache one more bit-walk table
+    with pytest.raises(ValueError, match=r"^a set word lies in \[0, 2\^64\), got 0x1"):
+        ucf.word_elements(word)
+    assert ucf.word_elements((1 << 64) - 1) == tuple(range(1, 65))
 
 
 @pytest.mark.parametrize("element", [0, -1, 65, 10**10])
@@ -162,6 +170,41 @@ def test_uncovered_elements_share_a_signature():
 @given(families(max_n=10, max_members=12))
 def test_is_separating_matches_definition(fam):
     assert ucf.is_separating(fam) == separating_oracle(fam)
+
+
+FULL64 = (1 << 64) - 1
+
+
+@st.composite
+def tied_families_64(draw):
+    """Families at n = 64, words with bit 63 set among them, where each
+    drawn pair (a, b) copies element a into element b in every member, so
+    separation both holds and fails."""
+    members = draw(st.lists(st.integers(0, FULL64), max_size=12))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8)):
+        members = [m & ~(1 << b) | (m >> a & 1) << b for m in members]
+    return Family.from_masks(64, set(members))
+
+
+@given(tied_families_64())
+@example(Family(64, ()))
+@example(Family(64, (1 << 63, FULL64)))
+def test_column_kernels_match_bit_scans_at_n64(fam):
+    assert ucf.is_separating(fam) == separating_oracle(fam)
+    assert ucf.frequencies(fam) == tuple(
+        sum(m >> e & 1 for m in fam.members) for e in range(64)
+    )
+    for m in fam.members:
+        assert ucf.word_elements(m) == tuple(e + 1 for e in range(64) if m >> e & 1)
+
+
+def test_column_kernels_on_the_empty_family():
+    # every element has the empty signature, so only n = 1 separates
+    assert ucf.is_separating(Family(1, ()))
+    assert not ucf.is_separating(Family(2, ()))
+    assert not ucf.is_separating(Family(64, ()))
+    assert ucf.frequencies(Family(64, ())) == (0,) * 64
+    assert ucf.word_elements(0) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ def calls(monkeypatch):
         (core, "is_union_closed"),
         (core, "is_separating"),
         (chains, "chain_report"),
+        (chains, "_hasse"),
         (bfamily, "_min_covers"),
         (bfamily, "_prop_suite"),
     ]
@@ -114,8 +115,9 @@ def test_verifier_derives_each_leaf_fact_once(calls, tid, n, expected):
 def test_certificate_derives_each_fact_once(calls):
     assert ucf.astar_certificate(16)[1].ok
     # The certificate needs only the height, which chains.height gives
-    # without chain_report's witness chain and minimum-maximal-chain pass.
-    assert (calls["is_union_closed"], calls["chain_report"]) == (1, 0)
+    # without chain_report's witness chain and minimum-maximal-chain pass;
+    # Lemma 1.3 passes on a word test, so the height's is the one Hasse scan.
+    assert (calls["is_union_closed"], calls["chain_report"], calls["_hasse"]) == (1, 0, 1)
 
 
 def test_analyze_derives_each_fact_once(calls, capsys, tmp_path):
@@ -123,4 +125,4 @@ def test_analyze_derives_each_fact_once(calls, capsys, tmp_path):
     path.write_text(ucf.format_family(ucf.build_astarstar(40, verify=False)))
     assert cli.main(["analyze", str(path)]) == 0
     assert '"propositions"' in capsys.readouterr().out
-    assert (calls["is_union_closed"], calls["chain_report"]) == (1, 1)
+    assert (calls["is_union_closed"], calls["chain_report"], calls["_hasse"]) == (1, 1, 1)

@@ -253,6 +253,14 @@ def test_malformed_filter_specs_are_rejected(name, spec):
         EnumFilter(**{name: spec})
 
 
+@pytest.mark.parametrize("name, value", [("separating", "no"), ("contains_empty", 2)])
+def test_non_bool_flags_are_rejected(name, value):
+    # a non-bool compares unequal to every leaf's flag, so it would reject every family
+    message = rf"^{name} must be None, True or False, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        EnumFilter(**{name: value})
+
+
 def test_enumerate_caps():
     with pytest.raises(NTooLarge):
         ucf.enumerate_uc(6)

@@ -4,9 +4,11 @@ The first nine digests were recorded before the duplicate code paths in
 enumeration, bfamily, chains, constructions and cli were merged, the
 `analyze` ones after them before `ucf analyze` derived each fact once, the
 off-grid `bounds` ones before the minimizers scanned y's endpoints only, the
-n=4 `--canonical` ones before `canonical_form` read cached lane words; any
-refactor must keep every report byte-identical. A digest changes only with a deliberate
-change to a report, which must then be recorded in CHANGES.md.
+n=4 `--canonical` ones before `canonical_form` read cached lane words, the
+n=64 astarstar ones before the Hasse scan and the column counts read
+transposed member words; any refactor must keep every report
+byte-identical. A digest changes only with a deliberate change to a report,
+which must then be recorded in CHANGES.md.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ ANALYZE_FILES = {
     "full.family": "n=4\n1 2 3 4\n",  # the single member [n]
     "astar8.family": format_family(build_astar(8)),  # height 4, A-C applicable
     "astarstar40.family": format_family(build_astarstar(40)),  # 212 members, height 5
+    "astarstar64.family": format_family(build_astarstar(64)),  # 530 members, bit 63 in use
 }
 
 GOLDEN = {
@@ -69,6 +72,11 @@ GOLDEN = {
         "f9d10f19b884de33116256ddf0a88a9f636ddc954baf4d47661ece20759c69f9",
     ("analyze", "astarstar40.family"):
         "7048400bf184f0b33bc217b1070668b4091f5b312fb13dfdedc322f9a7fa0e2f",
+    # the word-capacity edge, recorded before the column kernels
+    ("construct", "astarstar", "--n", "64"):
+        "0bd7acc88506a176d8f6850a05aebb850698e0e7910ebb95ab294dea72d276ae",
+    ("analyze", "astarstar64.family"):
+        "45cc9340077302c90e557ea6ac5a1c809e5e4b97775aa6bd41f22d5cd1ebc307",
     # the f vertex 7/2 is off the grid and the ticks 10/3, 11/3 tie on value
     ("bounds", "--n", "9", "--grid", "1/3"):
         "afaa93cbb201d276a9026fbcd663455b35e064249b549326f23dc8cfd5814971",
