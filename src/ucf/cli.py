@@ -30,10 +30,10 @@ from .constructions import (
 from .core import (
     WORD_CAPACITY,
     Family,
+    _frankl_witness,
     avg_size,
     base_set,
     format_family,
-    frankl_witness,
     frequencies,
     is_separating,
     is_union_closed,
@@ -126,9 +126,10 @@ def _cmd_analyze(args) -> int:
         results["avg"] = _frac(avg_size(fam))
     except UcfError as exc:
         results["avg"] = _inapplicable(exc)
-    results["frequencies"] = list(frequencies(fam))
+    counts = frequencies(fam)
+    results["frequencies"] = list(counts)
     try:
-        wit = frankl_witness(fam)
+        wit = _frankl_witness(counts, len(fam))
         results["frankl"] = {
             "element": wit.element,
             "count": wit.count,

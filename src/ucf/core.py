@@ -177,21 +177,21 @@ def parse_family(text: str) -> Family:
                 elems = [int(tok) for tok in line.split()]
             except ValueError:
                 raise ParseError(lineno, f"bad element in {line!r}") from None
-            prev = 0
+            word = prev = 0
             for e in elems:
                 if not 1 <= e <= n:
                     raise ParseError(lineno, f"element {e} outside [1, {n}]")
                 if e <= prev:
                     raise ParseError(lineno, "elements must be strictly ascending")
                 prev = e
-            word = word_from_elements(elems)
+                word |= 1 << (e - 1)
         if word in seen:
             raise ParseError(lineno, f"duplicate set {line!r}")
         seen.add(word)
         masks.append(word)
     if n is None:
         raise ParseError(1, "missing 'n=<integer>' header")
-    return Family.from_masks(n, masks)
+    return Family(n, tuple(sorted(masks)))  # distinct: `seen` rejected repeats
 
 
 def format_family(fam: Family) -> str:
@@ -342,11 +342,16 @@ class FranklWitness:
 
 def frankl_witness(fam: Family) -> FranklWitness:
     """Most frequent element (smallest index on ties) vs |family|/2."""
-    if not fam.members:
+    return _frankl_witness(frequencies(fam), len(fam.members))
+
+
+def _frankl_witness(counts: Sequence[int], size: int) -> FranklWitness:
+    """`frankl_witness` of a family of `size` members whose elements have
+    these frequencies, for a caller that has them already."""
+    if not size:
         raise EmptyFamily("frankl_witness of empty family")
-    counts = frequencies(fam)
     best = counts.index(max(counts))
-    threshold = Fraction(len(fam.members), 2)
+    threshold = Fraction(size, 2)
     return FranklWitness(best + 1, counts[best], threshold, counts[best] >= threshold)
 
 

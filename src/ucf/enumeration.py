@@ -11,10 +11,12 @@ already-excluded union is dead and is pruned. Every leaf of this DFS is
 therefore union-closed, visited exactly once, in a deterministic order
 (include tried before exclude at each candidate).
 
-The DFS state is the height h and three kinds of word of 2^n bits, bit m
-standing for mask m (32 bits at n = 5): `have`, the members; `legal`, the
-masks t with t | x a member for every member x; and `under[k]`, the masks
-inside some member whose longest chain up to [n] has at least k + 1 sets.
+The DFS state is the height h, three kinds of word of 2^n bits, bit m
+standing for mask m (32 bits at n = 5), and one word of pairs. The words of
+masks are `have`, the members; `legal`, the masks t with t | x a member for
+every member x; and `under[k]`, the masks inside some member whose longest
+chain up to [n] has at least k + 1 sets. `split` has C(n, 2) bits, one per
+pair of elements, set where some member holds exactly one of the pair.
 A candidate s lies below every member, so a member holding s holds it
 properly: s's chain length is 2 + the largest k with s in `under[k]`, and
 s is within a height cap c exactly when it is outside `under[c - 1]`. So
@@ -22,23 +24,26 @@ the next candidate is the highest bit of `legal & ~under[c - 1]` below the
 last one, and the walk never tries a dead or over-cap set. Adding s sets
 one bit of `have`, raises one level word (s already lies inside a member
 whose chain is one set shorter than its own, so every lower level holds
-s's subsets) and narrows `legal` to the t with t | s a member. The update
-is exact: every older member x exceeds s, so s | x is never s, and older
-chains and unions are unchanged. Words only shrink (`legal`) or grow
-(`under`) on the way down, so a candidate dead at one node is dead below
-it; `have`, `legal` and h are call arguments, so a pop restores only the
-one level word it raised. Excluding a candidate is a loop step, not a
-call, so the recursion is at most |F| deep.
+s's subsets), narrows `legal` to the t with t | s a member and ors the
+pairs s splits into `split`. The update is exact: every older member x
+exceeds s, so s | x is never s, and older chains and unions are unchanged.
+Words only shrink (`legal`) or grow (`under`, `split`) on the way down, so
+a candidate dead at one node is dead below it; `have`, `legal`, `split`
+and h are call arguments, so a pop restores only the one level word it
+raised. Excluding a candidate is a loop step, not a call, so the recursion
+is at most |F| deep.
 
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
 every check. A walk reads its filter once into one gate (`_gate`) on each
-leaf's height and member word `have`: the empty set's bit, the height range
-and separation are word tests, and only a leaf that passes them becomes a
-`_Leaf`, a value that outlives the walk, before the cover-size test. The
-gate and every conclusion read the leaf's facts as a few exact int
-operations on `have` and the per-n words of `_leaf_words`: separation,
+leaf's height and words: the empty set's bit and the height range are tests
+of h and `have`, and separation, every pair split by some member, is the
+one compare `split == every`. A leaf that passes them becomes a `_Leaf`, a
+value that outlives the walk, only where something reads it: the cover-size
+test or a visitor, so a count-only walk with no cover-size test builds
+none. The cover-size test and every conclusion read the leaf's facts as a
+few exact int operations on `have` and the per-n words of `_leaf_words`:
 frequencies, |F|, the empty set, |B| up to 3, the least minimum cover,
 Lemma 1.3, the size-bound levels, T1.2's witness chain, r and witness
 element, and the PROPS letters. Four of them read a smaller word than the
@@ -103,8 +108,8 @@ class EnumFilter:
     each accept an exact int or an inclusive (lo, hi) pair of ints. The
     gates run cheapest first: the empty set, height, separation, then the
     cover search. `matches` tests a `Family`; a walk reads the filter once
-    into `_gate`, the same tests on a leaf's height and member word, and
-    the tests hold that to `matches` on every leaf.
+    into `_gate`, the same tests on a leaf's height and words, and the
+    tests hold that to `matches` on every leaf.
     """
 
     separating: bool | None = None
@@ -143,9 +148,6 @@ class EnumFilter:
         return True
 
 
-_NO_FILTER = EnumFilter()
-
-
 def _bounds(spec: int | tuple[int, int]) -> tuple[int, int]:
     """The inclusive (lo, hi) range an exact int or (lo, hi) spec stands for."""
     return (spec, spec) if isinstance(spec, int) else spec
@@ -159,18 +161,19 @@ def _within(value: int, spec: int | tuple[int, int]) -> bool:
 class _Words:
     """The per-n tables of the walk and the leaf facts, as words of 2^n
     bits, bit m standing for mask m. Per mask m < 2^n: `below[m]`, its
-    subsets; `above[m]`, its supersets; and `lifts[m]`, one (word of the
-    masks holding i, 2^i) pair per element i of m. Besides: `holding[i]`,
-    the masks holding element i; `pairs`, one word holding[i] ^ holding[j]
-    per pair i < j, the masks that split i from j; `small`, the masks m with
-    2|m| < n; `coatoms`, one (bit, `below` word) pair per mask of n - 1
-    elements; `octets`, one (`_byte_masks` table, shift) pair per byte of a
-    word, for `masks`; and the memos of the leaf facts that read a smaller
-    word than the leaf's: `descents` of `_descent` and `tails` of
-    `size_levels`, each under a member word, and `cover_sizes` of
-    `_cover_size`, under a (slice word, most) pair, and `covers` of
-    `_least_cover`, under a slice word. `_walk` empties them before and
-    after each walk."""
+    subsets; `above[m]`, its supersets; `lifts[m]`, one (word of the masks
+    holding i, 2^i) pair per element i of m; and `splits[m]`, a word of
+    C(n, 2) bits, bit q set where m holds exactly one element of pair q
+    (pairs in `itertools.combinations` order). Besides: `holding[i]`, the
+    masks holding element i; `every`, the word of all pairs, the `split` of
+    a separating family; `small`, the masks m with 2|m| < n; `coatoms`, one
+    (bit, `below` word) pair per mask of n - 1 elements; `octets`, one
+    (`_byte_masks` table, shift) pair per byte of a word, for `masks`; and
+    the memos of the leaf facts that read a smaller word than the leaf's:
+    `descents` of `_descent` and `tails` of `size_levels`, each under a
+    member word, and `cover_sizes` of `_cover_size`, under a (slice word,
+    most) pair, and `covers` of `_least_cover`, under a slice word. `_walk`
+    empties them before and after each walk."""
 
     def __init__(self, n: int) -> None:
         size = 1 << n
@@ -182,7 +185,11 @@ class _Words:
         self.lifts = tuple(
             tuple((self.holding[i], 1 << i) for i in range(n) if m >> i & 1) for m in range(size)
         )
-        self.pairs = tuple(a ^ b for a, b in itertools.combinations(self.holding, 2))
+        pairs = tuple(itertools.combinations(range(n), 2))
+        self.splits = tuple(
+            sum(1 << q for q, (i, j) in enumerate(pairs) if (m >> i ^ m >> j) & 1) for m in range(size)
+        )
+        self.every = (1 << len(pairs)) - 1
         self.small = sum(1 << m for m in range(size) if 2 * m.bit_count() < n)
         self.coatoms = tuple((1 << c, self.below[c]) for c in (full ^ (1 << i) for i in range(n)))
         self.octets = tuple((_byte_masks(shift), shift) for shift in range(0, size, 8))
@@ -478,13 +485,14 @@ def _private_parts(cover: tuple[int, ...]) -> list[int]:
 
 def _dfs(
     n: int,
-    emit: Callable[[int, int], None],
+    emit: Callable[[int, int, int], None],
     h_cap: int | None,
     prefix: int = 0,
     start: int | None = None,
     stop: int = -1,
 ) -> None:
-    """Run the generator, calling emit(height, member word) at each leaf.
+    """Run the generator, calling emit(height, member word, split word) at
+    each leaf.
 
     The walk decides the candidates from `start` (default [n] - 1) down to
     `stop` + 1, each by recursing with it included and then stepping on
@@ -494,10 +502,10 @@ def _dfs(
     `prefix` is the word of the members below [n] taken by an earlier walk
     that stopped at `start`; they are legal and within the height cap by
     construction, and are added first, in descending order, by the same
-    `push`.
+    `push`, their split words or'd into that of [n], which is 0.
     """
     words = _leaf_words(n)
-    below, above, lifts = words.below, words.above, words.lifts
+    below, above, lifts, splits = words.below, words.above, words.lifts, words.splits
     full = (1 << n) - 1
     # no chain over [n] is longer than n + 1, and under a cap below 2 only [n] fits
     top = (n + 1 if h_cap is None else max(1, min(h_cap, n + 1))) - 1
@@ -519,23 +527,24 @@ def _dfs(
         under[k] = old | below[s]
         return k, old, legal & p
 
-    def rec(window: int, h: int, legal: int, have: int) -> None:
+    def rec(window: int, h: int, legal: int, have: int, split: int) -> None:
         cand = legal & ~under[top] & window
         while cand > low:
             s = cand.bit_length() - 1
             bit = 1 << s
             cand ^= bit
             k, old, narrowed = push(s, legal, have | bit)
-            rec(bit - 1, h if h > k else k + 1, narrowed, have | bit)
+            rec(bit - 1, h if h > k else k + 1, narrowed, have | bit, split | splits[s])
             under[k] = old
-        emit(h, have)
+        emit(h, have, split)
 
-    h, legal, have = 1, below[full], 1 << full
+    h, legal, have, split = 1, below[full], 1 << full, splits[full]
     for s in reversed(words.masks(prefix)):
         have |= 1 << s
+        split |= splits[s]
         k, _, legal = push(s, legal, have)
         h = max(h, k + 1)
-    rec((1 << (full if start is None else start + 1)) - 1, h, legal, have)
+    rec((1 << (full if start is None else start + 1)) - 1, h, legal, have, split)
 
 
 def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:
@@ -545,68 +554,80 @@ def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:
     split = max(-1, (1 << n) - 2 - _SPLIT_DEPTH)
     full_bit = 1 << (1 << n) - 1
     prefixes: list[int] = []
-    _dfs(n, lambda h, have: prefixes.append(have ^ full_bit), h_cap, stop=split)
+    _dfs(n, lambda h, have, _: prefixes.append(have ^ full_bit), h_cap, stop=split)
     return split, prefixes
 
 
-def _gate(filt: EnumFilter | None, words: _Words) -> Callable[[int, int], _Leaf | None]:
-    """The filter read once for a walk: a test of a leaf's member word and
-    height that gives the leaf, or None where `filt.matches` would reject
-    it. The word tests run first, in `matches`'s order: the empty set's bit,
-    the height range, and separation, which holds when every pair word meets
-    the member word. A `_Leaf` is built only for a leaf that passes them,
-    and then its cover size is tested. A filter that tests nothing is the
-    leaf constructor itself."""
-    if filt is None or filt == _NO_FILTER:
-        return functools.partial(_Leaf, words)
+def _gate(
+    filt: EnumFilter | None, words: _Words
+) -> tuple[Callable[[int, int, int], bool] | None, Callable[[_Leaf], bool] | None]:
+    """The filter read once for a walk, as two tests that pass a leaf
+    exactly where `filt.matches` would: `admit`, a pure word test of its
+    height, member word and split word, and `sized`, the cover-size test of
+    its `_Leaf`. Either is None where the filter tests nothing of its kind.
+    `admit` runs `matches`'s word tests in its order: the empty set's bit,
+    the height range, and separation, which holds when the split word is
+    `every`."""
+    if filt is None:
+        return None, None
     empty, height = filt.contains_empty, filt.height
     separating, bsize = filt.separating, filt.bsize
     lo, hi = _bounds(height) if height is not None else (0, 0)
-    low, most = _bounds(bsize) if bsize is not None else (0, 0)
-    pairs = words.pairs
+    every = words.every
+    admit = sized = None
 
-    def admit(have: int, h: int) -> _Leaf | None:
-        if empty is not None and (have & 1) != empty:
-            return None
-        if height is not None and not lo <= h <= hi:
-            return None
-        if separating is not None and all(map(have.__and__, pairs)) != separating:
-            return None
-        leaf = _Leaf(words, have, h)
-        if bsize is not None and not low <= leaf.cover_size(most) <= most:
-            return None
-        return leaf
+    if (empty, height, separating) != (None, None, None):
+        def admit(h: int, have: int, split: int) -> bool:
+            if empty is not None and (have & 1) != empty:
+                return False
+            if height is not None and not lo <= h <= hi:
+                return False
+            return separating is None or (split == every) == separating
 
-    return admit
+    if bsize is not None:
+        low, most = _bounds(bsize)
+
+        def sized(leaf: _Leaf) -> bool:
+            return low <= leaf.cover_size(most) <= most
+
+    return admit, sized
 
 
 def _walk(
     n: int,
     filt: EnumFilter | None,
-    visit: Callable[[_Leaf], None],
+    visit: Callable[[_Leaf], None] | None,
     prefix: int = 0,
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, int]:
     """Run the DFS (arguments as in _dfs) under the filter's height cap and
     call visit(leaf) on each leaf that passes the filter's `_gate`; returns
-    how many leaves it visited and how many passed. `progress` gets the
-    visited count every 100,000 leaves. The leaf memos of `_leaf_words(n)`
-    start and end the walk empty, so no walk reads another's entries."""
+    how many leaves it visited and how many passed. A leaf becomes a `_Leaf`
+    only for the gate's cover-size test or for `visit`, so with neither the
+    walk builds none. `progress` gets the visited count every 100,000
+    leaves. The leaf memos of `_leaf_words(n)` start and end the walk empty,
+    so no walk reads another's entries."""
     rng = filt.height_range() if filt else None
     words = _leaf_words(n)
-    admit = _gate(filt, words)
+    admit, sized = _gate(filt, words)
+    build = visit is not None or sized is not None
     visited = passed = 0
 
-    def emit(h: int, have: int) -> None:
+    def emit(h: int, have: int, split: int) -> None:
         nonlocal visited, passed
         visited += 1
         if progress is not None and visited % 100000 == 0:
             progress(visited)
-        leaf = admit(have, h)
-        if leaf is not None:
-            passed += 1
-            visit(leaf)
+        if admit is not None and not admit(h, have, split):
+            return
+        if build:
+            leaf = _Leaf(words, have, h)
+            if sized is not None and not sized(leaf):
+                return
+            if visit is not None:
+                visit(leaf)
+        passed += 1
 
     words.forget()
     try:
@@ -627,7 +648,7 @@ def enumerate_uc(
     gets the visited count every 100,000 families."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
-    visit = (lambda leaf: visitor(leaf.fam)) if visitor else (lambda leaf: None)
+    visit = (lambda leaf: visitor(leaf.fam)) if visitor else None
     return _walk(n, filt, visit, progress=progress)[1]
 
 

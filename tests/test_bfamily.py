@@ -261,7 +261,7 @@ def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
     # family at n = 4 has two, so the sample is drawn at n = 5.
     sample = []
 
-    def visit(h, have):
+    def visit(h, have, split):
         fam = family_of_word(5, have)
         if h == 4 and ucf.is_separating(fam) and len(ucf.minimum_covers(fam)) > 1:
             sample.append(fam)

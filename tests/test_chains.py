@@ -182,7 +182,7 @@ def test_tie_breaks_match_brute_force_on_every_small_leaf():
 
     leaves = []
     for n in range(1, 5):
-        _dfs(n, lambda h, have, n=n: leaves.append(family_of_word(n, have)), None)
+        _dfs(n, lambda h, have, split, n=n: leaves.append(family_of_word(n, have)), None)
     assert len(leaves) == 4642
     failing = 0
     for fam in leaves:

@@ -380,6 +380,33 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 2\n", "line 1: expected header 'n=<integer>'"),
+        ("# only\n\n", "line 1: missing 'n=<integer>' header"),
+        ("", "line 1: missing 'n=<integer>' header"),
+        ("n=x\n", "line 1: bad ground size 'x'"),
+        ("n=0\n", "line 1: ground size must be in [1, 64]"),
+        ("n=3\n2 1\n", "line 2: elements must be strictly ascending"),
+        ("n=3\n1 1\n", "line 2: elements must be strictly ascending"),
+        ("n=3\n4\n", "line 2: element 4 outside [1, 3]"),
+        ("n=3\n0 1\n", "line 2: element 0 outside [1, 3]"),
+        ("n=3\n1 2\n1 2\n", "line 3: duplicate set '1 2'"),
+        ("n=3\n{}\n# c\n{}\n", "line 4: duplicate set '{}'"),
+        ("n=3\nx\n", "line 2: bad element in 'x'"),
+        # every token is read before any range or order test, and each
+        # element is tested for range before order
+        ("n=3\n5 x\n", "line 2: bad element in '5 x'"),
+        ("n=3\n2 1 7\n", "line 2: elements must be strictly ascending"),
+        ("n=3\n2 7 1\n", "line 2: element 7 outside [1, 3]"),
+    ],
+)
+def test_parse_errors_name_the_fault(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        ucf.parse_family(text)
+
+
 def test_family_canonical_order_is_integer_order():
     fam = Family.of(3, [(3,), (1,), (1, 2)])
     assert fam.member_sets() == ((1,), (1, 2), (3,))

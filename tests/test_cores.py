@@ -34,7 +34,7 @@ PUBLIC_DIGEST_N4 = "bcbcedd9486b636c60706457329175765c339e3cf96721ec094f0ae352b3
 
 def test_cores_match_public_functions_on_every_n4_family():
     leaves = []
-    _dfs(4, lambda h, have: leaves.append((family_of_word(4, have), h)), None)
+    _dfs(4, lambda h, have, split: leaves.append((family_of_word(4, have), h)), None)
     assert len(leaves) == 4542
     inapplicable = dict.fromkeys(PROP_KEYS, PropResult(False, None))
     digest = hashlib.sha256()

@@ -1,7 +1,9 @@
 """Enumerator against the naive power-set oracle; verification harness runs."""
 
+import functools
 import itertools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -171,9 +173,10 @@ def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
 
 
 def walk_leaves(walk, n, h_cap, **kwargs):
-    """Every (height, member word) leaf of one walk, in order."""
+    """Every (height, member word) leaf of one walk, in order; the split
+    word _dfs emits after them is left out, as `reference_dfs` has none."""
     out = []
-    walk(n, lambda h, have: out.append((h, have)), h_cap, **kwargs)
+    walk(n, lambda h, have, split=None: out.append((h, have)), h_cap, **kwargs)
     return out
 
 
@@ -201,7 +204,7 @@ def leaf_hashes(walk, n, h_cap):
     """One 64-bit hash per leaf of one walk, in order (int tuples hash the
     same in every process)."""
     out = array("q")
-    walk(n, lambda h, have: out.append(hash((h, have))), h_cap)
+    walk(n, lambda h, have, split=None: out.append(hash((h, have))), h_cap)
     return out
 
 
@@ -215,12 +218,17 @@ def test_dfs_matches_reference_walk_n5(h_cap, leaves):
 
 @pytest.mark.parametrize("n, h_cap", [(4, None), (4, 3), (4, 4), (5, 3)])
 def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
+    # each (height, member word, split word) leaf, the split word of a
+    # subtree seeded from its prefix's members
+    def leaves(**kwargs):
+        out = []
+        _dfs(n, lambda *leaf: out.append(leaf), h_cap, **kwargs)
+        return out
+
     split, prefixes = _split(n, h_cap)
     assert len(prefixes) > 1 and len(set(prefixes)) == len(prefixes)
-    subtrees = [
-        leaf for prefix in prefixes for leaf in walk_leaves(_dfs, n, h_cap, prefix=prefix, start=split)
-    ]
-    assert subtrees == walk_leaves(_dfs, n, h_cap)
+    subtrees = [leaf for prefix in prefixes for leaf in leaves(prefix=prefix, start=split)]
+    assert subtrees == leaves()
 
 
 def test_empty_filter_ranges_are_rejected():
@@ -508,13 +516,19 @@ def family_facts(fam, h, gates):
     )
 
 
-def word_facts(leaf, admits):
+def passes(gate, leaf, split):
+    """Whether a leaf with this split word passes a `_gate`'s two tests."""
+    admit, sized = gate
+    return (admit is None or admit(leaf.h, leaf.have, split)) and (sized is None or sized(leaf))
+
+
+def word_facts(leaf, split, gates):
     try:
         levels = leaf.size_levels()
     except InternalError:
         levels = None
     chain, r = leaf.chain_facts()
-    separating = _gate(enumeration._SEP, leaf.words)(leaf.have, leaf.h) is not None
+    separating = split == leaf.words.every
     return (
         (leaf.h, chain, r),
         leaf.thm12_pick(chain) if leaf.have.bit_count() > 1 else None,
@@ -526,7 +540,7 @@ def word_facts(leaf, admits):
         tuple(min(leaf.cover_size(most), most + 1) for most in range(5)),
         leaf.lemma13_holds(),
         levels,
-        tuple(admit(leaf.have, leaf.h) is not None for admit in admits),
+        tuple(passes(gate, leaf, split) for gate in gates),
         leaf.min_cover(),
         enumeration._CHECKS["T1.2"].holds(leaf) if leaf.have.bit_count() > 1 else None,
         enumeration._CHECKS["L2.1.1"].holds(leaf),
@@ -538,22 +552,25 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
     """Walk under the cap and compare every leaf's word facts with the
     oracle's, cached per family in `oracle` (a family's facts do not depend
     on the cap it is reached under); returns the number of leaves and how
-    many of them got a PROPS verdict. The leaf memos, which the facts fill
-    as a walk's do, end empty as after a walk."""
+    many of them got a PROPS verdict. The split word the walk carries is
+    the or of its members' `splits` words, and separation is that word
+    being `every`. The leaf memos, which the facts fill as a walk's do, end
+    empty as after a walk."""
     words = _leaf_words(n)
-    admits = [_gate(g, words) for g in gates]
+    word_gates = [_gate(g, words) for g in gates]
     count = verdicts = 0
 
-    def emit(h, have):
+    def emit(h, have, split):
         nonlocal count, verdicts
         count += 1
         leaf = _Leaf(words, have, h)
         fam = leaf.fam
         assert fam == family_of_word(n, have)
+        assert split == functools.reduce(operator.or_, map(words.splits.__getitem__, fam.members))
         want = oracle.get(fam)
         if want is None:
             want = oracle[fam] = family_facts(fam, h, gates)
-        assert word_facts(leaf, admits) == want, (fam.member_sets(), h)
+        assert word_facts(leaf, split, word_gates) == want, (fam.member_sets(), h)
         verdicts += want[-1] is not None
 
     try:
@@ -847,7 +864,7 @@ def test_height_at_most_2_counts_are_bell_numbers():
     counts = []
     for n in range(1, 7):
         leaves = []
-        _dfs(n, lambda h, have: leaves.append(h), 2)
+        _dfs(n, lambda h, have, split: leaves.append(h), 2)
         counts.append(len(leaves))
     assert counts == [bell[n + 1] for n in range(1, 7)] == [2, 5, 15, 52, 203, 877]
 
@@ -876,8 +893,9 @@ def test_count_only_walks_build_no_family(monkeypatch):
 
 
 def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
-    # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4;
-    # only those get a `_Leaf`, with or without a cover-size gate after.
+    # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4.
+    # A count-only walk builds no `_Leaf`; a cover-size gate builds one for
+    # each leaf past the word tests, and a visitor one per passing leaf.
     builds = 0
     init = _Leaf.__init__
 
@@ -887,9 +905,16 @@ def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(_Leaf, "__init__", counted)
-    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4)) == builds == 2034
-    builds = 0
+    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4)) == 2034
+    assert builds == 0
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
+    assert builds == 2034
+    builds = 0
+    visited = []
+    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4), visited.append) == 2034
+    assert builds == len(visited) == 2034
+    builds = 0
+    assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2)), visited.append) == 1961
     assert builds == 2034
 
 
