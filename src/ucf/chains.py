@@ -7,15 +7,18 @@ chain are therefore cover pairs of the family's inclusion order (anything
 strictly between two consecutive elements would be comparable to the whole
 chain). r denotes the minimum size of a maximal chain.
 
-Every chain result here reads one cover-relation (Hasse) scan, `_hasse`,
-which gives each member's children and the longest chain it tops. The scan
-transposes the members once into one column word per element and reads
-each member's subsets as an AND of columns, so it costs O(|F| n) big-int
-operations, not a subset test per pair. The height is the largest of those
-chains; r comes from a shortest-path DP over the cover edges, from the
-maximal members down. Lemma 1.3 holds or fails by one word test per member
-on the co-singletons [n] - {e} in the family; only a failing family is
-scanned, for the children of [n] on its offending chain.
+Every chain result here reads one cover-relation (Hasse) scan,
+`core._hasse`, which gives each member's children and the longest chain it
+tops; a caller that holds the scan (`ucf analyze`, the construction
+certificates) hands the same one to the union test and to the cores
+`_chain_report` and `_lemma13_status`. The scan transposes the members
+once into one column word per element and reads each member's subsets as
+an AND of columns, so it costs O(|F| n) big-int operations, not a subset
+test per pair. The height is the largest of those chains; r comes from a
+shortest-path DP over the cover edges, from the maximal members down.
+Lemma 1.3 holds or fails by one word test per member on the co-singletons
+[n] - {e} in the family; only a failing family reads the scan, for the
+children of [n] on its offending chain.
 
 Chains are reported top-down (strictly decreasing by inclusion) and are
 deterministic. The witness chain is the maximum chain whose top-down mask
@@ -32,7 +35,8 @@ from fractions import Fraction
 from .core import (
     Family,
     SetWord,
-    _columns,
+    _Scan,
+    _hasse,
     _member_counts,
     full_word,
     require_base_full,
@@ -54,49 +58,15 @@ class ChainReport:
     r_witness: tuple[SetWord, ...]
 
 
-def _hasse(ms: tuple[SetWord, ...]) -> tuple[list[int], list[list[int]]]:
-    """down[i]: longest chain topped by member i; kids[i]: the indices it
-    covers, descending.
-
-    The members, ascending, are transposed once into one column word per
-    element, bit i set when member i lacks it. A subset of ms[i] lacks every
-    element ms[i] lacks and, being no larger, has an index up to i, so the
-    AND of those columns with the indices 0..i is `below[i]`: i and every
-    index under it. Its highest other index is a child, since a proper
-    superset has a larger value; dropping that child's `below` and taking
-    the highest index left again peels the children in descending order.
-    """
-    if not ms:
-        return [], []
-    width = ms[-1].bit_length() or 1
-    full = (1 << width) - 1
-    lacks = [int(column, 2) for column in _columns([full ^ m for m in ms], width)]
-    down: list[int] = []
-    kids: list[list[int]] = []
-    below: list[int] = []
-    for i, m in enumerate(ms):
-        under = (2 << i) - 1
-        for e in word_elements(full ^ m):
-            under &= lacks[e - 1]
-        below.append(under)
-        under ^= 1 << i
-        ks = []
-        d = 0
-        while under:
-            j = under.bit_length() - 1
-            ks.append(j)
-            under &= ~below[j]
-            if down[j] > d:
-                d = down[j]
-        down.append(d + 1)
-        kids.append(ks)
-    return down, kids
-
-
 def chain_report(fam: Family) -> ChainReport:
     require_nonempty(fam)
+    return _chain_report(fam, _hasse(fam.members))
+
+
+def _chain_report(fam: Family, scan: _Scan) -> ChainReport:
+    """chain_report for a nonempty family and its scan `_hasse(fam.members)`."""
     ms = fam.members
-    down, kids = _hasse(ms)
+    down, kids = scan
     h = max(down)
 
     # The least member of height h, then at each level the least child one
@@ -160,15 +130,16 @@ def lemma13_check(fam: Family) -> Lemma13Report:
     return _lemma13_status(fam)
 
 
-def _lemma13_status(fam: Family) -> Lemma13Report:
-    """lemma13_check for a family whose last member is [n].
+def _lemma13_status(fam: Family, scan: _Scan | None = None) -> Lemma13Report:
+    """lemma13_check for a family whose last member is [n], with its scan
+    `_hasse(fam.members)` if the caller holds it.
 
     Every child of [n] has size n-1 exactly when every other member misses
     an element of `co`, the elements e whose co-singleton [n] - {e} is a
     member: every other member lies under a child of [n], so if those are
     co-singletons it misses one's e; and a child that misses some e in `co`
     lies under [n] - {e}, so it is that co-singleton. The pass is thus one
-    word test per member, and only a failing family pays for the Hasse
+    word test per member, and only a failing family reads the Hasse
     scan. Its offending chain starts at the least bad child of [n] and
     descends by least child.
     """
@@ -182,7 +153,7 @@ def _lemma13_status(fam: Family) -> Lemma13Report:
             co |= full ^ m
     if all(m & co != co for m in ms[:-1]):
         return Lemma13Report(True, None)
-    _, kids = _hasse(ms)
+    _, kids = _hasse(ms) if scan is None else scan
     for cur in reversed(kids[-1]):
         if ms[cur].bit_count() != n - 1:
             chain = [ms[-1], ms[cur]]

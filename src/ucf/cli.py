@@ -18,7 +18,14 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .bfamily import _b_report, _prop_suite, b_report, prop_suite
-from .chains import _lemma13_status, _thm12_witness, chain_report, lemma13_check, thm12_witness
+from .chains import (
+    _chain_report,
+    _lemma13_status,
+    _thm12_witness,
+    chain_report,
+    lemma13_check,
+    thm12_witness,
+)
 from .constructions import (
     ak_certificate,
     astar_certificate,
@@ -31,12 +38,13 @@ from .core import (
     WORD_CAPACITY,
     Family,
     _frankl_witness,
+    _hasse,
+    _is_union_closed,
     avg_size,
     base_set,
     format_family,
     frequencies,
     is_separating,
-    is_union_closed,
     parse_family,
     word_elements,
 )
@@ -102,7 +110,9 @@ def _cmd_analyze(args) -> int:
     except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"{path}: {exc}")
 
-    uc, sep = is_union_closed(fam), is_separating(fam)
+    # The one Hasse scan: the union test, the chains and Lemma 1.3 read it.
+    scan = _hasse(fam.members)
+    uc, sep = _is_union_closed(fam, scan), is_separating(fam)
     results: dict = {"n": fam.n, "members": len(fam), "union_closed": uc, "separating": sep}
     try:
         base = base_set(fam)
@@ -115,7 +125,7 @@ def _cmd_analyze(args) -> int:
     held = uc and results["base_full"]  # then fam is nonempty and rep is set
 
     try:
-        rep = chain_report(fam)
+        rep = _chain_report(fam, scan) if fam.members else chain_report(fam)
         results["height"] = rep.height
         results["r"] = rep.r
         results["max_chain"] = _sets(rep.witness_chain)
@@ -150,7 +160,7 @@ def _cmd_analyze(args) -> int:
         results["b_report"] = _inapplicable(exc)
 
     try:
-        l13 = _lemma13_status(fam) if held and sep else lemma13_check(fam)
+        l13 = _lemma13_status(fam, scan) if held and sep else lemma13_check(fam)
         results["lemma13"] = {"ok": l13.ok}
         if not l13.ok:
             results["lemma13"]["offending_chain"] = _sets(l13.offending_chain)

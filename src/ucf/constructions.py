@@ -32,15 +32,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bfamily import _b_report
-from .chains import _lemma13_status, height
+from .chains import _lemma13_status
 from .core import (
     Family,
     SetWord,
+    _hasse,
+    _is_union_closed,
     avg_size,
     base_is_full,
     full_word,
     is_separating,
-    is_union_closed,
     WORD_CAPACITY,
 )
 from .errors import BadK, BadN, BranchGap, InternalError
@@ -110,12 +111,13 @@ def _certify(
 ) -> ConstructionCertificate:
     n = fam.n
     avg = avg_size(fam)
-    uc = is_union_closed(fam)
+    scan = _hasse(fam.members)  # the union test, the height and Lemma 1.3 read it
+    uc = _is_union_closed(fam, scan)
     sep = is_separating(fam)
     full = base_is_full(fam)
-    h = height(fam)
+    h = max(scan[0])
     bsize = _b_report(fam, h).size if uc and full else -1
-    l13 = _lemma13_status(fam).ok if uc and sep and full else False
+    l13 = _lemma13_status(fam, scan).ok if uc and sep and full else False
     half = Fraction(n, 2)
     avg_ok = avg >= half if avg_relation == "ge" else avg < half
     cert = ConstructionCertificate(

@@ -15,6 +15,16 @@ order (ascending integer value of the bitmask), so structurally equal
 families compare equal. All operations are pure functions; everything in
 this module is safe to share across threads.
 
+The cover-relation (Hasse) scan lives here: `_hasse` gives each member's
+children and the longest chain it tops. The union test reads it, and so
+does `chains`, for the height, the witness chains, r and Lemma 1.3's
+counterexample. A `Family` keeps its union-closedness verdict once worked
+out (two threads asking at once may both work it out, to the same value),
+so `is_union_closed` and every `require_union_closed` test a family once.
+It does not keep the scan, which can be large; `ucf analyze` and the
+construction certificates make one scan per family and hand it to the
+union test (`_is_union_closed`) and the chain cores.
+
 Averages and thresholds are exact `fractions.Fraction` values throughout;
 no floating point is used anywhere.
 """
@@ -22,6 +32,7 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +50,8 @@ WORD_CAPACITY = 64
 
 # A member set: bitmask with element i at bit i-1.
 SetWord = int
+# A cover-relation scan `_hasse(members)`: (down, kids).
+_Scan = tuple[list[int], list[list[int]]]
 
 
 def word_from_elements(elements: Iterable[int]) -> SetWord:
@@ -221,14 +234,94 @@ def base_is_full(fam: Family) -> bool:
 
 
 def is_union_closed(fam: Family) -> bool:
-    """True iff the family has a nonempty member and X|Y is a member for all X, Y."""
-    if not any(fam.members):
-        return False
-    have = set(fam.members)
+    """True iff the family has a nonempty member and X|Y is a member for all X, Y.
+
+    The test reads the cover relation, not the member pairs. F is
+    union-closed iff (a) its largest member is the union T of all members,
+    and (b) for every member z and element e of z, the union U(z, e) of the
+    members inside z - {e} is a member or 0. Both hold for a union-closed F.
+    Conversely, take X, Y in F and a minimal member z containing X | Y (T is
+    one). If z != X | Y, pick e in z - (X | Y): U(z, e) contains X | Y and
+    lies strictly inside z, and it is a member (not 0, or X | Y = {} and z
+    would be {}), against the choice of z.
+
+    Every member inside z lies under one of z's Hasse children c, so
+    U(z, e) is the union over the children of c where e is not in c and of
+    U(c, e) where it is. One ascending pass over the children therefore
+    costs one OR per cover edge, and only a member with two or more
+    children can bring a new union: with one child it repeats the child's.
+    The family keeps the verdict, so every later `require_union_closed`
+    reads it; the scan is not kept, as it can be large.
+    """
+    return _is_union_closed(fam, None)
+
+
+def _is_union_closed(fam: Family, scan: _Scan | None) -> bool:
+    """is_union_closed, reading `scan = _hasse(fam.members)` if the caller
+    holds it for the chains. The verdict is kept in the family's instance
+    dict, which its frozen dataclass leaves writable (equality and hashing
+    read the fields only), so each family is tested once."""
+    kept = vars(fam)
+    if "_union_closed" not in kept:
+        kept["_union_closed"] = _union_test(fam, scan)
+    return kept["_union_closed"]
+
+
+@functools.cache
+def _lane_spread(w: int) -> tuple[int, ...]:
+    """Per value v of a byte, the word with bit w*j set for each bit j of v:
+    the low bits of eight lanes of width w, one lane per bit."""
+    return tuple(sum(1 << w * j for j in range(8) if v >> j & 1) for v in range(256))
+
+
+# lane width -> memoryview format of one lane, native order
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _union_test(fam: Family, scan: _Scan | None) -> bool:
+    """`is_union_closed`'s kernel: checks (a), then (b) over the Hasse
+    children of `scan`, which it makes itself if given None.
+
+    Member z carries one word of `width` lanes, each w >= width bits wide:
+    lane e holds U(z, e) if e is in z and z itself if not, so the lanes of
+    a child c are exactly the terms z's recurrence ORs together. z's own
+    word is the OR of its children's words, with z put into the lanes of
+    the elements outside z. Each lane of a member with two or more
+    children is then looked up among the members and 0; a member with one
+    child passes on lanes that were already looked up, or the child itself.
+    """
     ms = fam.members
-    for i, x in enumerate(ms):
-        for y in ms[i + 1:]:
-            if x | y not in have:
+    if not ms or not ms[-1]:
+        return False
+    top = ms[-1]
+    for m in ms:
+        if m | top != top:
+            return False
+    width = top.bit_length()
+    w = next(w for w in _LANE_FORMATS if w >= width)
+    fmt = _LANE_FORMATS[w]
+    spread = _lane_spread(w)
+    step = 8 * w
+    size = width * w // 8
+    ones = ((1 << width * w) - 1) // ((1 << w) - 1)  # the low bit of every lane
+    allowed = {0, *ms}
+    lanes: list[int] = []
+    if scan is None:
+        scan = _hasse(ms)
+    for m, ks in zip(ms, scan[1]):
+        starts = 0  # the low bits of the lanes of m's elements
+        rest, shift = m, 0
+        while rest:
+            starts |= spread[rest & 255] << shift
+            rest >>= 8
+            shift += step
+        word = (ones ^ starts) * m
+        for k in ks:
+            word |= lanes[k]
+        lanes.append(word)
+        if len(ks) > 1:
+            view = memoryview(word.to_bytes(size, sys.byteorder)).cast(fmt)
+            if not allowed.issuperset(view):
                 return False
     return True
 
@@ -323,6 +416,45 @@ def _columns(words: Sequence[SetWord], width: int) -> list[str]:
     word i holds element e + 1. With no words every column is ""."""
     rows = (f"{{:0{width}b}}" * len(words)).format(*words)[::-1]
     return [rows[e::width] for e in range(width)]
+
+
+def _hasse(ms: tuple[SetWord, ...]) -> _Scan:
+    """down[i]: longest chain topped by member i; kids[i]: the indices it
+    covers, descending.
+
+    The members, ascending, are transposed once into one column word per
+    element, bit i set when member i lacks it. A subset of ms[i] lacks every
+    element ms[i] lacks and, being no larger, has an index up to i, so the
+    AND of those columns with the indices 0..i is `below[i]`: i and every
+    index under it. Its highest other index is a child, since a proper
+    superset has a larger value; dropping that child's `below` and taking
+    the highest index left again peels the children in descending order.
+    """
+    if not ms:
+        return [], []
+    width = ms[-1].bit_length() or 1
+    full = (1 << width) - 1
+    lacks = [int(column, 2) for column in _columns([full ^ m for m in ms], width)]
+    down: list[int] = []
+    kids: list[list[int]] = []
+    below: list[int] = []
+    for i, m in enumerate(ms):
+        under = (2 << i) - 1
+        for e in word_elements(full ^ m):
+            under &= lacks[e - 1]
+        below.append(under)
+        under ^= 1 << i
+        ks = []
+        d = 0
+        while under:
+            j = under.bit_length() - 1
+            ks.append(j)
+            under &= ~below[j]
+            if down[j] > d:
+                d = down[j]
+        down.append(d + 1)
+        kids.append(ks)
+    return down, kids
 
 
 def frequencies(fam: Family) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 
 import ucf
 from ucf import Family
-from ucf.chains import _hasse, _lemma13_status
+from ucf.chains import _lemma13_status
+from ucf.core import _hasse
 from ucf.errors import (
     BaseNotFull,
     DegenerateHeight,

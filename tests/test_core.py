@@ -5,13 +5,20 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ucf
-from ucf import Family
+from ucf import Family, core
 from ucf.errors import EmptyFamily, NotAMember, ParseError
 
-from strategies import families, nonempty_families, union_closed_families
+from strategies import (
+    families,
+    family_of_word,
+    nested_families,
+    nonempty_families,
+    union_closed_families,
+    wide_spanning_uc_families,
+)
 
 PAPER = Family.of(3, [(1, 2, 3), (1, 2), (1,), (2,), ()])
 
@@ -86,6 +93,71 @@ def test_is_union_closed_missing_union():
 
 def test_is_union_closed_requires_nonempty_member():
     assert not ucf.is_union_closed(Family.of(2, [()]))
+
+
+def reference_is_union_closed(fam):
+    """is_union_closed's oracle: the member-pair loop."""
+    if not any(fam.members):
+        return False
+    have = set(fam.members)
+    ms = fam.members
+    for i, x in enumerate(ms):
+        for y in ms[i + 1:]:
+            if x | y not in have:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "fam, closed",
+    [
+        (Family(3, ()), False),
+        (Family.of(3, [()]), False),
+        (Family.of(3, [(), (1, 2, 3)]), True),
+        (Family.of(64, [(64,)]), True),
+        # the closure of the singletons of [3] without its top [3]
+        (Family.of(3, [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]), False),
+        # the two children of [3] unite to [3], yet {1} | {2} is missing
+        (Family.of(3, [(1,), (2,), (1, 3), (2, 3), (1, 2, 3)]), False),
+    ],
+    ids=["empty", "empty-set", "empty-and-full", "single", "no-top", "deep-gap"],
+)
+def test_is_union_closed_pins(fam, closed):
+    assert ucf.is_union_closed(fam) is closed
+    assert reference_is_union_closed(fam) is closed
+
+
+@given(nested_families(max_n=64))
+@settings(max_examples=300, deadline=None)
+def test_is_union_closed_matches_pair_loop(fam):
+    verdict = reference_is_union_closed(fam)
+    assert ucf.is_union_closed(fam) is verdict
+    # the form for a caller holding the scan, on a family with no verdict kept
+    twin = Family(fam.n, fam.members)
+    assert core._is_union_closed(twin, core._hasse(twin.members)) is verdict
+    assert ucf.is_union_closed(twin) is verdict
+
+
+@given(wide_spanning_uc_families(max_n=64), st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_union_closed_matches_pair_loop_with_a_member_removed(fam, data):
+    drop = data.draw(st.sampled_from(fam.members))
+    fam = Family(fam.n, tuple(m for m in fam.members if m != drop))
+    assert ucf.is_union_closed(fam) is reference_is_union_closed(fam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_union_closed_matches_pair_loop_on_every_family(n):
+    closed = 0
+    for word in range(1 << (1 << n)):
+        fam = family_of_word(n, word)
+        verdict = ucf.is_union_closed(fam)
+        assert verdict is reference_is_union_closed(fam), fam
+        closed += verdict
+    # Complements turn the Moore families of [n] (OEIS A102896: 2, 7, 61,
+    # 2480) into the union-closed families holding {}; but for {} alone,
+    # each is counted with and without {}.
+    assert closed == {1: 2, 2: 12, 3: 120, 4: 4958}[n]
 
 
 def test_union_closure_forces_pair_union():

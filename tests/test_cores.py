@@ -60,13 +60,15 @@ def test_cores_match_public_functions_on_every_n4_family():
 @pytest.fixture
 def calls(monkeypatch):
     """Call counters for the per-leaf derivations, patched into every ucf
-    module that binds them so direct imports are counted too."""
+    module that binds them so direct imports are counted too. The union
+    test is counted at its kernel: `is_union_closed` and every
+    `require_union_closed` read the verdict a family keeps."""
     counts = {}
     targets = [
-        (core, "is_union_closed"),
+        (core, "_union_test"),
+        (core, "_hasse"),
         (core, "is_separating"),
-        (chains, "chain_report"),
-        (chains, "_hasse"),
+        (chains, "_chain_report"),
         (bfamily, "_min_covers"),
         (bfamily, "_prop_suite"),
     ]
@@ -89,20 +91,20 @@ def calls(monkeypatch):
     "tid, n, expected",
     [
         # the walk's gates and every conclusion read the leaf's member word
-        ("T1.2", 4, {"chain_report": 0, "is_union_closed": 0}),
+        ("T1.2", 4, {"_chain_report": 0, "_union_test": 0}),
         ("L1.3", 4, {"is_separating": 0}),
         (
             "T2.1",
             4,
-            {"chain_report": 0, "is_union_closed": 0, "is_separating": 0, "_min_covers": 0},
+            {"_chain_report": 0, "_union_test": 0, "is_separating": 0, "_min_covers": 0},
         ),
-        ("C2.2", 4, {"chain_report": 0, "is_union_closed": 0}),
+        ("C2.2", 4, {"_chain_report": 0, "_union_test": 0}),
         # the one leaf whose cover size is over 3 reads the word's cover too
-        ("T4.1", 4, {"chain_report": 0, "is_union_closed": 0, "_min_covers": 0}),
+        ("T4.1", 4, {"_chain_report": 0, "_union_test": 0, "_min_covers": 0}),
         (
             "PROPS",
             4,
-            {"chain_report": 0, "is_union_closed": 0, "_prop_suite": 0, "_min_covers": 0},
+            {"_chain_report": 0, "_union_test": 0, "_prop_suite": 0, "_min_covers": 0},
         ),
         ("T2.1", 3, {"_min_covers": 0}),
     ],
@@ -114,10 +116,10 @@ def test_verifier_derives_each_leaf_fact_once(calls, tid, n, expected):
 
 def test_certificate_derives_each_fact_once(calls):
     assert ucf.astar_certificate(16)[1].ok
-    # The certificate needs only the height, which chains.height gives
+    # The certificate's one Hasse scan gives the union test and the height,
     # without chain_report's witness chain and minimum-maximal-chain pass;
-    # Lemma 1.3 passes on a word test, so the height's is the one Hasse scan.
-    assert (calls["is_union_closed"], calls["chain_report"], calls["_hasse"]) == (1, 0, 1)
+    # Lemma 1.3 passes on a word test.
+    assert (calls["_union_test"], calls["_chain_report"], calls["_hasse"]) == (1, 0, 1)
 
 
 def test_analyze_derives_each_fact_once(calls, capsys, tmp_path):
@@ -125,4 +127,22 @@ def test_analyze_derives_each_fact_once(calls, capsys, tmp_path):
     path.write_text(ucf.format_family(ucf.build_astarstar(40, verify=False)))
     assert cli.main(["analyze", str(path)]) == 0
     assert '"propositions"' in capsys.readouterr().out
-    assert (calls["is_union_closed"], calls["chain_report"], calls["_hasse"]) == (1, 1, 1)
+    assert (calls["_union_test"], calls["_chain_report"], calls["_hasse"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=2\n1\n2\n",  # not union-closed
+        "n=3\n1\n1 2\n",  # union-closed, base {1, 2}
+        "n=3\n{}\n1 2\n1 2 3\n",  # full base, not separating
+    ],
+    ids=["open", "partial", "nonsep"],
+)
+def test_analyze_tests_union_closedness_once_on_failing_paths(calls, capsys, tmp_path, text):
+    path = tmp_path / "input.family"
+    path.write_text(text)
+    assert cli.main(["analyze", str(path)]) == 0
+    assert '"propositions"' in capsys.readouterr().out
+    # each public function a section falls back on reads the family's verdict
+    assert (calls["_union_test"], calls["_chain_report"], calls["_hasse"]) == (1, 1, 1)

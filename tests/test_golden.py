@@ -6,7 +6,8 @@ enumeration, bfamily, chains, constructions and cli were merged, the
 off-grid `bounds` ones before the minimizers scanned y's endpoints only, the
 n=4 `--canonical` ones before `canonical_form` read cached lane words, the
 n=64 astarstar ones before the Hasse scan and the column counts read
-transposed member words; any refactor must keep every report
+transposed member words, the failing astarstar40-gap one before the union
+test read the cover relation; any refactor must keep every report
 byte-identical. A digest changes only with a deliberate change to a report,
 which must then be recorded in CHANGES.md.
 """
@@ -15,9 +16,11 @@ import hashlib
 
 import pytest
 
-from ucf import build_astar, build_astarstar, cli, format_family
+from ucf import Family, build_astar, build_astarstar, cli, format_family
 
 PAPER_TEXT = "n=3\n{}\n1\n2\n1 2\n1 2 3\n"
+ASTARSTAR40 = build_astarstar(40)
+GAP = (1 << 19) - 2  # [p] - {1}, p = 19, a (p-1)-subset of the prefix
 
 # Family files for `ucf analyze`, one per path through its sections: each
 # section either has the facts its analysis assumes or reports the reason
@@ -30,7 +33,11 @@ ANALYZE_FILES = {
     "empty.family": "n=3\n",  # header only
     "full.family": "n=4\n1 2 3 4\n",  # the single member [n]
     "astar8.family": format_family(build_astar(8)),  # height 4, A-C applicable
-    "astarstar40.family": format_family(build_astarstar(40)),  # 212 members, height 5
+    "astarstar40.family": format_family(ASTARSTAR40),  # 212 members, height 5
+    # 211 members, not union-closed: two (p-2)-subsets unite to the gap
+    "astarstar40-gap.family": format_family(
+        Family(40, tuple(m for m in ASTARSTAR40.members if m != GAP))
+    ),
     "astarstar64.family": format_family(build_astarstar(64)),  # 530 members, bit 63 in use
 }
 
@@ -72,6 +79,9 @@ GOLDEN = {
         "f9d10f19b884de33116256ddf0a88a9f636ddc954baf4d47661ece20759c69f9",
     ("analyze", "astarstar40.family"):
         "7048400bf184f0b33bc217b1070668b4091f5b312fb13dfdedc322f9a7fa0e2f",
+    # each section's reason on a large failing family, recorded on the pair loop
+    ("analyze", "astarstar40-gap.family"):
+        "c4689817bd19fc6d832a63cedbec3b4af6286f5ebdf7a0b41980362d2cc5ac24",
     # the word-capacity edge, recorded before the column kernels
     ("construct", "astarstar", "--n", "64"):
         "0bd7acc88506a176d8f6850a05aebb850698e0e7910ebb95ab294dea72d276ae",
