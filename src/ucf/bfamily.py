@@ -9,7 +9,11 @@ which is re-verified on every result.
 The search is by increasing subfamily size and is capped at the family
 height: a cover larger than the height would yield, via its running unions,
 a chain longer than the height. Blowing the cap therefore indicates a bug,
-not bad input.
+not bad input. One search, `_least_cover`, finds the lexicographically
+least minimum cover for `b_report`, `prop_suite` and the enumerator's
+leaves, which search their slice once per walk and test the cap on each
+leaf. `_min_covers` lists every minimum cover, for `minimum_covers`, and is
+the tests' independent reference for `_least_cover`.
 
 `prop_suite` evaluates a battery of structural facts about separating
 union-closed families of height 4, keyed by the letters A-L (D is an
@@ -26,17 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .chains import height
 from .core import (
     Family,
     SetWord,
+    _checked_scan,
     _member_counts,
     avg_size,
-    irr,
-    is_irredundant,
     is_separating,
-    require_base_full,
-    require_union_closed,
     word_elements,
 )
 from .errors import EmptyFamily, InternalError
@@ -52,10 +52,9 @@ class BReport:
 
 
 def _checked_height(fam: Family) -> int:
-    """Height of a family that must be union-closed with base [n]."""
-    require_union_closed(fam)
-    require_base_full(fam)
-    return height(fam)
+    """Height of a family that must be union-closed with base [n], read
+    from the scan its union test reads too."""
+    return max(_checked_scan(fam)[0])
 
 
 def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
@@ -65,6 +64,40 @@ def _small_slice(fam: Family) -> tuple[tuple[SetWord, ...], SetWord]:
     for m in small:
         target |= m
     return small, target
+
+
+def _private_parts(cover: tuple[SetWord, ...]) -> list[SetWord]:
+    """Each cover member less the union of the others (`core.irr`): its
+    elements that no second member holds."""
+    once = twice = 0
+    for c in cover:
+        twice |= once & c
+        once |= c
+    return [c & ~twice for c in cover]
+
+
+def _least_cover(small: tuple[SetWord, ...], b: SetWord, cap: int) -> tuple[SetWord, ...]:
+    """The first cover `_min_covers` yields: the first combination of the
+    ascending slice members `small`, by size from 0 up to `cap`, whose union
+    is their base b. Within one size, combinations run in order of their
+    first size - 1 members, the head, and every slice member lies inside b,
+    so the least cover with a given head ends at the least member after the
+    head's last that holds b less the head's union."""
+    if not b:
+        return ()
+    for size in range(1, cap + 1):
+        for head in itertools.combinations(range(len(small)), size - 1):
+            acc = 0
+            for i in head:
+                acc |= small[i]
+            need = b & ~acc
+            for last in small[head[-1] + 1 if head else 0:]:
+                if last & need == need:
+                    cover = (*(small[i] for i in head), last)
+                    if not all(_private_parts(cover)):
+                        raise InternalError("minimum cover must be irredundant")
+                    return cover
+    raise InternalError("cover search exceeded the height cap")
 
 
 def _min_covers(
@@ -80,11 +113,10 @@ def _min_covers(
             for m in combo:
                 acc |= m
             if acc == target:
-                cover = Family(n, combo)
-                if not is_irredundant(cover):
+                if not all(_private_parts(combo)):
                     raise InternalError("minimum cover must be irredundant")
                 found = True
-                yield cover
+                yield Family(n, combo)
         if found:
             return
     raise InternalError("cover search exceeded the height cap")
@@ -102,8 +134,8 @@ def b_report(fam: Family) -> BReport:
 def _b_report(fam: Family, h: int) -> BReport:
     """b_report for a union-closed family with base [n] and height h."""
     small, target = _small_slice(fam)
-    cover = next(_min_covers(fam.n, small, target, h))
-    return BReport(target, cover, len(cover))
+    cover = _least_cover(small, target, h)
+    return BReport(target, Family(fam.n, cover), len(cover))
 
 
 def minimum_covers(fam: Family) -> tuple[Family, ...]:
@@ -184,7 +216,7 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
         return results
     small, bword = _small_slice(fam)
     n = fam.n
-    cover = next(_min_covers(n, small, bword, 4))
+    cover = _least_cover(small, bword, 4)
     csize = len(cover)
     bword_size = bword.bit_count()  # |b(B)|
     sub_b = tuple(m for m in fam.members if m | bword == bword and m != bword)
@@ -218,7 +250,7 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
         and bword_size == n - 1
         and len(small) >= 4
         and any(
-            m not in cover.members and m & cover.members[0] and m & cover.members[1]
+            m not in cover and m & cover[0] and m & cover[1]
             for m in small
         )
     )
@@ -231,11 +263,11 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
                 break
         results["E"] = PropResult(True, witness is None, witness)
 
-    irrs = tuple(irr(m, cover) for m in cover.members)
+    irrs = _private_parts(cover)
     irr_union = 0
     for w in irrs:
         irr_union |= w
-    non_cover_small = tuple(m for m in small if m not in cover.members)
+    non_cover_small = tuple(m for m in small if m not in cover)
 
     if csize == 3:
         # F: a three-set cover forces |b(B)| into {n-1, n}.
@@ -270,7 +302,7 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
         classifications = []
         ok = True
         for m in non_cover_small:
-            label = _classify_form(m, cover.members, irrs, irr_union)
+            label = _classify_form(m, cover, irrs, irr_union)
             classifications.append({"a": word_elements(m), "label": label})
             if label == VIOLATION:
                 ok = False
@@ -287,7 +319,7 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
         results["K"] = PropResult(True, ok, witness)
 
         # L: four-set cover size arithmetic.
-        sizes = [m.bit_count() for m in cover.members]
+        sizes = [m.bit_count() for m in cover]
         ok = _four_cover_sizes_ok(n, sizes)
         results["L"] = PropResult(True, ok, None if ok else {"sizes": sizes})
 
@@ -311,7 +343,7 @@ def _four_cover_sizes_ok(n: int, sizes: list[int]) -> bool:
 def _classify_form(
     m: SetWord,
     cover: tuple[SetWord, ...],
-    irrs: tuple[SetWord, ...],
+    irrs: list[SetWord],
     irr_union: SetWord,
 ) -> str:
     if m == irr_union:

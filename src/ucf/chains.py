@@ -10,8 +10,9 @@ chain). r denotes the minimum size of a maximal chain.
 Every chain result here reads one cover-relation (Hasse) scan,
 `core._hasse`, which gives each member's children and the longest chain it
 tops; a caller that holds the scan (`ucf analyze`, the construction
-certificates) hands the same one to the union test and to the cores
-`_chain_report` and `_lemma13_status`. The scan transposes the members
+certificates, `thm12_witness` through `core._checked_scan`) hands the same
+one to the union test and to the cores `_chain_report` and
+`_lemma13_status`. The scan transposes the members
 once into one column word per element and reads each member's subsets as
 an AND of columns, so it costs O(|F| n) big-int operations, not a subset
 test per pair. The height is the largest of those chains; r comes from a
@@ -36,6 +37,7 @@ from .core import (
     Family,
     SetWord,
     _Scan,
+    _checked_scan,
     _hasse,
     _member_counts,
     full_word,
@@ -195,11 +197,10 @@ def thm12_witness(fam: Family) -> Thm12Witness:
     thm12_bound(|family|, h); callers verifying the bound should compare
     count against bound themselves.
     """
-    require_union_closed(fam)
     if len(fam) <= 1:
+        require_union_closed(fam)
         raise TooSmall("witness requires at least two member sets")
-    require_base_full(fam)
-    return _thm12_witness(fam, chain_report(fam))
+    return _thm12_witness(fam, _chain_report(fam, _checked_scan(fam)))
 
 
 def _thm12_witness(fam: Family, rep: ChainReport) -> Thm12Witness:

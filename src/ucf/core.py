@@ -21,9 +21,10 @@ does `chains`, for the height, the witness chains, r and Lemma 1.3's
 counterexample. A `Family` keeps its union-closedness verdict once worked
 out (two threads asking at once may both work it out, to the same value),
 so `is_union_closed` and every `require_union_closed` test a family once.
-It does not keep the scan, which can be large; `ucf analyze` and the
-construction certificates make one scan per family and hand it to the
-union test (`_is_union_closed`) and the chain cores.
+It does not keep the scan, which can be large; `ucf analyze`, the
+construction certificates and the public functions that need a union test
+and a chain fact (`_checked_scan`) make one scan per family and hand it to
+the union test (`_is_union_closed`) and the chain cores.
 
 Averages and thresholds are exact `fractions.Fraction` values throughout;
 no floating point is used anywhere.
@@ -509,3 +510,17 @@ def require_separating(fam: Family) -> None:
 def require_base_full(fam: Family) -> None:
     if not base_is_full(fam):
         raise BaseNotFull(f"base set is not [{fam.n}]")
+
+
+def _checked_scan(fam: Family) -> _Scan:
+    """`_hasse(fam.members)` for a family that must be union-closed with
+    base [n], made once for its union test and the caller's chains. A family
+    already known not to be union-closed, or whose base is not [n], raises
+    as `require_union_closed` and `require_base_full` would, without it."""
+    if vars(fam).get("_union_closed") is False or not base_is_full(fam):
+        require_union_closed(fam)
+        require_base_full(fam)
+    scan = _hasse(fam.members)
+    if not _is_union_closed(fam, scan):
+        raise NotUnionClosed("family is not union-closed")
+    return scan

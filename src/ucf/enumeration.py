@@ -44,15 +44,16 @@ value that outlives the walk, only where something reads it: the cover-size
 test or a visitor, so a count-only walk with no cover-size test builds
 none. The cover-size test and every conclusion read the leaf's facts as a
 few exact int operations on `have` and the per-n words of `_leaf_words`:
-frequencies, |F|, the empty set, |B| up to 3, the least minimum cover,
-Lemma 1.3, the size-bound levels, T1.2's witness chain, r and witness
-element, and the PROPS letters. Four of them read a smaller word than the
-leaf's, which later leaves meet again, so each keeps a memo for one walk:
-the size-bound levels after the first reduction, under the reduced word; the
-chain facts below each child of [n], under the child's member word; and |B|
-and the least minimum cover, under the slice word `have & small` (|B| also
-under the bound it is asked up to). A cover longer than the leaf's height is
-an error tested on every leaf, since the height is the leaf's own. `_walk`
+frequencies, |F|, the empty set, the least minimum cover (|B| is its
+length), Lemma 1.3, the size-bound levels, T1.2's witness chain, r and
+witness element, and the PROPS letters. Three of them read a smaller word
+than the leaf's, which later leaves meet again, so each keeps a memo for
+one walk: the size-bound levels after the first reduction, under the
+reduced word; the chain facts below each child of [n], under the child's
+member word; and the least minimum cover, `bfamily._least_cover` of the
+slice members (the search `b_report` runs), under the slice word
+`have & small`. A cover longer than the leaf's height is an error tested
+on every leaf, since the height is the leaf's own. `_walk`
 empties the memos before and after each walk, so no run reads another's
 entries. A passing conclusion costs its leaf one count; a `Family` is
 built only for a leaf whose word conclusion fails (the `Family` conclusion
@@ -89,7 +90,15 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bfamily import VIOLATION, _b_report, _classify_form, _four_cover_sizes_ok, _prop_suite
+from .bfamily import (
+    VIOLATION,
+    _b_report,
+    _classify_form,
+    _four_cover_sizes_ok,
+    _least_cover,
+    _private_parts,
+    _prop_suite,
+)
 from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
 from .core import Family, _byte_masks, avg_size, frankl_witness, frequencies, is_separating
 from .errors import InternalError, NTooLarge
@@ -171,8 +180,7 @@ class _Words:
     (`_byte_masks` table, shift) pair per byte of a word, for `masks`; and
     the memos of the leaf facts that read a smaller word than the leaf's:
     `descents` of `_descent` and `tails` of `size_levels`, each under a
-    member word, and `cover_sizes` of `_cover_size`, under a (slice word,
-    most) pair, and `covers` of `_least_cover`, under a slice word. `_walk`
+    member word, and `covers` of `min_cover`, under a slice word. `_walk`
     empties them before and after each walk."""
 
     def __init__(self, n: int) -> None:
@@ -195,7 +203,6 @@ class _Words:
         self.octets = tuple((_byte_masks(shift), shift) for shift in range(0, size, 8))
         self.descents: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self.tails: dict[int, tuple[tuple[int, int], ...] | None] = {}
-        self.cover_sizes: dict[tuple[int, int], int] = {}
         self.covers: dict[int, tuple[int, ...]] = {}
 
     def masks(self, word: int) -> tuple[int, ...]:
@@ -210,7 +217,6 @@ class _Words:
         """Empty the memos, which hold facts of the words one walk met."""
         self.descents.clear()
         self.tails.clear()
-        self.cover_sizes.clear()
         self.covers.clear()
 
 
@@ -244,34 +250,25 @@ class _Leaf:
         have = self.have
         return [(have & word).bit_count() for word in self.words.holding]
 
-    def cover_size(self, most: int) -> int:
-        """|B|, the least number of small-slice members whose union is the
-        slice's base b, when it is at most `most`; else a number above
-        `most`. `_cover_size` reads only the slice word, so `words.cover_sizes`
-        keeps its answer under that word and `most`; a size above 3 is the
-        length of `min_cover`, which tests the leaf's height."""
-        words = self.words
-        part = self.have & words.small
-        try:
-            size = words.cover_sizes[part, most]
-        except KeyError:
-            size = words.cover_sizes[part, most] = _cover_size(words, part, most)
-        return len(self.min_cover()) if size > 3 and most > 3 else size
-
     def slice_members(self) -> tuple[int, ...]:
         """The small-slice members, the members m with 2|m| < n, ascending."""
         return self.words.masks(self.have & self.words.small)
 
     def min_cover(self) -> tuple[int, ...]:
-        """`_b_report`'s cover: `_least_cover` of the slice word, kept in
-        `words.covers` under it, and the error `_b_report` raises where it
-        has more members than the leaf's height."""
+        """`_b_report`'s cover, whose length is |B|: `_least_cover` of the
+        slice members, searched up to all of them and kept in `words.covers`
+        under the slice word, and the error `_b_report` raises where it has
+        more members than the leaf's height."""
         words = self.words
         part = self.have & words.small
         try:
             cover = words.covers[part]
         except KeyError:
-            cover = words.covers[part] = _least_cover(words, part)
+            small = words.masks(part)
+            b = 0
+            for x in small:
+                b |= x
+            cover = words.covers[part] = _least_cover(small, b, len(small))
         if len(cover) > self.h:
             raise InternalError("cover search exceeded the height cap")
         return cover
@@ -362,74 +359,6 @@ def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
     return most + 1, fewest + 1, (x, *chain)
 
 
-def _cover_size(words: _Words, part: int, most: int) -> int:
-    """`_Leaf.cover_size` of a slice word, but 4 for every size above 3: the
-    length of the least cover is left to the leaf, which tests it against
-    its height.
-
-    Every slice member lies inside b, so sizes 0 to 3 are word tests: b is
-    empty; b is a member; b less some member x lies inside a member; b less
-    the union of some pair does. For size 2, flipping the bits of b in every
-    index turns the slice word into the word of the sets b less x, which
-    must meet the word of the slice members' subsets.
-    """
-    every = words.lifts[-1]  # (holding[i], 2^i) for each element i
-    b = 0
-    for word, bit in every:
-        if part & word:
-            b |= bit
-    if not b:
-        return 0
-    if part >> b & 1:
-        return 1
-    if most < 2:
-        return 2
-    down = turned = part
-    for word, shift in every:
-        down |= (down & word) >> shift
-    for word, shift in words.lifts[b]:
-        turned = (turned & word) >> shift | (turned & ~word) << shift
-    if turned & down:
-        return 2
-    if most < 3:
-        return 3
-    above = words.above
-    xs = words.masks(part)
-    if any(part & above[b & ~(x | y)] for x, y in itertools.combinations(xs, 2)):
-        return 3
-    return 4
-
-
-def _least_cover(words: _Words, part: int) -> tuple[int, ...]:
-    """The first combination of the ascending slice members, by size from 0
-    up, whose union is the slice's base b; the whole slice is one, so the
-    search ends. Within one size, combinations run in order of their first
-    size - 1 members, so the least last member that completes a head is the
-    lowest bit of the slice members above the head's last that hold b less
-    the head's union."""
-    xs = words.masks(part)
-    above = words.above
-    b = 0
-    for x in xs:
-        b |= x
-    if not b:
-        return ()
-    for size in range(1, len(xs) + 1):
-        for head in itertools.combinations(xs, size - 1):
-            acc = 0
-            for x in head:
-                acc |= x
-            last = part & above[b & ~acc]
-            if head:
-                last &= -2 << head[-1]
-            if last:
-                cover = (*head, _lowest(last))
-                if not all(_private_parts(cover)):
-                    raise InternalError("minimum cover must be irredundant")
-                return cover
-    raise InternalError("cover search found no cover")
-
-
 _NO_SHRINK = "size-bound reduction failed to shrink the family"
 
 
@@ -471,16 +400,6 @@ def _size_tail(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int],
 def _lowest(word: int) -> int:
     """The index of the lowest set bit of a nonzero word."""
     return (word & -word).bit_length() - 1
-
-
-def _private_parts(cover: tuple[int, ...]) -> list[int]:
-    """Each cover member less the union of the others (`core.irr`): its
-    elements that no second member holds."""
-    once = twice = 0
-    for c in cover:
-        twice |= once & c
-        once |= c
-    return [c & ~twice for c in cover]
 
 
 def _dfs(
@@ -588,7 +507,7 @@ def _gate(
         low, most = _bounds(bsize)
 
         def sized(leaf: _Leaf) -> bool:
-            return low <= leaf.cover_size(most) <= most
+            return low <= len(leaf.min_cover()) <= most
 
     return admit, sized
 

@@ -2,11 +2,12 @@
 proposition battery on hand-built families."""
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ucf
 from ucf import Family, bfamily
@@ -114,6 +115,34 @@ def test_b_report_against_subset_oracle(fam):
     for m in br.cover.members:
         acc |= m
     assert acc == br.b
+
+
+@st.composite
+def ascending_slices(draw):
+    """A ground size n = 1..64 and an ascending tuple of distinct masks over
+    [n], union-closed or not, standing for a small slice."""
+    n = draw(st.integers(1, 64))
+    return n, tuple(sorted(draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))))
+
+
+@given(ascending_slices(), st.integers(0, 9))
+@example((1, ()), 0)  # the empty slice
+@example((3, (0,)), 0)  # the slice of just the empty set
+@example((64, (1, 2, 1 << 63, 1 << 63 | 1, 1 << 63 | 2)), 2)  # bit 63; two minimum covers
+@example((64, (1, 2, 1 << 63, 1 << 63 | 1, 1 << 63 | 2)), 1)  # |B| = 2 over a cap of 1
+@settings(max_examples=300, deadline=None)
+def test_least_cover_is_the_first_minimum_cover(drawn, cap):
+    n, small = drawn
+    b = 0
+    for m in small:
+        b |= m
+    try:
+        want = next(bfamily._min_covers(n, small, b, cap)).members
+    except InternalError as exc:
+        with pytest.raises(InternalError, match=f"^{re.escape(str(exc))}$"):
+            bfamily._least_cover(small, b, cap)
+    else:
+        assert bfamily._least_cover(small, b, cap) == want
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +313,11 @@ def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
 @pytest.mark.deep
 def test_prop_verdicts_independent_of_minimum_cover_n5(monkeypatch):
     # Every separating height-4 family at n = 5 with several minimum covers,
-    # its propositions run once per cover: _prop_suite reads the first cover
-    # _min_covers yields, so the patch yields the cover under test.
+    # its propositions run once per cover: _prop_suite reads the cover
+    # _least_cover returns, so the patch returns the cover under test.
     covers_of = bfamily._min_covers
     read = None
-    monkeypatch.setattr(bfamily, "_min_covers", lambda *args: iter((read,)))
+    monkeypatch.setattr(bfamily, "_least_cover", lambda *args: read.members)
     by_size = Counter()
     most = 0
 

@@ -13,7 +13,7 @@ import pytest
 
 import ucf
 from ucf import PropResult, bfamily, chains, cli, core
-from ucf.bfamily import PROP_KEYS, _b_report, _prop_suite, b_report, prop_suite
+from ucf.bfamily import PROP_KEYS, _b_report, _prop_suite, b_report, minimum_covers, prop_suite
 from ucf.chains import (
     _lemma13_status,
     _size_bound_trace,
@@ -70,6 +70,7 @@ def calls(monkeypatch):
         (core, "is_separating"),
         (chains, "_chain_report"),
         (bfamily, "_min_covers"),
+        (bfamily, "_b_report"),
         (bfamily, "_prop_suite"),
     ]
     modules = [m for k, m in sys.modules.items() if k == "ucf" or k.startswith("ucf.")]
@@ -96,17 +97,28 @@ def calls(monkeypatch):
         (
             "T2.1",
             4,
-            {"_chain_report": 0, "_union_test": 0, "is_separating": 0, "_min_covers": 0},
+            {
+                "_chain_report": 0,
+                "_union_test": 0,
+                "is_separating": 0,
+                "_min_covers": 0,
+                "_b_report": 0,
+            },
         ),
         ("C2.2", 4, {"_chain_report": 0, "_union_test": 0}),
-        # the one leaf whose cover size is over 3 reads the word's cover too
-        ("T4.1", 4, {"_chain_report": 0, "_union_test": 0, "_min_covers": 0}),
+        ("T4.1", 4, {"_chain_report": 0, "_union_test": 0, "_min_covers": 0, "_b_report": 0}),
         (
             "PROPS",
             4,
-            {"_chain_report": 0, "_union_test": 0, "_prop_suite": 0, "_min_covers": 0},
+            {
+                "_chain_report": 0,
+                "_union_test": 0,
+                "_prop_suite": 0,
+                "_min_covers": 0,
+                "_b_report": 0,
+            },
         ),
-        ("T2.1", 3, {"_min_covers": 0}),
+        ("T2.1", 3, {"_min_covers": 0, "_b_report": 0}),
     ],
 )
 def test_verifier_derives_each_leaf_fact_once(calls, tid, n, expected):
@@ -120,6 +132,13 @@ def test_certificate_derives_each_fact_once(calls):
     # without chain_report's witness chain and minimum-maximal-chain pass;
     # Lemma 1.3 passes on a word test.
     assert (calls["_union_test"], calls["_chain_report"], calls["_hasse"]) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("public", [b_report, prop_suite, minimum_covers, thm12_witness])
+def test_public_functions_scan_a_fresh_family_once(calls, public):
+    # the union test reads the scan that gives the height or chain report
+    public(ucf.build_astarstar(40, verify=False))
+    assert (calls["_union_test"], calls["_hasse"]) == (1, 1)
 
 
 def test_analyze_derives_each_fact_once(calls, capsys, tmp_path):

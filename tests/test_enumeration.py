@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import ucf
 from ucf import EnumFilter, Family, enumeration
-from ucf.bfamily import _b_report
+from ucf import bfamily
+from ucf.bfamily import _min_covers, _small_slice
 from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
 from ucf.enumeration import _dfs, _gate, _Leaf, _leaf_words, _props, _props_holds, _split
 from ucf.errors import InternalError, NTooLarge
@@ -486,8 +487,7 @@ def family_facts(fam, h, gates):
     the PROPS verdict is None off PROPS's gate (separating, height 4). The
     T1.2 and L2.1.1 verdicts are taken on every leaf, in their gates or not."""
     thm12 = enumeration._CHECKS["T1.2"].conclude(fam, h)
-    cover = _b_report(fam, h).cover.members
-    size = len(cover)
+    cover = next(_min_covers(fam.n, *_small_slice(fam), h)).members
     try:
         levels = _size_bound_trace(fam).levels
     except InternalError:
@@ -504,8 +504,6 @@ def family_facts(fam, h, gates):
         ucf.frequencies(fam),
         len(fam),
         0 in fam.members,
-        size,
-        tuple(min(size, most + 1) for most in range(5)),
         _lemma13_status(fam).ok,
         levels,
         tuple(g.matches(fam, h) for g in gates),
@@ -536,8 +534,6 @@ def word_facts(leaf, split, gates):
         tuple(leaf.frequencies()),
         leaf.have.bit_count(),
         bool(leaf.have & 1),
-        leaf.cover_size(leaf.h),  # the cover size is at most the height
-        tuple(min(leaf.cover_size(most), most + 1) for most in range(5)),
         leaf.lemma13_holds(),
         levels,
         tuple(passes(gate, leaf, split) for gate in gates),
@@ -707,13 +703,14 @@ def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
             leaf_of(fam, 2).min_cover()
         words.forget()
         leaf = leaf_of(fam, 3)
-        assert leaf.min_cover() == _b_report(fam, 3).cover.members == (0b1, 0b10, 0b100)
+        assert leaf.min_cover() == next(_min_covers(4, *_small_slice(fam), 3)).members
+        assert leaf.min_cover() == (0b1, 0b10, 0b100)
         # the height cap is tested on every leaf, the kept cover's included
         with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
             leaf_of(fam, 2).min_cover()
         # a search that handed back a redundant cover is caught
         words.forget()
-        monkeypatch.setattr(enumeration, "_private_parts", lambda cover: [0] * len(cover))
+        monkeypatch.setattr(bfamily, "_private_parts", lambda cover: [0] * len(cover))
         with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
             leaf.min_cover()
     finally:
@@ -765,16 +762,12 @@ def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
 
 def stale_entries(n, memo):
     """None under every key a walk at n could read from the memo: member
-    words for `descents` and `tails`, slice words for `covers`, and (slice
-    word, most) pairs for `cover_sizes`. A walk that read one would raise or
-    report a violation."""
+    words for `descents` and `tails`, slice words for `covers`. A walk that
+    read one would raise or report a violation."""
     words = range(1 << (1 << n))
     if memo in ("descents", "tails"):
         return dict.fromkeys(words)
-    slices = [w for w in words if not w & ~_leaf_words(n).small]
-    if memo == "covers":
-        return dict.fromkeys(slices)
-    return dict.fromkeys((w, most) for w in slices for most in range(5))
+    return dict.fromkeys(w for w in words if not w & ~_leaf_words(n).small)
 
 
 @pytest.mark.parametrize(
@@ -785,11 +778,11 @@ def stale_entries(n, memo):
         # one call per leaf and one per distinct member word below a child:
         # 31 at n = 3 and 417 at n = 4
         ("T1.2", "descents", "_descent", ((89, 0), (4541, 0), (89, 0)), 120 + 4958 + 120),
-        # one call per distinct slice word of the separating height-4 leaves,
-        # 7 at n = 3 and 20 at n = 4; T2.1 finds its three counterexamples
-        # at n = 3 (see below)
-        ("T2.1", "cover_sizes", "_cover_size", ((30, 3), (1961, 0), (30, 3)), 7 + 20 + 7),
-        ("T4.1", "cover_sizes", "_cover_size", ((0, 0), (1, 0), (0, 0)), 7 + 20 + 7),
+        # one search per distinct slice word of the separating height-4
+        # leaves, 7 at n = 3 and 20 at n = 4; T2.1 finds its three
+        # counterexamples at n = 3 (see below)
+        ("T2.1", "covers", "_least_cover", ((30, 3), (1961, 0), (30, 3)), 7 + 20 + 7),
+        ("T4.1", "covers", "_least_cover", ((0, 0), (1, 0), (0, 0)), 7 + 20 + 7),
         ("PROPS", "covers", "_least_cover", ((31, 0), (2034, 0), (31, 0)), 7 + 20 + 7),
     ],
 )
@@ -832,11 +825,11 @@ def test_leaf_memos_live_for_one_walk(monkeypatch, tid, memo, fill, checked, com
 def test_enumerate_uc_leaves_the_memos_empty():
     # a cover-size gate fills the cover memos as a check's walk does
     words = _leaf_words(4)
-    memos = [words.descents, words.tails, words.covers, words.cover_sizes]
-    for memo, name in zip(memos, ("descents", "tails", "covers", "cover_sizes")):
+    memos = [words.descents, words.tails, words.covers]
+    for memo, name in zip(memos, ("descents", "tails", "covers")):
         memo.update(stale_entries(4, name))
     assert ucf.enumerate_uc(4, EnumFilter(bsize=(0, 2))) == 4396
-    assert memos == [{}, {}, {}, {}]
+    assert memos == [{}, {}, {}]
 
 
 def bell_numbers(count):
