@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Run the whole exhaustive verification battery over small ground sets.
 
-Default covers n in 1..4 (seconds). --deep adds n=5 for the checks whose
-walk has a height cap (T1.4 at height 3; T2.1, C2.2, T4.1 and PROPS at
-height 4; 7-8 s in all on one core of a 2-vCPU VM, Python 3.11). T1.2,
-L1.3 and L2.1.1 have no cap and walk all 2,747,402 union-closed families at
-n=5, so they stop at n=4 here. Run once each on one core (Python 3.11,
-2-vCPU VM), they found 0 violations: T1.2 checked 2,747,401 families in
-40 s, L1.3 2,704,780 in 20 s and L2.1.1 2,704,780 in 31 s
-(`ucf verify --id <id> --n 5 --deep`).
+Default covers n in 1..4 (under a second). --deep adds n=5 for the checks
+whose height cap prunes the n=5 walk (T1.4 at height 3; T2.1, C2.2, T4.1
+and PROPS at height 4; about 6 s in all on one core of a 2-vCPU VM, Python
+3.11). T1.2 (height at least 2), L1.3 and L2.1.1 walk all 2,747,402
+union-closed families at n=5, so they stop at n=4 here. Run once each on
+one core (Python 3.11, 2-vCPU VM), they found 0 violations: T1.2 checked
+2,747,401 families in 21 s, L1.3 2,704,780 in 8 s and L2.1.1 2,704,780 in
+15 s (`ucf verify --id <id> --n 5 --deep`).
 """
 
 import argparse
 import sys
 
 from ucf import THEOREM_IDS, verify_theorem
-from ucf.enumeration import _CHECKS
+from ucf.enumeration import _CHECKS, ENUMERATION_CAP
 
 
 def main() -> int:
@@ -26,8 +26,12 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=None, help="parallel workers")
     args = parser.parse_args()
 
-    # The checks whose filter caps the height; the others walk every family.
-    capped = {tid for tid, check in _CHECKS.items() if check.filt.height_range()}
+    # The checks whose height cap prunes the n=5 walk; the others walk every family.
+    capped = {
+        tid
+        for tid, check in _CHECKS.items()
+        if (rng := check.filt.height_range()) and rng[1] <= ENUMERATION_CAP
+    }
     failures = 0
     print(f"{'check':8s} {'n':>2s} {'checked':>9s} {'violations':>10s} {'time':>8s}")
     for tid in THEOREM_IDS:

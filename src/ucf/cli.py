@@ -212,6 +212,8 @@ _CONSTRUCTIONS = {
 def _cmd_construct(args) -> int:
     if args.kind == "ak" and args.k is None:
         return _fail("construct ak requires --k")
+    if args.kind != "ak" and args.k is not None:
+        return _fail(f"construct {args.kind} takes no --k")
     params = (args.n, args.k) if args.kind == "ak" else (args.n,)
     build, certify = _CONSTRUCTIONS[args.kind]
     try:

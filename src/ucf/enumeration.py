@@ -55,18 +55,19 @@ slice members (the search `b_report` runs), under the slice word
 `have & small`. A cover longer than the leaf's height is an error tested
 on every leaf, since the height is the leaf's own. `_walk`
 empties the memos before and after each walk, so no run reads another's
-entries. A passing conclusion costs its leaf one count; a `Family` is
-built only for a leaf whose word conclusion fails (the `Family` conclusion
-then gives the violation's details), for the one-member leaf {[n]} that T1.2
-leaves unchecked, and for a caller's visitor, so a count-only `enumerate_uc`
-builds none. `EnumFilter.matches` and the `Family` conclusions stay as the
-public gate and the oracle: tests/test_enumeration.py compares every word
-fact with them on every leaf for n <= 4 and at n = 5 under height cap 3, and
-under cap 4 in the deep suite. Public analysis functions validate their
-input; the `Family` gate and conclusions instead pass these facts about a
-leaf (union-closed, base [n], height h) to the private cores behind those
-functions, as the construction certifier and `ucf analyze` do with the facts
-they derive once.
+entries. A check counts the leaves its gate passes, so a passing
+conclusion costs its leaf nothing more; a `Family` is built only for a
+leaf whose word conclusion fails (the `Family` conclusion then gives the
+violation's details) and for a caller's visitor, so a count-only
+`enumerate_uc` builds none. `EnumFilter.matches` and the `Family`
+conclusions stay as the public gate and the oracle:
+tests/test_enumeration.py compares every word fact with them on every leaf
+for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the deep
+suite. Public analysis functions validate their input; the `Family` gate
+and conclusions instead pass these facts about a leaf (union-closed, base
+[n], height h) to the private cores behind those functions, as the
+construction certifier and `ucf analyze` do with the facts they derive
+once.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -665,9 +666,7 @@ class VerifyReport:
         return not self.violations
 
 
-def _thm12(fam: Family, h: int) -> list[str] | None:
-    if len(fam) <= 1:  # the hypothesis |family| > 1; None marks the leaf unchecked
-        return None
+def _thm12(fam: Family, h: int) -> list[str]:
     rep = chain_report(fam)
     maxfreq = max(frequencies(fam))
     details = []
@@ -682,14 +681,11 @@ def _thm12(fam: Family, h: int) -> list[str] | None:
 
 
 def _thm12_holds(leaf: _Leaf) -> bool:
-    # _thm12's three bounds as frequency * (k - 1) >= |F| + k - 3; False on
-    # the one-member leaf sends it to _thm12, which leaves it unchecked. The
+    # _thm12's three bounds as frequency * (k - 1) >= |F| + k - 3. The
     # witness count is at most the max frequency, so where it meets a bound
     # the max frequency does too, and the frequencies are read only when
     # the count falls short at r
     size = leaf.have.bit_count()
-    if size <= 1:
-        return False
     h = leaf.h
     chain, r = leaf.chain_facts()
     _, count = leaf.thm12_pick(chain)
@@ -816,13 +812,13 @@ def _props_holds(leaf: _Leaf) -> bool:
 class _Check:
     """One check id: its hypotheses as text, as a leaf filter and as the least n
     the result is stated for, and its conclusion: the violation details for a
-    (family, height) pair, or None for a leaf it leaves unchecked. `holds`
-    decides the conclusion on a leaf's words; only a leaf it rejects runs
-    `conclude`, which gives the details."""
+    (family, height) pair that passes the filter. `holds` decides the
+    conclusion on a leaf's words; only a leaf it rejects runs `conclude`,
+    which gives the details."""
 
     hypothesis: str
     filt: EnumFilter
-    conclude: Callable[[Family, int], list[str] | None]
+    conclude: Callable[[Family, int], list[str]]
     holds: Callable[[_Leaf], bool]
     least_n: int = 1
 
@@ -830,9 +826,11 @@ class _Check:
 _SEP = EnumFilter(separating=True)
 _SEP_H4_B2 = EnumFilter(separating=True, height=4, bsize=(0, 2))
 _CHECKS = {
+    # with [n] a member, |family| > 1 is h >= 2; no leaf is taller than
+    # n + 1, so the upper bound prunes nothing
     "T1.2": _Check("union-closed, |family| > 1"
-                   " (max frequency >= (|family|+h-3)/(h-1), also with r)", EnumFilter(), _thm12,
-                   holds=_thm12_holds),
+                   " (max frequency >= (|family|+h-3)/(h-1), also with r)",
+                   EnumFilter(height=(2, ENUMERATION_CAP + 1)), _thm12, holds=_thm12_holds),
     "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13,
                    holds=_Leaf.lemma13_holds),
     "T1.4": _Check("separating, height <= 3 (average size >= n/2)",
@@ -862,26 +860,18 @@ def _run_serial(
     progress: Callable[[int], None] | None = None,
 ) -> tuple[int, list[Violation], int]:
     """One check id over one walk, the whole DFS or one parallel subtree
-    (arguments as in _walk): how many leaves it checked, their violations
-    and how many leaves it visited. A leaf that `holds` passes is one more
-    checked; only a leaf it rejects runs `conclude`, whose None marks the
-    leaf unchecked."""
+    (arguments as in _walk): how many leaves it checked, which are the
+    leaves that pass its filter, their violations and how many leaves it
+    visited. Only a leaf that `holds` rejects runs `conclude`."""
     check = _CHECKS[tid]
     holds, conclude = check.holds, check.conclude
-    checked = 0
     violations: list[Violation] = []
 
     def visit(leaf: _Leaf) -> None:
-        nonlocal checked
-        if holds(leaf):
-            checked += 1
-            return
-        details = conclude(leaf.fam, leaf.h)
-        if details is not None:
-            checked += 1
-            violations.extend(Violation(leaf.fam, d) for d in details)
+        if not holds(leaf):
+            violations.extend(Violation(leaf.fam, d) for d in conclude(leaf.fam, leaf.h))
 
-    visited, _ = _walk(n, check.filt, visit, prefix, start, progress)
+    visited, checked = _walk(n, check.filt, visit, prefix, start, progress)
     return checked, violations, visited
 
 

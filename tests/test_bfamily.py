@@ -193,6 +193,20 @@ def test_prop_suite_four_singleton_cover():
     assert all(not r.applicable for r in ucf.prop_suite(with_empty).values())
 
 
+@pytest.mark.parametrize(
+    "n, sizes, ok",
+    [
+        # odd n: a member of size (n-5)/2 pins the other three to (n-1)/2
+        (7, [1, 3, 3, 3], True),
+        (7, [1, 3, 3, 4], False),
+        (9, [2, 4, 4, 4], True),
+        (9, [2, 4, 4, 5], False),
+    ],
+)
+def test_proposition_l_odd_n(n, sizes, ok):
+    assert bfamily._four_cover_sizes_ok(n, sizes) is ok
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_proposition_g_never_fails(data):

@@ -117,6 +117,15 @@ def test_construct_errors(capsys):
     assert run(capsys, "construct", "ak", "--n", "11")[0] == 2  # missing --k
     assert run(capsys, "construct", "astar", "--n", "3")[0] == 2  # BadN
     assert run(capsys, "construct", "astar")[0] == 2  # missing --n
+    for kind in ("astar", "astarstar"):  # --k belongs to ak alone
+        argv = ("construct", kind, "--n", "8", "--k", "3")
+        assert run(capsys, *argv) == (2, "", f"error: construct {kind} takes no --k\n")
+
+
+def test_construct_no_verify_prints_the_family_without_certificate(capsys):
+    _, certified, _ = run(capsys, "construct", "ak", "--n", "11", "--k", "12")
+    code, out, err = run(capsys, "construct", "ak", "--n", "11", "--k", "12", "--no-verify")
+    assert (code, out, err) == (0, certified, "")
 
 
 def test_verify_t21_n4(capsys):
@@ -170,6 +179,12 @@ def test_verify_out_below_a_file_exits_2(capsys, tmp_path):
 def test_verify_n5_requires_deep_flag(capsys):
     code, _, err = run(capsys, "verify", "--id", "T1.4", "--n", "5")
     assert code == 2
+    assert "--deep" in err
+
+
+def test_enumerate_n5_requires_deep_flag(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "5")
+    assert (code, out) == (2, "")
     assert "--deep" in err
 
 

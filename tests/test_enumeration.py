@@ -308,6 +308,14 @@ def test_verify_checked_counts_pinned(tid):
         assert (report.families_checked, report.violations) == (expected, ())
 
 
+@pytest.mark.parametrize("tid", enumeration.THEOREM_IDS)
+def test_verify_checks_every_leaf_its_gate_passes(tid):
+    check = enumeration._CHECKS[tid]
+    for n in range(check.least_n, 5):
+        report = ucf.verify_theorem(tid, n, workers=1)
+        assert report.families_checked == ucf.enumerate_uc(n, check.filt)
+
+
 def test_verify_t14_counts_hypothesis_matches():
     for n, checked in ((3, 39), (5, 9590)):
         report = ucf.verify_theorem("T1.4", n)
@@ -483,10 +491,13 @@ def family_facts(fam, h, gates):
     """The oracle: each fact the walk reads from words, through the Family
     functions and EnumFilter.matches. The levels are None where the
     reduction fails, as it does on 358 non-separating leaves at n <= 4; the
-    T1.2 verdict is None on the one-member leaf T1.2 leaves unchecked, and
-    the PROPS verdict is None off PROPS's gate (separating, height 4). The
-    T1.2 and L2.1.1 verdicts are taken on every leaf, in their gates or not."""
-    thm12 = enumeration._CHECKS["T1.2"].conclude(fam, h)
+    T1.2 verdict is None where T1.2's gate (height at least 2) rejects the
+    family, and `thm12 == []` elsewhere; the word side tests |family| > 1,
+    so their match holds the gate to the hypothesis. The PROPS verdict is
+    None off PROPS's gate (separating, height 4). The L2.1.1 verdict is
+    taken on every leaf, in its gate or not."""
+    t12 = enumeration._CHECKS["T1.2"]
+    thm12 = t12.conclude(fam, h) == [] if t12.filt.matches(fam, h) else None
     cover = next(_min_covers(fam.n, *_small_slice(fam), h)).members
     try:
         levels = _size_bound_trace(fam).levels
@@ -508,7 +519,7 @@ def family_facts(fam, h, gates):
         levels,
         tuple(g.matches(fam, h) for g in gates),
         cover,
-        None if thm12 is None else thm12 == [],
+        thm12,
         enumeration._CHECKS["L2.1.1"].conclude(fam, h) == [],
         _props(fam, h) == [] if h == 4 and ucf.is_separating(fam) else None,
     )
@@ -878,10 +889,9 @@ def test_count_only_walks_build_no_family(monkeypatch):
     assert ucf.verify_theorem("L2.1.1", 4, workers=1).families_checked == 4078
     assert ucf.verify_theorem("PROPS", 4, workers=1).families_checked == 2034
     assert ucf.verify_theorem("T4.1", 4, workers=1).families_checked == 1
-    assert builds == 0
+    # T1.2's gate drops the one-member leaf {[4]} before it gets a record
     assert ucf.verify_theorem("T1.2", 4, workers=1).families_checked == 4541
-    assert builds == 1  # the one-member leaf {[4]}, which T1.2 leaves unchecked
-    builds = 0
+    assert builds == 0
     assert ucf.enumerate_uc(3, visitor=lambda fam: None) == builds == 90
 
 
