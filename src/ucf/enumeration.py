@@ -31,7 +31,15 @@ Words only shrink (`legal`) or grow (`under`, `split`) on the way down, so
 a candidate dead at one node is dead below it; `have`, `legal`, `split`
 and h are call arguments, so a pop restores only the one level word it
 raised. Excluding a candidate is a loop step, not a call, so the recursion
-is at most |F| deep.
+is at most |F| deep. Most leaves cost no call at all. The empty set is
+always legal, is the last candidate and lies under every member, so its
+include-child is the leaf (h + 1, have | 1, split), which fits exactly when
+h + 1 is within the cap; it is emitted directly. A child with no candidate
+left but the empty set is emitted in place, its empty-set leaf first. And
+since `legal` only shrinks and `under` only grows, a child is such a leaf
+whenever its parent has no candidate left below it but the empty set; its
+include step then works out only its level for the height, and neither
+narrows `legal` nor raises a level word.
 
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
@@ -421,8 +429,18 @@ def _dfs(
     height test, so skipping it visits the same leaves in the same order.
     `prefix` is the word of the members below [n] taken by an earlier walk
     that stopped at `start`; they are legal and within the height cap by
-    construction, and are added first, in descending order, by the same
-    `push`, their split words or'd into that of [n], which is 0.
+    construction, and are added first, in descending order, by `push`, the
+    include step that `rec` runs inline, their split words or'd into that of
+    [n], which is 0.
+
+    Where the walk decides the empty set (`stop` < 0), `rec` emits its
+    include-child, the leaf (h + 1, have | 1, split), without a call, and
+    only where h + 1 is within the cap. An include-child with no candidate
+    but the empty set is emitted in place, its empty-set leaf first. The
+    child's open word lies inside what is left of its parent's, so where
+    that holds no candidate but the empty set, the include step skips the
+    narrowing of `legal` and the raise of `under[k]` and works out only k.
+    The leaves and their order are those of one call per include.
     """
     words = _leaf_words(n)
     below, above, lifts, splits = words.below, words.above, words.lifts, words.splits
@@ -430,12 +448,17 @@ def _dfs(
     # no chain over [n] is longer than n + 1, and under a cap below 2 only [n] fits
     top = (n + 1 if h_cap is None else max(1, min(h_cap, n + 1))) - 1
     under = [below[full]] + [0] * top
-    low = (1 << (stop + 1)) - 1  # a candidate word above low has a bit above stop
+    # a candidate word above `floor` has a bit above both stop and the empty
+    # set; where the walk decides the empty set (stop < 0), a family of height
+    # h gets it as the leaf (h + 1, have | 1, split) when h <= `empty_top`
+    floor = (1 << (stop + 1)) - 1 | 1
+    empty_top = top if stop < 0 else -1
 
     def push(s: int, legal: int, have: int) -> tuple[int, int, int]:
         """Add s to a family with members `have` (s included): s's level k
         (chain length k + 1), the old `under[k]` to restore on pop, and the
-        legal word narrowed to the t with t | s in `have`."""
+        legal word narrowed to the t with t | s in `have`. `rec` runs the
+        same step inline."""
         k = 1
         while under[k] >> s & 1:
             k += 1
@@ -447,15 +470,39 @@ def _dfs(
         under[k] = old | below[s]
         return k, old, legal & p
 
-    def rec(window: int, h: int, legal: int, have: int, split: int) -> None:
-        cand = legal & ~under[top] & window
-        while cand > low:
+    def rec(cand: int, h: int, legal: int, have: int, split: int) -> None:
+        # cand: the open word `legal & ~under[top]` below the last decided candidate
+        while cand > floor:
             s = cand.bit_length() - 1
             bit = 1 << s
             cand ^= bit
-            k, old, narrowed = push(s, legal, have | bit)
-            rec(bit - 1, h if h > k else k + 1, narrowed, have | bit, split | splits[s])
-            under[k] = old
+            k = 1
+            while under[k] >> s & 1:
+                k += 1
+            g = h if h > k else k + 1
+            child, cut = have | bit, split | splits[s]
+            # the child's open word lies inside what is left of cand, so only
+            # where that is above floor can the child have a candidate to decide
+            if cand > floor:
+                # push's include step, inline
+                p = child & above[s]
+                for holding, shift in lifts[s]:
+                    p |= (p & holding) >> shift
+                old = under[k]
+                under[k] = old | below[s]
+                narrowed = legal & p
+                opened = narrowed & ~under[top] & (bit - 1)
+                if opened > floor:
+                    rec(opened, g, narrowed, child, cut)
+                    under[k] = old
+                    continue
+                under[k] = old
+            # a childless child's leaves, in place: its empty-set leaf, then itself
+            if g <= empty_top:
+                emit(g + 1, child | 1, cut)
+            emit(g, child, cut)
+        if h <= empty_top and cand & 1:
+            emit(h + 1, have | 1, split)
         emit(h, have, split)
 
     h, legal, have, split = 1, below[full], 1 << full, splits[full]
@@ -464,7 +511,8 @@ def _dfs(
         split |= splits[s]
         k, _, legal = push(s, legal, have)
         h = max(h, k + 1)
-    rec((1 << (full if start is None else start + 1)) - 1, h, legal, have, split)
+    window = (1 << (full if start is None else start + 1)) - 1
+    rec(legal & ~under[top] & window, h, legal, have, split)
 
 
 def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:

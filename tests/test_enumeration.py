@@ -135,14 +135,22 @@ def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
 
     Same arguments and leaves as _dfs. Its state is a dict, member -> length
     of the longest chain from it up to [n], in descending member order; each
-    leaf's member word is summed from its members. A candidate s is added
-    when s | x is a member for every member x (the union was decided earlier,
+    leaf's member word is summed from its members, and its split word has
+    bit q set where some member holds exactly one element of the q-th pair
+    of `itertools.combinations(range(n), 2)`. A candidate s is added when
+    s | x is a member for every member x (the union was decided earlier,
     since it is at least s) and its longest upward chain, one more than the
     longest over the members holding it, keeps the height within the cap.
     """
     full = (1 << n) - 1
     cap = n + 1 if h_cap is None else h_cap  # no chain over [n] is longer than n + 1
+    pairs = tuple(itertools.combinations(range(n), 2))
     ups = {full: 1}
+
+    def split_word() -> int:
+        return sum(
+            1 << q for q, (i, j) in enumerate(pairs) if any((x >> i ^ x >> j) & 1 for x in ups)
+        )
 
     def try_add(s: int) -> int:
         """Longest-chain length bottoming at s if added, 0 if s is illegal."""
@@ -164,7 +172,7 @@ def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
                 rec(v - 1, max(h, up_s))
                 ups.popitem()
             v -= 1
-        emit(h, sum(1 << m for m in ups))
+        emit(h, sum(1 << m for m in ups), split_word())
 
     h = 1
     for s in (m for m in range(full - 1, -1, -1) if prefix >> m & 1):
@@ -174,10 +182,9 @@ def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
 
 
 def walk_leaves(walk, n, h_cap, **kwargs):
-    """Every (height, member word) leaf of one walk, in order; the split
-    word _dfs emits after them is left out, as `reference_dfs` has none."""
+    """Every (height, member word, split word) leaf of one walk, in order."""
     out = []
-    walk(n, lambda h, have, split=None: out.append((h, have)), h_cap, **kwargs)
+    walk(n, lambda *leaf: out.append(leaf), h_cap, **kwargs)
     return out
 
 
@@ -201,11 +208,11 @@ def test_dfs_matches_reference_walk_on_split_subtrees_and_stops(n, h_cap):
         assert ours == walk_leaves(reference_dfs, n, h_cap, stop=stop), stop
 
 
-def leaf_hashes(walk, n, h_cap):
-    """One 64-bit hash per leaf of one walk, in order (int tuples hash the
-    same in every process)."""
+def leaf_hashes(walk, n, h_cap, **kwargs):
+    """One 64-bit hash per (height, member word, split word) leaf of one
+    walk, in order (int tuples hash the same in every process)."""
     out = array("q")
-    walk(n, lambda h, have, split=None: out.append(hash((h, have))), h_cap)
+    walk(n, lambda *leaf: out.append(hash(leaf)), h_cap, **kwargs)
     return out
 
 
@@ -230,6 +237,19 @@ def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
     assert len(prefixes) > 1 and len(set(prefixes)) == len(prefixes)
     subtrees = [leaf for prefix in prefixes for leaf in leaves(prefix=prefix, start=split)]
     assert subtrees == leaves()
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("h_cap, leaves", [(4, 382210), (None, 2747402)])
+def test_split_subtrees_concatenate_to_serial_walk_n5(h_cap, leaves):
+    # the subtrees the parallel deep battery seeds through `push`, compared
+    # by leaf hashes to keep the 2.7 million uncapped leaves small in memory
+    split, prefixes = _split(5, h_cap)
+    subtrees = array("q")
+    for prefix in prefixes:
+        subtrees += leaf_hashes(_dfs, 5, h_cap, prefix=prefix, start=split)
+    assert len(subtrees) == leaves
+    assert subtrees == leaf_hashes(_dfs, 5, h_cap)
 
 
 def test_empty_filter_ranges_are_rejected():
