@@ -3,12 +3,14 @@
 
 Default covers n in 1..4 (under a second). --deep adds n=5 for the checks
 whose height cap prunes the n=5 walk (T1.4 at height 3; T2.1, C2.2, T4.1
-and PROPS at height 4; about 4 s in all on one core of a 2-vCPU VM, Python
-3.11). T1.2 (height at least 2), L1.3 and L2.1.1 walk all 2,747,402
-union-closed families at n=5, so they stop at n=4 here. Run once each on
+and PROPS at height 4; about 3.5 s in all on one core of a 2-vCPU VM,
+Python 3.11, where T1.4, T2.1, C2.2 and T4.1 walk one family per symmetry
+class of co-singletons). T1.2 (height at least 2), L1.3 and L2.1.1 walk
+the uncapped n=5 tree of 2,747,402 union-closed families (L1.3 only its
+representatives), so they stop at n=4 here. Run once each on
 one core (Python 3.11, 2-vCPU VM), they found 0 violations: T1.2 checked
-2,747,401 families in 16 s, L1.3 2,704,780 in 6 s and L2.1.1 2,704,780 in
-17 s (`ucf verify --id <id> --n 5 --deep`).
+2,747,401 families in 21 s, L1.3 2,704,780 in 5 s and L2.1.1 2,704,780 in
+14 s (`ucf verify --id <id> --n 5 --deep`).
 """
 
 import argparse

@@ -77,6 +77,29 @@ and conclusions instead pass these facts about a leaf (union-closed, base
 construction certifier and `ucf analyze` do with the facts they derive
 once.
 
+A walk whose gate and visitor read no labels, a count-only `enumerate_uc`
+or a serial run of a check marked label-free (T1.4, T2.1, C2.2, T4.1 and
+L1.3), is an orbit walk. A co-singleton [n] - {i} is always legal, since
+its union with a member is itself or [n], and it is maximal below [n], so
+it never narrows `legal` and takes level 1. So a walk can decide all of
+them at the root: sub-walk k seeds the co-singletons with i < k through
+`prefix`, and `skip` takes every co-singleton out of `legal`. Its leaves
+are exactly the families whose co-singleton set is {[n] - {i} : i < k}. A
+relabeling of [n] maps any co-singleton set S of k elements onto that one,
+and keeps the empty set, the height, separation and |B| (the size of a
+minimum cover); so the families with co-singleton set S that pass a
+label-free gate are as many as those of sub-walk k, and the k-sets are
+C(n, k). Sub-walk k's passed count, times C(n, k), summed over k = 0..n,
+is the count of the full walk. Each sub-walk runs the full walk's kernel
+on fewer leaves (4,693 of 15,067 at n = 5 under height cap 3). A label-free
+check holds on a representative exactly where it holds on all of its
+relabelings, so an orbit walk that finds no violation gives the report;
+one that finds a violation is followed by the full walk, which lists them
+all in DFS order. n = 1, whose co-singleton is the empty set, keeps the
+full walk; a visitor, a label-reading check (T1.2's tie-breaks, L2.1.1's
+trace, the least cover of PROPS), hypothesis-necessity mode and a parallel
+run do too.
+
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
 machinery with the DFS and exists to validate it.
@@ -91,6 +114,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import struct
 import time
@@ -418,6 +442,7 @@ def _dfs(
     prefix: int = 0,
     start: int | None = None,
     stop: int = -1,
+    skip: int = 0,
 ) -> None:
     """Run the generator, calling emit(height, member word, split word) at
     each leaf.
@@ -431,7 +456,10 @@ def _dfs(
     that stopped at `start`; they are legal and within the height cap by
     construction, and are added first, in descending order, by `push`, the
     include step that `rec` runs inline, their split words or'd into that of
-    [n], which is 0.
+    [n], which is 0. `skip` is a word of masks decided before the walk
+    starts (members of `prefix`, or left out): it is taken out of `legal`
+    once, at the root, so no candidate below reads it. It must not hold the
+    empty set, whose leaves are emitted without a look at `legal`.
 
     Where the walk decides the empty set (`stop` < 0), `rec` emits its
     include-child, the leaf (h + 1, have | 1, split), without a call, and
@@ -505,7 +533,7 @@ def _dfs(
             emit(h + 1, have | 1, split)
         emit(h, have, split)
 
-    h, legal, have, split = 1, below[full], 1 << full, splits[full]
+    h, legal, have, split = 1, below[full] & ~skip, 1 << full, splits[full]
     for s in reversed(words.masks(prefix)):
         have |= 1 << s
         split |= splits[s]
@@ -529,26 +557,29 @@ def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:
 def _gate(
     filt: EnumFilter | None, words: _Words
 ) -> tuple[Callable[[int, int, int], bool] | None, Callable[[_Leaf], bool] | None]:
-    """The filter read once for a walk, as two tests that pass a leaf
-    exactly where `filt.matches` would: `admit`, a pure word test of its
-    height, member word and split word, and `sized`, the cover-size test of
-    its `_Leaf`. Either is None where the filter tests nothing of its kind.
-    `admit` runs `matches`'s word tests in its order: the empty set's bit,
-    the height range, and separation, which holds when the split word is
-    `every`."""
+    """The filter read once for a walk under its height cap, as two tests
+    that pass a leaf of that walk exactly where `filt.matches` would:
+    `admit`, a pure word test of its height, member word and split word,
+    and `sized`, the cover-size test of its `_Leaf`. Either is None where
+    the filter leaves nothing of its kind to test. `admit` runs `matches`'s
+    word tests in its order: the empty set's bit, the height, and
+    separation, which holds when the split word is `every`. The walk's cap
+    is the height range's hi and every leaf has h >= 1, so the height test
+    is h >= lo, made only where lo >= 2; a cap below 1 still emits the one
+    leaf {[n]}, of height 1, which h >= 2 then rejects."""
     if filt is None:
         return None, None
-    empty, height = filt.contains_empty, filt.height
-    separating, bsize = filt.separating, filt.bsize
-    lo, hi = _bounds(height) if height is not None else (0, 0)
+    empty, separating, bsize = filt.contains_empty, filt.separating, filt.bsize
+    lo, hi = _bounds(filt.height) if filt.height is not None else (1, 1)
+    least = lo if hi >= 1 else 2
     every = words.every
     admit = sized = None
 
-    if (empty, height, separating) != (None, None, None):
+    if (empty, separating) != (None, None) or least >= 2:
         def admit(h: int, have: int, split: int) -> bool:
             if empty is not None and (have & 1) != empty:
                 return False
-            if height is not None and not lo <= h <= hi:
+            if h < least:
                 return False
             return separating is None or (split == every) == separating
 
@@ -568,15 +599,26 @@ def _walk(
     prefix: int = 0,
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
+    orbit: bool = False,
 ) -> tuple[int, int]:
     """Run the DFS (arguments as in _dfs) under the filter's height cap and
     call visit(leaf) on each leaf that passes the filter's `_gate`; returns
-    how many leaves it visited and how many passed. A leaf becomes a `_Leaf`
-    only for the gate's cover-size test or for `visit`, so with neither the
-    walk builds none. `progress` gets the visited count every 100,000
-    leaves. The leaf memos of `_leaf_words(n)` start and end the walk empty,
-    so no walk reads another's entries."""
+    how many leaves it visited and how many families passed. A leaf becomes
+    a `_Leaf` only for the gate's cover-size test or for `visit`, so with
+    neither the walk builds none. `progress` gets the visited count every
+    100,000 leaves. The leaf memos of `_leaf_words(n)` start and end the
+    walk empty, so no walk reads another's entries.
+
+    An `orbit` walk, for a caller whose filter and `visit` read no labels,
+    visits only the families whose co-singletons [n] - {i} are those with
+    i < k, for some k, and counts each that passes C(n, k) times (see the
+    module docstring): sub-walk k takes those co-singletons as its prefix
+    and skips the others. Under a cap below 2 no co-singleton fits, so only
+    sub-walk 0 runs; at n = 1 the full walk runs. An orbit walk covers the
+    whole tree and reads no `prefix` or `start`. Its visited count is of
+    the representatives."""
     rng = filt.height_range() if filt else None
+    cap = rng and rng[1]
     words = _leaf_words(n)
     admit, sized = _gate(filt, words)
     build = visit is not None or sized is not None
@@ -599,7 +641,17 @@ def _walk(
 
     words.forget()
     try:
-        _dfs(n, emit, rng and rng[1], prefix, start)
+        if orbit and n > 1:
+            # n = 1 is left out: its one co-singleton is the empty set
+            cosingles = [bit for bit, _ in words.coatoms]
+            weighted = 0
+            for k in range(n + 1 if cap is None or cap >= 2 else 1):
+                before = passed
+                _dfs(n, emit, cap, sum(cosingles[:k]), skip=sum(cosingles))
+                weighted += math.comb(n, k) * (passed - before)
+            passed = weighted
+        else:
+            _dfs(n, emit, cap, prefix, start)
     finally:
         words.forget()
     return visited, passed
@@ -612,12 +664,16 @@ def enumerate_uc(
     progress: Callable[[int], None] | None = None,
 ) -> int:
     """Visit every union-closed family with base exactly [n] that passes the
-    filter, in deterministic order; returns how many passed. `progress`
-    gets the visited count every 100,000 families."""
+    filter, in deterministic order; returns how many passed. With no
+    visitor nothing reads a family's labels, so the count comes from
+    `_walk`'s orbit walk, which visits only the families whose
+    co-singletons [n] - {i} are those with i < k and counts each C(n, k)
+    times. `progress` gets the visited count every 100,000 walk leaves,
+    which on that walk are those representatives."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
     visit = (lambda leaf: visitor(leaf.fam)) if visitor else None
-    return _walk(n, filt, visit, progress=progress)[1]
+    return _walk(n, filt, visit, progress=progress, orbit=visitor is None)[1]
 
 
 @functools.cache
@@ -654,10 +710,11 @@ def canonical_form(fam: Family) -> Family:
     largest key names the least image (a tie means an equal image); only
     that image is sorted.
 
-    Isomorphism reduction is never applied implicitly (the verification
-    quantifies over all families); this pass exists for reporting, e.g.
-    counting enumerated families up to relabeling. Same n <= 5 cap as the
-    enumerator, since the tables hold n! images.
+    No walk reads it (the verification quantifies over all families, and
+    the orbit walk's weights keep its counts exact without canonical
+    forms); this pass exists for reporting, e.g. counting enumerated
+    families up to relabeling. Same n <= 5 cap as the enumerator, since the
+    tables hold n! images.
     """
     if fam.n > ENUMERATION_CAP:
         raise NTooLarge(f"canonical form is capped at n <= {ENUMERATION_CAP}")
@@ -862,13 +919,16 @@ class _Check:
     the result is stated for, and its conclusion: the violation details for a
     (family, height) pair that passes the filter. `holds` decides the
     conclusion on a leaf's words; only a leaf it rejects runs `conclude`,
-    which gives the details."""
+    which gives the details. `label_free` marks a check whose filter and
+    conclusion are unchanged by a relabeling of [n], so that a serial run
+    may take `_walk`'s orbit walk."""
 
     hypothesis: str
     filt: EnumFilter
     conclude: Callable[[Family, int], list[str]]
     holds: Callable[[_Leaf], bool]
     least_n: int = 1
+    label_free: bool = False
 
 
 _SEP = EnumFilter(separating=True)
@@ -880,19 +940,20 @@ _CHECKS = {
                    " (max frequency >= (|family|+h-3)/(h-1), also with r)",
                    EnumFilter(height=(2, ENUMERATION_CAP + 1)), _thm12, holds=_thm12_holds),
     "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13,
-                   holds=_Leaf.lemma13_holds),
+                   holds=_Leaf.lemma13_holds, label_free=True),
     "T1.4": _Check("separating, height <= 3 (average size >= n/2)",
-                   EnumFilter(separating=True, height=(1, 3)), _avg_half, holds=_avg_half_holds),
+                   EnumFilter(separating=True, height=(1, 3)), _avg_half, holds=_avg_half_holds,
+                   label_free=True),
     "L2.1.1": _Check("separating (|family| >= n, with reduction trace)", _SEP, _size_bound,
                      holds=_size_bound_holds),
     "T2.1": _Check("separating, height 4, n >= 4, cover size <= 2 (average size >= n/2)",
-                   _SEP_H4_B2, _avg_half, least_n=4, holds=_avg_half_holds),
+                   _SEP_H4_B2, _avg_half, least_n=4, holds=_avg_half_holds, label_free=True),
     "C2.2": _Check("separating, height 4, n >= 4, cover size <= 2"
                    " (some element in half the members)", _SEP_H4_B2, _frankl, least_n=4,
-                   holds=_frankl_holds),
+                   holds=_frankl_holds, label_free=True),
     "T4.1": _Check("separating, height 4, cover size 4 (average size > floor(n/2) - 1)",
                    EnumFilter(separating=True, height=4, bsize=4), _avg_floor,
-                   holds=_avg_floor_holds),
+                   holds=_avg_floor_holds, label_free=True),
     "PROPS": _Check("separating, height 4 (all applicable propositions A-L hold)",
                     EnumFilter(separating=True, height=4), _props, holds=_props_holds),
 }
@@ -906,11 +967,14 @@ def _run_serial(
     prefix: int = 0,
     start: int | None = None,
     progress: Callable[[int], None] | None = None,
+    orbit: bool = False,
 ) -> tuple[int, list[Violation], int]:
     """One check id over one walk, the whole DFS or one parallel subtree
-    (arguments as in _walk): how many leaves it checked, which are the
-    leaves that pass its filter, their violations and how many leaves it
-    visited. Only a leaf that `holds` rejects runs `conclude`."""
+    (arguments as in _walk): how many families it checked, which are the
+    families that pass its filter, their violations and how many leaves it
+    visited. Only a leaf that `holds` rejects runs `conclude`. An orbit
+    walk that finds a violation is followed by the full walk, whose report
+    lists every violating family in DFS order."""
     check = _CHECKS[tid]
     holds, conclude = check.holds, check.conclude
     violations: list[Violation] = []
@@ -919,7 +983,10 @@ def _run_serial(
         if not holds(leaf):
             violations.extend(Violation(leaf.fam, d) for d in conclude(leaf.fam, leaf.h))
 
-    visited, checked = _walk(n, check.filt, visit, prefix, start, progress)
+    visited, checked = _walk(n, check.filt, visit, prefix, start, progress, orbit)
+    if orbit and violations:
+        violations.clear()
+        visited, checked = _walk(n, check.filt, visit, prefix, start, progress)
     return checked, violations, visited
 
 
@@ -934,10 +1001,14 @@ def verify_theorem(
 
     With hypothesis_necessity (T2.1 only) the n >= 4 hypothesis is dropped
     and the report lists the families that then break the conclusion; the
-    run demonstrates why the hypothesis is needed. `progress` gets the
-    visited count every 100,000 leaves of a serial walk; a parallel run
-    gives it the running total as each subtree's results arrive, in DFS
-    order.
+    run demonstrates why the hypothesis is needed. A serial run of a
+    label-free check is `_walk`'s orbit walk, over the families whose
+    co-singletons [n] - {i} are those with i < k, each counted C(n, k)
+    times; where one of them fails it walks every family, so the report is
+    the same either way. `progress` gets the
+    visited count every 100,000 leaves of a serial walk (representatives,
+    on an orbit walk); a parallel run, which walks every family, gives it
+    the running total as each subtree's results arrive, in DFS order.
     """
     if tid not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
@@ -959,7 +1030,9 @@ def verify_theorem(
     if n < check.least_n and not hypothesis_necessity:
         checked, violations = 0, []
     elif workers == 1 or n <= 3:
-        checked, violations, _ = _run_serial(tid, n, progress=progress)
+        # necessity mode is run to list the violations, so it walks them all at once
+        orbit = check.label_free and not hypothesis_necessity
+        checked, violations, _ = _run_serial(tid, n, progress=progress, orbit=orbit)
     else:
         rng = check.filt.height_range()
         split, prefixes = _split(n, rng and rng[1])

@@ -1,5 +1,6 @@
 """Enumerator against the naive power-set oracle; verification harness runs."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,7 +21,16 @@ from ucf import EnumFilter, Family, enumeration
 from ucf import bfamily
 from ucf.bfamily import _min_covers, _small_slice
 from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
-from ucf.enumeration import _dfs, _gate, _Leaf, _leaf_words, _props, _props_holds, _split
+from ucf.enumeration import (
+    Violation,
+    _dfs,
+    _gate,
+    _Leaf,
+    _leaf_words,
+    _props,
+    _props_holds,
+    _split,
+)
 from ucf.errors import InternalError, NTooLarge
 
 from strategies import family_of_word, relabel
@@ -250,6 +260,147 @@ def test_split_subtrees_concatenate_to_serial_walk_n5(h_cap, leaves):
         subtrees += leaf_hashes(_dfs, 5, h_cap, prefix=prefix, start=split)
     assert len(subtrees) == leaves
     assert subtrees == leaf_hashes(_dfs, 5, h_cap)
+
+
+# ---------------------------------------------------------------------------
+# the co-singleton orbit walk
+# ---------------------------------------------------------------------------
+
+def is_representative(n, have):
+    """Whether a member word's co-singletons [n] - {i} are those with i < k
+    for some k: the families an orbit walk visits."""
+    full = (1 << n) - 1
+    held = [have >> (full ^ 1 << i) & 1 for i in range(n)]
+    return held == sorted(held, reverse=True)
+
+
+def orbit_filters(cap):
+    """Label-free filters whose walk runs under the height cap `cap`: the
+    cap as a range from 0, the exact height and, from cap 2, a range from 2,
+    each alone, with either empty-set test, either separation test or one
+    cover size 0..4."""
+    heights = [None] if cap is None else [(0, cap), cap, *([(2, cap)] if cap >= 2 else [])]
+    others = [
+        {}, {"contains_empty": True}, {"contains_empty": False},
+        {"separating": True}, {"separating": False}, *({"bsize": b} for b in range(5)),
+    ]
+    return [EnumFilter(height=height, **other) for height in heights for other in others]
+
+
+def assert_orbit_counts_equal_full_counts(n, cap):
+    for filt in orbit_filters(cap):
+        orbit, full = enumeration._walk(n, filt, None, orbit=True), enumeration._walk(n, filt, None)
+        assert orbit[1] == full[1], (n, filt, orbit, full)
+
+
+def test_orbit_walk_counts_equal_full_walk_counts():
+    # every family is a relabeling of one whose co-singletons are an initial
+    # segment, and C(n, k) relabelings of its co-singleton set have its count
+    for n in range(1, 5):
+        for cap in (None, *range(n + 2)):
+            assert_orbit_counts_equal_full_counts(n, cap)
+            # and the walk visits exactly the representatives, each once
+            filt = None if cap is None else EnumFilter(height=(0, cap))
+            orbit, full = [], []
+            enumeration._walk(n, filt, orbit.append, orbit=True)
+            enumeration._walk(n, filt, full.append)
+            assert sorted(leaf.have for leaf in orbit) == sorted(
+                leaf.have for leaf in full if n == 1 or is_representative(n, leaf.have)
+            ), (n, cap)
+    for cap in (2, 3):
+        assert_orbit_counts_equal_full_counts(5, cap)
+    assert enumeration._walk(5, EnumFilter(height=(1, 3)), None, orbit=True) == (4693, 15067)
+
+
+def test_orbit_walk_edge_cases(monkeypatch):
+    # One `_dfs` call per sub-walk: n + 1 of them, but one at n = 1, whose
+    # one co-singleton is the empty set, so the full walk runs; and one
+    # under a cap below 2, where only [n] fits, so only sub-walk 0 runs
+    # and no co-singleton is pushed past the cap.
+    calls = []
+    dfs = enumeration._dfs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        dfs(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_dfs", counted)
+
+    def walks(n, filt):
+        calls.clear()
+        got, sub_walks = enumeration._walk(n, filt, None, orbit=True), len(calls)
+        assert got[1] == enumeration._walk(n, filt, None)[1]
+        return got, sub_walks
+
+    assert walks(1, None) == ((2, 2), 1)
+    assert walks(4, None) == ((1896, 4542), 5)
+    for n in range(2, 6):
+        for height, passed in ((0, 0), (1, 1), ((0, 1), 1)):
+            assert walks(n, EnumFilter(height=height)) == ((1, passed), 1)
+        assert walks(n, EnumFilter(height=2))[1] == n + 1
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("cap", [4, None])
+def test_orbit_walk_counts_equal_full_walk_counts_n5(cap):
+    assert_orbit_counts_equal_full_counts(5, cap)
+
+
+@pytest.mark.deep
+def test_orbit_walk_n6_height_at_most_3():
+    # 641,046 families of height <= 3 at n = 6, 464,833 of them separating,
+    # by the orbit walk and by the full walk
+    for filt, count in (
+        (EnumFilter(height=(1, 3)), 641046),
+        (EnumFilter(height=(1, 3), separating=True), 464833),
+    ):
+        assert enumeration._walk(6, filt, None, orbit=True)[1] == count
+        assert enumeration._walk(6, filt, None)[1] == count
+
+
+@pytest.mark.parametrize(
+    "tid", [tid for tid, check in enumeration._CHECKS.items() if check.label_free]
+)
+def test_label_free_checks_keep_their_verdicts_under_relabeling(tid):
+    # The adjacent transpositions generate S_n, so a gate and a verdict that
+    # each of them keeps are kept by every relabeling.
+    check = enumeration._CHECKS[tid]
+    for n in range(1, 5):
+        swaps = []
+        for i in range(n - 1):
+            perm = list(range(n))
+            perm[i : i + 2] = i + 1, i
+            swaps.append(perm)
+        leaves = []
+        enumeration._walk(n, check.filt, leaves.append)
+        for leaf in leaves:
+            verdict = check.holds(leaf)
+            for perm in swaps:
+                image = relabel(leaf.fam, perm)
+                assert check.filt.matches(image, leaf.h)
+                assert check.holds(leaf_of(image, leaf.h)) == verdict, (tid, leaf.fam, perm)
+
+
+def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch):
+    # A label-free row made to fail on the families holding {1}, which a
+    # relabeling moves: the representatives hold only some of them, and the
+    # report lists all of them, in DFS order, as the full walk does.
+    def holds(leaf):
+        return not leaf.have & 1 << 1
+
+    def conclude(fam, h):
+        return ["holds {1}"] if 1 in fam.members else []
+
+    check = dataclasses.replace(enumeration._CHECKS["T1.4"], holds=holds, conclude=conclude)
+    monkeypatch.setitem(enumeration._CHECKS, "T1.4", check)
+    for n in (2, 3, 4):
+        report = ucf.verify_theorem("T1.4", n, workers=1)
+        full, met = [], []
+        checked = enumeration._walk(n, check.filt, full.append)[1]
+        want = tuple(Violation(leaf.fam, "holds {1}") for leaf in full if not holds(leaf))
+        assert (report.families_checked, report.violations) == (checked, want)
+        enumeration._walk(n, check.filt, lambda leaf: holds(leaf) or met.append(leaf), orbit=True)
+        assert 0 < len(met) < len(want)
 
 
 def test_empty_filter_ranges_are_rejected():
@@ -546,8 +697,13 @@ def family_facts(fam, h, gates):
 
 
 def passes(gate, leaf, split):
-    """Whether a leaf with this split word passes a `_gate`'s two tests."""
-    admit, sized = gate
+    """Whether a leaf with this split word passes a `_gate`'s two tests on a
+    walk under the gate's height cap, the hi of its filter's height range.
+    That walk emits the leaves of height at most max(1, hi), so the gate
+    tests no upper bound."""
+    (admit, sized), rng = gate
+    if rng is not None and leaf.h > max(1, rng[1]):
+        return False
     return (admit is None or admit(leaf.h, leaf.have, split)) and (sized is None or sized(leaf))
 
 
@@ -584,7 +740,7 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
     being `every`. The leaf memos, which the facts fill as a walk's do, end
     empty as after a walk."""
     words = _leaf_words(n)
-    word_gates = [_gate(g, words) for g in gates]
+    word_gates = [(_gate(g, words), g.height_range()) for g in gates]
     count = verdicts = 0
 
     def emit(h, have, split):
@@ -916,9 +1072,15 @@ def test_count_only_walks_build_no_family(monkeypatch):
 
 
 def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
-    # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4.
-    # A count-only walk builds no `_Leaf`; a cover-size gate builds one for
-    # each leaf past the word tests, and a visitor one per passing leaf.
+    # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4,
+    # and 871 of those are representatives of an orbit walk. A count-only
+    # walk builds no `_Leaf`; a cover-size gate builds one for each leaf
+    # past the word tests, which on a count-only walk, an orbit walk, are
+    # representatives; and a visitor one per passing leaf.
+    past = []
+    enumeration._walk(4, EnumFilter(separating=True, height=4), past.append)
+    representatives = sum(is_representative(4, leaf.have) for leaf in past)
+    assert (len(past), representatives) == (2034, 871)
     builds = 0
     init = _Leaf.__init__
 
@@ -931,7 +1093,7 @@ def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4)) == 2034
     assert builds == 0
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
-    assert builds == 2034
+    assert builds == 871
     builds = 0
     visited = []
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4), visited.append) == 2034
