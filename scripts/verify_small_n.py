@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument(
         "--deep", action="store_true", help="include the n=5 runs of the height-capped checks"
     )
-    parser.add_argument("--workers", type=int, default=None, help="parallel workers")
     args = parser.parse_args()
 
     # The checks whose height cap prunes the n=5 walk; the others walk every family.
@@ -39,7 +38,7 @@ def main() -> int:
     for tid in THEOREM_IDS:
         top = 5 if args.deep and tid in capped else 4
         for n in range(1, top + 1):
-            report = verify_theorem(tid, n, workers=args.workers)
+            report = verify_theorem(tid, n)
             status = "ok" if report.ok else "FAIL"
             print(
                 f"{tid:8s} {n:2d} {report.families_checked:9d} "

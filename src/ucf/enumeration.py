@@ -77,37 +77,44 @@ and conclusions instead pass these facts about a leaf (union-closed, base
 construction certifier and `ucf analyze` do with the facts they derive
 once.
 
+Every walk is a tuple of (prefix, skip, weight) seeds, each run by one
+`_dfs` call from the members `prefix` holds, with the masks `skip` holds
+decided before it starts; each family that passes counts `weight` times.
+The full walk is the one seed (0, 0, 1).
+
 A walk whose gate and visitor read no labels, a count-only `enumerate_uc`
-or a serial run of a check marked label-free (T1.4, T2.1, C2.2, T4.1 and
-L1.3), is an orbit walk. A co-singleton [n] - {i} is always legal, since
-its union with a member is itself or [n], and it is maximal below [n], so
-it never narrows `legal` and takes level 1. So a walk can decide all of
-them at the root: sub-walk k seeds the co-singletons with i < k through
-`prefix`, and `skip` takes every co-singleton out of `legal`. Its leaves
-are exactly the families whose co-singleton set is {[n] - {i} : i < k}. A
-relabeling of [n] maps any co-singleton set S of k elements onto that one,
-and keeps the empty set, the height, separation and |B| (the size of a
-minimum cover); so the families with co-singleton set S that pass a
-label-free gate are as many as those of sub-walk k, and the k-sets are
-C(n, k). Sub-walk k's passed count, times C(n, k), summed over k = 0..n,
-is the count of the full walk. Each sub-walk runs the full walk's kernel
-on fewer leaves (4,693 of 15,067 at n = 5 under height cap 3). A label-free
-check holds on a representative exactly where it holds on all of its
+or a run of a check marked label-free (T1.4, T2.1, C2.2, T4.1 and L1.3),
+is an orbit walk. A co-singleton [n] - {i} is always legal, since its
+union with a member is itself or [n], and it is maximal below [n], so it
+never narrows `legal` and takes level 1. So a walk can decide all of them
+at the root: `_orbit`'s seed k has the co-singletons with i < k as its
+prefix and every co-singleton in its skip. Its leaves are exactly the
+families whose co-singleton set is {[n] - {i} : i < k}. A relabeling of
+[n] maps any co-singleton set S of k elements onto that one, and keeps the
+empty set, the height, separation and |B| (the size of a minimum cover);
+so the families with co-singleton set S that pass a label-free gate are as
+many as those of seed k, and the k-sets are C(n, k). Seed k's passed
+count, times C(n, k), its weight, summed over k = 0..n, is the count of
+the full walk. Each seed's walk runs the full walk's kernel on fewer
+leaves (4,693 of 15,067 at n = 5 under height cap 3). A label-free check
+holds on a representative exactly where it holds on all of its
 relabelings, so an orbit walk that finds no violation gives the report;
 one that finds a violation is followed by the full walk, which lists them
 all in DFS order. n = 1, whose co-singleton is the empty set, keeps the
 full walk; a visitor, a label-reading check (T1.2's tie-breaks, L2.1.1's
-trace, the least cover of PROPS), hypothesis-necessity mode and a parallel
-run do too.
+trace, the least cover of PROPS) and hypothesis-necessity mode do too.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
 machinery with the DFS and exists to validate it.
 
-Parallel runs stop the same DFS after its first few candidate decisions;
-each member word it holds there heads a disjoint subtree, run as one task,
-and per-subtree results are merged in DFS order, so reports are identical
-for any worker count. Progress comes as each subtree's results arrive.
+A parallel run turns a walk's seeds into tasks, one seed each (`_split`):
+each seed's walk, with the masks below its first few candidates added to
+its skip, decides only those; each member word it holds there heads a
+disjoint subtree, run as one task with the seed's weight, and per-task
+results are merged in DFS order, so reports are identical for any worker
+count, and the worker count does not choose between the orbit and the
+full walk. Progress comes as each task's results arrive.
 """
 
 from __future__ import annotations
@@ -440,35 +447,32 @@ def _dfs(
     emit: Callable[[int, int, int], None],
     h_cap: int | None,
     prefix: int = 0,
-    start: int | None = None,
-    stop: int = -1,
     skip: int = 0,
 ) -> None:
-    """Run the generator, calling emit(height, member word, split word) at
-    each leaf.
+    """Run the generator from one seed, calling emit(height, member word,
+    split word) at each leaf.
 
-    The walk decides the candidates from `start` (default [n] - 1) down to
-    `stop` + 1, each by recursing with it included and then stepping on
-    without it, and emits on reaching `stop`. Only candidates in
+    The walk decides the candidates from [n] - 1 down, each by recursing
+    with it included and then stepping on without it. Only candidates in
     `legal & ~under[cap - 1]` are tried: every other one fails the union or
     height test, so skipping it visits the same leaves in the same order.
-    `prefix` is the word of the members below [n] taken by an earlier walk
-    that stopped at `start`; they are legal and within the height cap by
-    construction, and are added first, in descending order, by `push`, the
-    include step that `rec` runs inline, their split words or'd into that of
-    [n], which is 0. `skip` is a word of masks decided before the walk
-    starts (members of `prefix`, or left out): it is taken out of `legal`
-    once, at the root, so no candidate below reads it. It must not hold the
-    empty set, whose leaves are emitted without a look at `legal`.
+    `prefix` is a word of members below [n] that the seed fixes; they are
+    legal and within the height cap by construction, and are added first,
+    in descending order, by `rec`'s include step, their split words or'd
+    into that of [n], which is 0. `skip` is the word of the masks the seed
+    decides, members of `prefix` or left out, so it holds `prefix`: it is
+    taken out of `legal` once, at the root, so no candidate below reads it.
+    It must not hold the empty set, whose leaves are emitted without a look
+    at `legal`.
 
-    Where the walk decides the empty set (`stop` < 0), `rec` emits its
-    include-child, the leaf (h + 1, have | 1, split), without a call, and
-    only where h + 1 is within the cap. An include-child with no candidate
-    but the empty set is emitted in place, its empty-set leaf first. The
-    child's open word lies inside what is left of its parent's, so where
-    that holds no candidate but the empty set, the include step skips the
-    narrowing of `legal` and the raise of `under[k]` and works out only k.
-    The leaves and their order are those of one call per include.
+    `rec` emits the empty set's include-child, the leaf (h + 1, have | 1,
+    split), without a call, and only where h + 1 is within the cap. An
+    include-child with no candidate but the empty set is emitted in place,
+    its empty-set leaf first. The child's open word lies inside what is
+    left of its parent's, so where that holds no candidate but the empty
+    set, the include step skips the narrowing of `legal` and the raise of
+    `under[k]` and works out only k. The leaves and their order are those
+    of one call per include.
     """
     words = _leaf_words(n)
     below, above, lifts, splits = words.below, words.above, words.lifts, words.splits
@@ -476,31 +480,11 @@ def _dfs(
     # no chain over [n] is longer than n + 1, and under a cap below 2 only [n] fits
     top = (n + 1 if h_cap is None else max(1, min(h_cap, n + 1))) - 1
     under = [below[full]] + [0] * top
-    # a candidate word above `floor` has a bit above both stop and the empty
-    # set; where the walk decides the empty set (stop < 0), a family of height
-    # h gets it as the leaf (h + 1, have | 1, split) when h <= `empty_top`
-    floor = (1 << (stop + 1)) - 1 | 1
-    empty_top = top if stop < 0 else -1
-
-    def push(s: int, legal: int, have: int) -> tuple[int, int, int]:
-        """Add s to a family with members `have` (s included): s's level k
-        (chain length k + 1), the old `under[k]` to restore on pop, and the
-        legal word narrowed to the t with t | s in `have`. `rec` runs the
-        same step inline."""
-        k = 1
-        while under[k] >> s & 1:
-            k += 1
-        # t | s = u for a member u above s exactly when t is u less some subset of s
-        p = have & above[s]
-        for holding, shift in lifts[s]:
-            p |= (p & holding) >> shift
-        old = under[k]
-        under[k] = old | below[s]
-        return k, old, legal & p
 
     def rec(cand: int, h: int, legal: int, have: int, split: int) -> None:
-        # cand: the open word `legal & ~under[top]` below the last decided candidate
-        while cand > floor:
+        # cand: the open word `legal & ~under[top]` below the last decided
+        # candidate; above 1, it holds a candidate besides the empty set
+        while cand > 1:
             s = cand.bit_length() - 1
             bit = 1 << s
             cand ^= bit
@@ -510,9 +494,9 @@ def _dfs(
             g = h if h > k else k + 1
             child, cut = have | bit, split | splits[s]
             # the child's open word lies inside what is left of cand, so only
-            # where that is above floor can the child have a candidate to decide
-            if cand > floor:
-                # push's include step, inline
+            # where that is above 1 can the child have a candidate to decide
+            if cand > 1:
+                # t | s = u for a member u above s exactly when t is u less some subset of s
                 p = child & above[s]
                 for holding, shift in lifts[s]:
                     p |= (p & holding) >> shift
@@ -520,38 +504,74 @@ def _dfs(
                 under[k] = old | below[s]
                 narrowed = legal & p
                 opened = narrowed & ~under[top] & (bit - 1)
-                if opened > floor:
+                if opened > 1:
                     rec(opened, g, narrowed, child, cut)
                     under[k] = old
                     continue
                 under[k] = old
             # a childless child's leaves, in place: its empty-set leaf, then itself
-            if g <= empty_top:
+            if g <= top:
                 emit(g + 1, child | 1, cut)
             emit(g, child, cut)
-        if h <= empty_top and cand & 1:
+        if h <= top and cand & 1:
             emit(h + 1, have | 1, split)
         emit(h, have, split)
 
     h, legal, have, split = 1, below[full] & ~skip, 1 << full, splits[full]
     for s in reversed(words.masks(prefix)):
+        # rec's include step, and the height that s's level k gives
+        k = 1
+        while under[k] >> s & 1:
+            k += 1
         have |= 1 << s
         split |= splits[s]
-        k, _, legal = push(s, legal, have)
+        p = have & above[s]
+        for holding, shift in lifts[s]:
+            p |= (p & holding) >> shift
+        under[k] |= below[s]
+        legal &= p
         h = max(h, k + 1)
-    window = (1 << (full if start is None else start + 1)) - 1
-    rec(legal & ~under[top] & window, h, legal, have, split)
+    rec(legal & ~under[top] & ((1 << full) - 1), h, legal, have, split)
 
 
-def _split(n: int, h_cap: int | None) -> tuple[int, list[int]]:
-    """The candidate at which parallel runs split the DFS, and one prefix per
-    subtree: the word of the members below [n] that the walk, stopped after
-    its first _SPLIT_DEPTH decisions, holds there, in DFS order."""
-    split = max(-1, (1 << n) - 2 - _SPLIT_DEPTH)
-    full_bit = 1 << (1 << n) - 1
-    prefixes: list[int] = []
-    _dfs(n, lambda h, have, _: prefixes.append(have ^ full_bit), h_cap, stop=split)
-    return split, prefixes
+_Seed = tuple[int, int, int]  # (prefix, skip, weight)
+_FULL_WALK: tuple[_Seed, ...] = ((0, 0, 1),)
+
+
+def _orbit(n: int, h_cap: int | None) -> tuple[_Seed, ...]:
+    """The orbit walk's seeds under a height cap (see the module
+    docstring): seed k has the co-singletons [n] - {i} with i < k as its
+    prefix, skips every co-singleton and weighs C(n, k). Under a cap below
+    2 no co-singleton fits, so only seed 0 is left; n = 1, whose one
+    co-singleton is the empty set, keeps the full walk."""
+    if n == 1:
+        return _FULL_WALK
+    cosingles = [bit for bit, _ in _leaf_words(n).coatoms]
+    return tuple(
+        (sum(cosingles[:k]), sum(cosingles), math.comb(n, k))
+        for k in range(n + 1 if h_cap is None or h_cap >= 2 else 1)
+    )
+
+
+def _split(n: int, h_cap: int | None, seeds: tuple[_Seed, ...]) -> list[_Seed]:
+    """The seeds of a parallel run of a walk, one per task, in DFS order.
+    Each seed's walk, with the masks from 1 to [n] - _SPLIT_DEPTH - 1 added
+    to its `skip`, decides only the masks above them and the empty set. Its
+    leaves without the empty set are the nodes where those decisions end;
+    each heads a disjoint subtree, whose seed has that leaf's members below
+    [n] as its prefix, the masks above the cut added to its skip, and the
+    walk's weight. The tasks' leaves, in order, are the walk's."""
+    full = (1 << n) - 1
+    low = (1 << max(1, full - _SPLIT_DEPTH)) - 2  # the masks from 1 to [n] - _SPLIT_DEPTH - 1
+    high = ((1 << full) - 2) ^ low  # the masks above them, below [n]
+    tasks: list[_Seed] = []
+    for prefix, skip, weight in seeds:
+        def cut(h: int, have: int, split: int) -> None:
+            if not have & 1:
+                tasks.append((have ^ 1 << full, skip | high, weight))
+
+        _dfs(n, cut, h_cap, prefix, skip | low)
+    return tasks
 
 
 def _gate(
@@ -596,27 +616,21 @@ def _walk(
     n: int,
     filt: EnumFilter | None,
     visit: Callable[[_Leaf], None] | None,
-    prefix: int = 0,
-    start: int | None = None,
+    seeds: tuple[_Seed, ...] = _FULL_WALK,
     progress: Callable[[int], None] | None = None,
-    orbit: bool = False,
 ) -> tuple[int, int]:
-    """Run the DFS (arguments as in _dfs) under the filter's height cap and
-    call visit(leaf) on each leaf that passes the filter's `_gate`; returns
-    how many leaves it visited and how many families passed. A leaf becomes
-    a `_Leaf` only for the gate's cover-size test or for `visit`, so with
-    neither the walk builds none. `progress` gets the visited count every
-    100,000 leaves. The leaf memos of `_leaf_words(n)` start and end the
-    walk empty, so no walk reads another's entries.
-
-    An `orbit` walk, for a caller whose filter and `visit` read no labels,
-    visits only the families whose co-singletons [n] - {i} are those with
-    i < k, for some k, and counts each that passes C(n, k) times (see the
-    module docstring): sub-walk k takes those co-singletons as its prefix
-    and skips the others. Under a cap below 2 no co-singleton fits, so only
-    sub-walk 0 runs; at n = 1 the full walk runs. An orbit walk covers the
-    whole tree and reads no `prefix` or `start`. Its visited count is of
-    the representatives."""
+    """Run the DFS from each (prefix, skip, weight) seed in turn (prefix
+    and skip as in _dfs) under the filter's height cap and call visit(leaf)
+    on each leaf that passes the filter's `_gate`; returns how many leaves
+    it visited and how many families passed, each counted `weight` times.
+    The full walk is the one seed `_FULL_WALK`; an orbit walk, for a caller
+    whose filter and `visit` read no labels, has `_orbit`'s seeds, and its
+    visited count is of the representatives; a parallel task has one seed
+    of `_split`'s. A leaf becomes a `_Leaf` only for the gate's cover-size
+    test or for `visit`, so with neither the walk builds none. `progress`
+    gets the visited count every 100,000 leaves. The leaf memos of
+    `_leaf_words(n)` start and end the walk empty, so no walk reads
+    another's entries."""
     rng = filt.height_range() if filt else None
     cap = rng and rng[1]
     words = _leaf_words(n)
@@ -637,21 +651,12 @@ def _walk(
                 return
             if visit is not None:
                 visit(leaf)
-        passed += 1
+        passed += weight  # the weight of the seed being walked
 
     words.forget()
     try:
-        if orbit and n > 1:
-            # n = 1 is left out: its one co-singleton is the empty set
-            cosingles = [bit for bit, _ in words.coatoms]
-            weighted = 0
-            for k in range(n + 1 if cap is None or cap >= 2 else 1):
-                before = passed
-                _dfs(n, emit, cap, sum(cosingles[:k]), skip=sum(cosingles))
-                weighted += math.comb(n, k) * (passed - before)
-            passed = weighted
-        else:
-            _dfs(n, emit, cap, prefix, start)
+        for prefix, skip, weight in seeds:
+            _dfs(n, emit, cap, prefix, skip)
     finally:
         words.forget()
     return visited, passed
@@ -665,15 +670,17 @@ def enumerate_uc(
 ) -> int:
     """Visit every union-closed family with base exactly [n] that passes the
     filter, in deterministic order; returns how many passed. With no
-    visitor nothing reads a family's labels, so the count comes from
-    `_walk`'s orbit walk, which visits only the families whose
+    visitor nothing reads a family's labels, so the count comes from the
+    orbit walk of `_orbit`'s seeds, which visits only the families whose
     co-singletons [n] - {i} are those with i < k and counts each C(n, k)
     times. `progress` gets the visited count every 100,000 walk leaves,
     which on that walk are those representatives."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
-    visit = (lambda leaf: visitor(leaf.fam)) if visitor else None
-    return _walk(n, filt, visit, progress=progress, orbit=visitor is None)[1]
+    if visitor:
+        return _walk(n, filt, lambda leaf: visitor(leaf.fam), progress=progress)[1]
+    rng = filt.height_range() if filt else None
+    return _walk(n, filt, None, _orbit(n, rng and rng[1]), progress)[1]
 
 
 @functools.cache
@@ -920,8 +927,8 @@ class _Check:
     (family, height) pair that passes the filter. `holds` decides the
     conclusion on a leaf's words; only a leaf it rejects runs `conclude`,
     which gives the details. `label_free` marks a check whose filter and
-    conclusion are unchanged by a relabeling of [n], so that a serial run
-    may take `_walk`'s orbit walk."""
+    conclusion are unchanged by a relabeling of [n], so that a run may take
+    the orbit walk of `_orbit`'s seeds."""
 
     hypothesis: str
     filt: EnumFilter
@@ -964,17 +971,13 @@ THEOREM_IDS = tuple(_CHECKS)
 def _run_serial(
     tid: str,
     n: int,
-    prefix: int = 0,
-    start: int | None = None,
+    seeds: tuple[_Seed, ...],
     progress: Callable[[int], None] | None = None,
-    orbit: bool = False,
 ) -> tuple[int, list[Violation], int]:
-    """One check id over one walk, the whole DFS or one parallel subtree
-    (arguments as in _walk): how many families it checked, which are the
-    families that pass its filter, their violations and how many leaves it
-    visited. Only a leaf that `holds` rejects runs `conclude`. An orbit
-    walk that finds a violation is followed by the full walk, whose report
-    lists every violating family in DFS order."""
+    """One check id over one walk, a whole walk's seeds or one parallel
+    task's (arguments as in _walk): how many families it checked, which are
+    the families that pass its filter, their violations and how many leaves
+    it visited. Only a leaf that `holds` rejects runs `conclude`."""
     check = _CHECKS[tid]
     holds, conclude = check.holds, check.conclude
     violations: list[Violation] = []
@@ -983,10 +986,7 @@ def _run_serial(
         if not holds(leaf):
             violations.extend(Violation(leaf.fam, d) for d in conclude(leaf.fam, leaf.h))
 
-    visited, checked = _walk(n, check.filt, visit, prefix, start, progress, orbit)
-    if orbit and violations:
-        violations.clear()
-        visited, checked = _walk(n, check.filt, visit, prefix, start, progress)
+    visited, checked = _walk(n, check.filt, visit, seeds, progress)
     return checked, violations, visited
 
 
@@ -1001,14 +1001,17 @@ def verify_theorem(
 
     With hypothesis_necessity (T2.1 only) the n >= 4 hypothesis is dropped
     and the report lists the families that then break the conclusion; the
-    run demonstrates why the hypothesis is needed. A serial run of a
-    label-free check is `_walk`'s orbit walk, over the families whose
+    run demonstrates why the hypothesis is needed. A label-free check,
+    outside that mode, takes the orbit walk, over the families whose
     co-singletons [n] - {i} are those with i < k, each counted C(n, k)
     times; where one of them fails it walks every family, so the report is
-    the same either way. `progress` gets the
-    visited count every 100,000 leaves of a serial walk (representatives,
-    on an orbit walk); a parallel run, which walks every family, gives it
-    the running total as each subtree's results arrive, in DFS order.
+    the same either way. The walk runs in-process, or, with more than one
+    worker at n >= 4, as `_split`'s tasks on a process pool, whose results
+    are merged in DFS order, so the worker count does not change which
+    walk runs or what it reports. `progress` gets the visited count
+    (representatives, on an orbit walk) every 100,000 leaves of an
+    in-process walk, and the running total as each task's results arrive
+    on a pool.
     """
     if tid not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
@@ -1027,25 +1030,32 @@ def verify_theorem(
 
     check = _CHECKS[tid]
     start = time.perf_counter()
-    if n < check.least_n and not hypothesis_necessity:
-        checked, violations = 0, []
-    elif workers == 1 or n <= 3:
-        # necessity mode is run to list the violations, so it walks them all at once
-        orbit = check.label_free and not hypothesis_necessity
-        checked, violations, _ = _run_serial(tid, n, progress=progress, orbit=orbit)
-    else:
-        rng = check.filt.height_range()
-        split, prefixes = _split(n, rng and rng[1])
-        run = functools.partial(_run_serial, tid, n, start=split)
-        checked, violations, visited = 0, [], 0
-        with get_context().Pool(processes=min(workers, len(prefixes))) as pool:
-            # in DFS order, each subtree's results as soon as it and those before it are done
-            for part_checked, part_violations, part_visited in pool.imap(run, prefixes):
-                checked += part_checked
-                violations += part_violations
-                visited += part_visited
-                if progress is not None:
-                    progress(visited)
+    rng = check.filt.height_range()
+    cap = rng and rng[1]
+    # necessity mode is run to list the violations, so it walks them all at once;
+    # an orbit walk that finds one is followed by the full walk, which lists them all
+    orbit = check.label_free and not hypothesis_necessity
+    walks = (_orbit(n, cap), _FULL_WALK) if orbit else (_FULL_WALK,)
+    checked, violations = 0, []
+    # below the least n the result is stated for, no family is checked
+    for seeds in walks if n >= check.least_n or hypothesis_necessity else ():
+        if workers == 1 or n <= 3:
+            checked, violations, _ = _run_serial(tid, n, seeds, progress)
+        else:
+            # each pool task walks the one seed that `_split` made it
+            tasks = [(task,) for task in _split(n, cap, seeds)]
+            run = functools.partial(_run_serial, tid, n)
+            checked, violations, visited = 0, [], 0
+            with get_context().Pool(processes=min(workers, len(tasks))) as pool:
+                # in DFS order, each task's results as soon as it and those before it are done
+                for part_checked, part_violations, part_visited in pool.imap(run, tasks):
+                    checked += part_checked
+                    violations += part_violations
+                    visited += part_visited
+                    if progress is not None:
+                        progress(visited)
+        if not violations:
+            break
 
     return VerifyReport(
         theorem=tid,

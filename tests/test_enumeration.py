@@ -22,11 +22,13 @@ from ucf import bfamily
 from ucf.bfamily import _min_covers, _small_slice
 from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
 from ucf.enumeration import (
+    _FULL_WALK,
     Violation,
     _dfs,
     _gate,
     _Leaf,
     _leaf_words,
+    _orbit,
     _props,
     _props_holds,
     _split,
@@ -140,14 +142,15 @@ def test_enumerate_filters():
     assert ucf.enumerate_uc(3, EnumFilter(bsize=(0, 2))) == sum(exact) == sum(s <= 2 for s in seen)
 
 
-def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
+def reference_dfs(n, emit, h_cap, prefix=0, skip=0):
     """_dfs's oracle: the walk that tests every candidate against every member.
 
-    Same arguments and leaves as _dfs. Its state is a dict, member -> length
-    of the longest chain from it up to [n], in descending member order; each
-    leaf's member word is summed from its members, and its split word has
-    bit q set where some member holds exactly one element of the q-th pair
-    of `itertools.combinations(range(n), 2)`. A candidate s is added when
+    Same arguments and leaves as _dfs: the members of `prefix` are added
+    first, in descending order, and no mask of `skip` is tried. Its state
+    is a dict, member -> length of the longest chain from it up to [n], in
+    descending member order; each leaf's member word is summed from its
+    members, and its split word has bit q set where some member holds
+    exactly one element of the q-th pair of `itertools.combinations(range(n), 2)`. A candidate s is added when
     s | x is a member for every member x (the union was decided earlier,
     since it is at least s) and its longest upward chain, one more than the
     longest over the members holding it, keeps the height within the cap.
@@ -175,8 +178,8 @@ def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
         return up_s
 
     def rec(v: int, h: int) -> None:
-        while v != stop:
-            up_s = try_add(v)
+        while v >= 0:
+            up_s = 0 if skip >> v & 1 else try_add(v)
             if up_s and max(h, up_s) <= cap:
                 ups[v] = up_s
                 rec(v - 1, max(h, up_s))
@@ -188,13 +191,13 @@ def reference_dfs(n, emit, h_cap, prefix=0, start=None, stop=-1):
     for s in (m for m in range(full - 1, -1, -1) if prefix >> m & 1):
         ups[s] = try_add(s)
         h = max(h, ups[s])
-    rec(full - 1 if start is None else start, h)
+    rec(full - 1, h)
 
 
-def walk_leaves(walk, n, h_cap, **kwargs):
+def walk_leaves(walk, n, h_cap, *seed):
     """Every (height, member word, split word) leaf of one walk, in order."""
     out = []
-    walk(n, lambda *leaf: out.append(leaf), h_cap, **kwargs)
+    walk(n, lambda *leaf: out.append(leaf), h_cap, *seed)
     return out
 
 
@@ -205,24 +208,42 @@ def test_dfs_matches_reference_walk():
         assert walk_leaves(_dfs, n, cap) == walk_leaves(reference_dfs, n, cap), (n, cap)
 
 
-@pytest.mark.parametrize("n, h_cap", [(3, None), (4, None), (4, 3), (5, 3)])
+@pytest.mark.parametrize(
+    "n, h_cap", [(n, cap) for n in range(1, 5) for cap in (None, *range(n + 2))] + [(5, 3)]
+)
 def test_dfs_matches_reference_walk_on_split_subtrees_and_stops(n, h_cap):
-    split, prefixes = _split(n, h_cap)
-    for prefix in prefixes:
-        for stop in (-1, split // 2):
-            kwargs = {"prefix": prefix, "start": split, "stop": stop}
-            ours = walk_leaves(_dfs, n, h_cap, **kwargs)
-            assert ours == walk_leaves(reference_dfs, n, h_cap, **kwargs), kwargs
-    for stop in range(-1, (1 << n) - 1) if n < 5 else (-1, 3, 10, 20, 29):
-        ours = walk_leaves(_dfs, n, h_cap, stop=stop)
-        assert ours == walk_leaves(reference_dfs, n, h_cap, stop=stop), stop
+    # every seed kind, leaf for leaf: the full and the orbit walk's seeds
+    # and their split tasks; and each split walk, stopped by the masks from
+    # 1 to [n] - _SPLIT_DEPTH - 1 in its skip, whose leaves without the
+    # empty set are the tasks' prefixes
+    stops = (1 << max(1, (1 << n) - 1 - enumeration._SPLIT_DEPTH)) - 2
+    for seeds in (_FULL_WALK, _orbit(n, h_cap)):
+        tasks = _split(n, h_cap, seeds)
+        for prefix, skip, _ in (*seeds, *tasks):
+            ours = walk_leaves(_dfs, n, h_cap, prefix, skip)
+            assert ours == walk_leaves(reference_dfs, n, h_cap, prefix, skip), (prefix, skip)
+        heads = []
+        for prefix, skip, _ in seeds:
+            ours = walk_leaves(_dfs, n, h_cap, prefix, skip | stops)
+            assert ours == walk_leaves(reference_dfs, n, h_cap, prefix, skip | stops), prefix
+            heads += [have ^ 1 << (1 << n) - 1 for _, have, _ in ours if not have & 1]
+        assert [prefix for prefix, _, _ in tasks] == heads
 
 
-def leaf_hashes(walk, n, h_cap, **kwargs):
+def leaf_hashes(walk, n, h_cap):
     """One 64-bit hash per (height, member word, split word) leaf of one
     walk, in order (int tuples hash the same in every process)."""
     out = array("q")
-    walk(n, lambda *leaf: out.append(hash(leaf)), h_cap, **kwargs)
+    walk(n, lambda *leaf: out.append(hash(leaf)), h_cap)
+    return out
+
+
+def seed_leaf_hashes(n, h_cap, seeds):
+    """One 64-bit hash per (weight, height, member word, split word) leaf
+    of the walks from each (prefix, skip, weight) seed in turn, in order."""
+    out = array("q")
+    for prefix, skip, weight in seeds:
+        _dfs(n, lambda *leaf: out.append(hash((weight, *leaf))), h_cap, prefix, skip)
     return out
 
 
@@ -236,30 +257,34 @@ def test_dfs_matches_reference_walk_n5(h_cap, leaves):
 
 @pytest.mark.parametrize("n, h_cap", [(4, None), (4, 3), (4, 4), (5, 3)])
 def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
-    # each (height, member word, split word) leaf, the split word of a
-    # subtree seeded from its prefix's members
-    def leaves(**kwargs):
-        out = []
-        _dfs(n, lambda *leaf: out.append(leaf), h_cap, **kwargs)
-        return out
-
-    split, prefixes = _split(n, h_cap)
-    assert len(prefixes) > 1 and len(set(prefixes)) == len(prefixes)
-    subtrees = [leaf for prefix in prefixes for leaf in leaves(prefix=prefix, start=split)]
-    assert subtrees == leaves()
+    # each (weight, height, member word, split word) leaf, the split word of
+    # a subtree seeded from its prefix's members, of the full and the orbit walk
+    for seeds in (_FULL_WALK, _orbit(n, h_cap)):
+        tasks = _split(n, h_cap, seeds)
+        prefixes = [prefix for prefix, _, _ in tasks]
+        assert len(prefixes) > len(seeds) and len(set(prefixes)) == len(prefixes)
+        assert seed_leaf_hashes(n, h_cap, tasks) == seed_leaf_hashes(n, h_cap, seeds)
 
 
 @pytest.mark.deep
 @pytest.mark.parametrize("h_cap, leaves", [(4, 382210), (None, 2747402)])
 def test_split_subtrees_concatenate_to_serial_walk_n5(h_cap, leaves):
-    # the subtrees the parallel deep battery seeds through `push`, compared
-    # by leaf hashes to keep the 2.7 million uncapped leaves small in memory
-    split, prefixes = _split(5, h_cap)
-    subtrees = array("q")
-    for prefix in prefixes:
-        subtrees += leaf_hashes(_dfs, 5, h_cap, prefix=prefix, start=split)
+    # the subtrees a parallel run of the full walk seeds through `_dfs`'s
+    # prefix, compared by leaf hashes to keep the 2.7 million uncapped
+    # leaves small in memory
+    subtrees = seed_leaf_hashes(5, h_cap, _split(5, h_cap, _FULL_WALK))
     assert len(subtrees) == leaves
-    assert subtrees == leaf_hashes(_dfs, 5, h_cap)
+    assert subtrees == seed_leaf_hashes(5, h_cap, _FULL_WALK)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("h_cap, leaves", [(4, 201629), (None, 1624826)])
+def test_orbit_split_tasks_concatenate_to_orbit_walk_n5(h_cap, leaves):
+    # the tasks of a parallel label-free run at n = 5 --deep
+    seeds = _orbit(5, h_cap)
+    subtrees = seed_leaf_hashes(5, h_cap, _split(5, h_cap, seeds))
+    assert len(subtrees) == leaves
+    assert subtrees == seed_leaf_hashes(5, h_cap, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +314,8 @@ def orbit_filters(cap):
 
 def assert_orbit_counts_equal_full_counts(n, cap):
     for filt in orbit_filters(cap):
-        orbit, full = enumeration._walk(n, filt, None, orbit=True), enumeration._walk(n, filt, None)
+        orbit = enumeration._walk(n, filt, None, _orbit(n, cap))
+        full = enumeration._walk(n, filt, None)
         assert orbit[1] == full[1], (n, filt, orbit, full)
 
 
@@ -302,21 +328,21 @@ def test_orbit_walk_counts_equal_full_walk_counts():
             # and the walk visits exactly the representatives, each once
             filt = None if cap is None else EnumFilter(height=(0, cap))
             orbit, full = [], []
-            enumeration._walk(n, filt, orbit.append, orbit=True)
+            enumeration._walk(n, filt, orbit.append, _orbit(n, cap))
             enumeration._walk(n, filt, full.append)
             assert sorted(leaf.have for leaf in orbit) == sorted(
                 leaf.have for leaf in full if n == 1 or is_representative(n, leaf.have)
             ), (n, cap)
     for cap in (2, 3):
         assert_orbit_counts_equal_full_counts(5, cap)
-    assert enumeration._walk(5, EnumFilter(height=(1, 3)), None, orbit=True) == (4693, 15067)
+    assert enumeration._walk(5, EnumFilter(height=(1, 3)), None, _orbit(5, 3)) == (4693, 15067)
 
 
 def test_orbit_walk_edge_cases(monkeypatch):
-    # One `_dfs` call per sub-walk: n + 1 of them, but one at n = 1, whose
-    # one co-singleton is the empty set, so the full walk runs; and one
-    # under a cap below 2, where only [n] fits, so only sub-walk 0 runs
-    # and no co-singleton is pushed past the cap.
+    # One `_dfs` call per seed: n + 1 of them, but one at n = 1, whose one
+    # co-singleton is the empty set, so the full walk runs; and one under a
+    # cap below 2, where only [n] fits, so only seed 0 is left and no
+    # co-singleton is pushed past the cap.
     calls = []
     dfs = enumeration._dfs
 
@@ -327,8 +353,10 @@ def test_orbit_walk_edge_cases(monkeypatch):
     monkeypatch.setattr(enumeration, "_dfs", counted)
 
     def walks(n, filt):
+        seeds = _orbit(n, filt and filt.height_range()[1])
         calls.clear()
-        got, sub_walks = enumeration._walk(n, filt, None, orbit=True), len(calls)
+        got, sub_walks = enumeration._walk(n, filt, None, seeds), len(calls)
+        assert sub_walks == len(seeds)
         assert got[1] == enumeration._walk(n, filt, None)[1]
         return got, sub_walks
 
@@ -354,7 +382,7 @@ def test_orbit_walk_n6_height_at_most_3():
         (EnumFilter(height=(1, 3)), 641046),
         (EnumFilter(height=(1, 3), separating=True), 464833),
     ):
-        assert enumeration._walk(6, filt, None, orbit=True)[1] == count
+        assert enumeration._walk(6, filt, None, _orbit(6, 3))[1] == count
         assert enumeration._walk(6, filt, None)[1] == count
 
 
@@ -381,10 +409,12 @@ def test_label_free_checks_keep_their_verdicts_under_relabeling(tid):
                 assert check.holds(leaf_of(image, leaf.h)) == verdict, (tid, leaf.fam, perm)
 
 
-def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch):
+def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch, fake_pool):
     # A label-free row made to fail on the families holding {1}, which a
     # relabeling moves: the representatives hold only some of them, and the
-    # report lists all of them, in DFS order, as the full walk does.
+    # report lists all of them, in DFS order, as the full walk does, run
+    # in-process or, at n = 4 with two workers, as pool tasks: the orbit
+    # walk's, then the full walk's.
     def holds(leaf):
         return not leaf.have & 1 << 1
 
@@ -394,13 +424,16 @@ def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch):
     check = dataclasses.replace(enumeration._CHECKS["T1.4"], holds=holds, conclude=conclude)
     monkeypatch.setitem(enumeration._CHECKS, "T1.4", check)
     for n in (2, 3, 4):
-        report = ucf.verify_theorem("T1.4", n, workers=1)
         full, met = [], []
         checked = enumeration._walk(n, check.filt, full.append)[1]
         want = tuple(Violation(leaf.fam, "holds {1}") for leaf in full if not holds(leaf))
-        assert (report.families_checked, report.violations) == (checked, want)
-        enumeration._walk(n, check.filt, lambda leaf: holds(leaf) or met.append(leaf), orbit=True)
+        for workers in (1, 2):
+            report = ucf.verify_theorem("T1.4", n, workers=workers)
+            assert (report.families_checked, report.violations) == (checked, want), workers
+        seeds = _orbit(n, 3)
+        enumeration._walk(n, check.filt, lambda leaf: holds(leaf) or met.append(leaf), seeds)
         assert 0 < len(met) < len(want)
+    assert fake_pool == [2, 2]
 
 
 def test_empty_filter_ranges_are_rejected():
@@ -521,9 +554,11 @@ def test_parallel_report_matches_serial():
         assert serial.violations == parallel.violations
 
 
-def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
-    # A fake pool records its size and runs the subtree tasks in-process,
-    # so no worker process is started.
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """The sizes of the pools `verify_theorem` opens, one per walk, in
+    order: a fake pool records its size and runs the tasks in-process, so
+    no worker process is started."""
     sizes = []
 
     class FakePool:
@@ -543,10 +578,14 @@ def test_parallel_pool_is_capped_at_the_task_count(monkeypatch):
         Pool = FakePool
 
     monkeypatch.setattr(enumeration, "get_context", lambda method=None: FakeContext)
+    return sizes
+
+
+def test_parallel_pool_is_capped_at_the_task_count(monkeypatch, fake_pool):
     monkeypatch.setenv("UCF_THREADS", "10000")
     parallel = ucf.verify_theorem("PROPS", 4)
     serial = ucf.verify_theorem("PROPS", 4, workers=1)
-    assert sizes == [len(_split(4, 4)[1])]
+    assert fake_pool == [len(_split(4, 4, _FULL_WALK))]
     assert (parallel.families_checked, parallel.violations) == (
         serial.families_checked,
         serial.violations,
@@ -562,9 +601,13 @@ def test_non_integer_ucf_threads_is_named(monkeypatch):
 
 
 def test_parallel_runs_report_progress_as_each_subtree_finishes():
-    # one call per subtree, in DFS order, with the visited count so far; the
-    # last is the capped walk's leaf count (T2.1 walks under height cap 4)
-    for tid, filt in (("T1.2", None), ("T2.1", EnumFilter(height=(1, 4)))):
+    # one call per task, in DFS order, with the visited count so far; the
+    # last is the walk's leaf count: T1.2's full walk, and T2.1's orbit
+    # walk under height cap 4, which visits representatives
+    for tid, seeds, filt in (
+        ("T1.2", _FULL_WALK, None),
+        ("T2.1", _orbit(4, 4), EnumFilter(height=(1, 4))),
+    ):
         calls = []
         parallel = ucf.verify_theorem(tid, 4, workers=2, progress=calls.append)
         serial = ucf.verify_theorem(tid, 4, workers=1)
@@ -572,8 +615,8 @@ def test_parallel_runs_report_progress_as_each_subtree_finishes():
             serial.families_checked,
             serial.violations,
         )
-        assert len(calls) == len(_split(4, filt and 4)[1])
-        assert calls == sorted(calls) and calls[-1] == ucf.enumerate_uc(4, filt)
+        assert len(calls) == len(_split(4, filt and 4, seeds))
+        assert calls == sorted(calls) and calls[-1] == enumeration._walk(4, filt, None, seeds)[0]
 
 
 def test_parallel_report_matches_serial_under_spawn():
