@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from ucf import THEOREM_IDS, verify_theorem
-from ucf.enumeration import _CHECKS, ENUMERATION_CAP
+from ucf.enumeration import _CHECKS, ENUMERATION_CAP, _walk_cap
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
     capped = {
         tid
         for tid, check in _CHECKS.items()
-        if (rng := check.filt.height_range()) and rng[1] <= ENUMERATION_CAP
+        if (cap := _walk_cap(check.filt)) is not None and cap <= ENUMERATION_CAP
     }
     failures = 0
     print(f"{'check':8s} {'n':>2s} {'checked':>9s} {'violations':>10s} {'time':>8s}")

@@ -76,6 +76,10 @@ def _fail(message: str) -> int:
     return 2
 
 
+# 2,747,402 is |UC(5)|, the union-closed families with base [5]
+_DEEP_REFUSAL = f"n={ENUMERATION_CAP} walks up to 2,747,402 families; pass --deep to confirm"
+
+
 def _progress(visited: int) -> None:
     """Progress of an n = ENUMERATION_CAP walk, on stderr."""
     sys.stderr.write(f"... {visited} families visited\n")
@@ -246,7 +250,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.n == ENUMERATION_CAP and not args.deep:
-        return _fail(f"n={ENUMERATION_CAP} enumeration takes minutes; pass --deep to confirm")
+        return _fail(_DEEP_REFUSAL)
     outdir = Path(args.out) if args.out else None
     if outdir:
         try:  # before the walk, which can take minutes
@@ -354,7 +358,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.n == ENUMERATION_CAP and not args.deep:
-        return _fail(f"n={ENUMERATION_CAP} enumeration takes minutes; pass --deep to confirm")
+        return _fail(_DEEP_REFUSAL)
     filt = EnumFilter(separating=True) if args.separating else None
     progress = _progress if args.n == ENUMERATION_CAP else None
     try:

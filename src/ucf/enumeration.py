@@ -55,23 +55,23 @@ few exact int operations on `have` and the per-n words of `_leaf_words`:
 frequencies, |F|, the empty set, the least minimum cover (|B| is its
 length), Lemma 1.3, the size-bound levels, T1.2's witness chain, r and
 witness element, and the PROPS letters. Three of them read a smaller word
-than the leaf's, which later leaves meet again, so each keeps a memo for
-one walk: the size-bound levels after the first reduction, under the
-reduced word; the chain facts below each child of [n], under the child's
-member word; and the least minimum cover, `bfamily._least_cover` of the
-slice members (the search `b_report` runs), under the slice word
-`have & small`. A cover longer than the leaf's height is an error tested
-on every leaf, since the height is the leaf's own. `_walk`
-empties the memos before and after each walk, so no run reads another's
-entries. A check counts the leaves its gate passes, so a passing
-conclusion costs its leaf nothing more; a `Family` is built only for a
-leaf whose word conclusion fails (the `Family` conclusion then gives the
-violation's details) and for a caller's visitor, so a count-only
-`enumerate_uc` builds none. `EnumFilter.matches` and the `Family`
-conclusions stay as the public gate and the oracle:
-tests/test_enumeration.py compares every word fact with them on every leaf
-for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the deep
-suite. Public analysis functions validate their input; the `Family` gate
+than the leaf's, which later leaves meet again, so each is a cached pure
+function of that word: the size-bound levels after the first reduction,
+of the reduced word (`_size_tail`); the chain facts below each child of
+[n], of the child's member word (`_child_descent`); and the least minimum
+cover, `bfamily._least_cover` of the slice members (the search `b_report`
+runs), of the slice word `have & small` (`_slice_cover`). An entry
+depends only on its key, so every walk and thread shares the caches and
+nothing empties them. A cover longer than the leaf's height is an error
+tested on every leaf, since the height is the leaf's own. A check counts
+the leaves its gate passes, so a passing conclusion costs its leaf
+nothing more; a `Family` is built only for a leaf whose word conclusion
+fails (the `Family` conclusion then gives the violation's details) and
+for a caller's visitor, so a count-only `enumerate_uc` builds none.
+`EnumFilter.matches` and the `Family` conclusions stay as the public gate
+and the oracle: tests/test_enumeration.py compares every word fact with
+them on every leaf for n <= 4 and at n = 5 under height cap 3, and under
+cap 4 in the deep suite. Public analysis functions validate their input; the `Family` gate
 and conclusions instead pass these facts about a leaf (union-closed, base
 [n], height h) to the private cores behind those functions, as the
 construction certifier and `ucf analyze` do with the facts they derive
@@ -109,12 +109,13 @@ iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
 machinery with the DFS and exists to validate it.
 
 A parallel run turns a walk's seeds into tasks, one seed each (`_split`):
-each seed's walk, with the masks below its first few candidates added to
-its skip, decides only those; each member word it holds there heads a
-disjoint subtree, run as one task with the seed's weight, and per-task
-results are merged in DFS order, so reports are identical for any worker
-count, and the worker count does not choose between the orbit and the
-full walk. Progress comes as each task's results arrive.
+each seed's walk decides only the few highest masks that the seed leaves
+open, with the open masks below them added to its skip; each member word
+it holds there heads a disjoint subtree, run as one task with the seed's
+weight, and per-task results are merged in DFS order, so reports are
+identical for any worker count, and the worker count does not choose
+between the orbit and the full walk. Progress comes as each task's
+results arrive.
 """
 
 from __future__ import annotations
@@ -207,6 +208,12 @@ def _within(value: int, spec: int | tuple[int, int]) -> bool:
     return lo <= value <= hi
 
 
+def _walk_cap(filt: EnumFilter | None) -> int | None:
+    """The height cap of a walk under the filter: its height range's hi,
+    or None for no cap."""
+    return None if filt is None or filt.height is None else _bounds(filt.height)[1]
+
+
 class _Words:
     """The per-n tables of the walk and the leaf facts, as words of 2^n
     bits, bit m standing for mask m. Per mask m < 2^n: `below[m]`, its
@@ -217,11 +224,8 @@ class _Words:
     masks holding element i; `every`, the word of all pairs, the `split` of
     a separating family; `small`, the masks m with 2|m| < n; `coatoms`, one
     (bit, `below` word) pair per mask of n - 1 elements; `octets`, one
-    (`_byte_masks` table, shift) pair per byte of a word, for `masks`; and
-    the memos of the leaf facts that read a smaller word than the leaf's:
-    `descents` of `_descent` and `tails` of `size_levels`, each under a
-    member word, and `covers` of `min_cover`, under a slice word. `_walk`
-    empties them before and after each walk."""
+    (`_byte_masks` table, shift) pair per byte of a word, for `masks`. The
+    tables never change once built."""
 
     def __init__(self, n: int) -> None:
         size = 1 << n
@@ -241,9 +245,6 @@ class _Words:
         self.small = sum(1 << m for m in range(size) if 2 * m.bit_count() < n)
         self.coatoms = tuple((1 << c, self.below[c]) for c in (full ^ (1 << i) for i in range(n)))
         self.octets = tuple((_byte_masks(shift), shift) for shift in range(0, size, 8))
-        self.descents: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        self.tails: dict[int, tuple[tuple[int, int], ...] | None] = {}
-        self.covers: dict[int, tuple[int, ...]] = {}
 
     def masks(self, word: int) -> tuple[int, ...]:
         """The masks whose bits a word of 2^n bits sets, ascending: one
@@ -252,12 +253,6 @@ class _Words:
         for table, shift in self.octets:
             out += table[word >> shift & 255]
         return out
-
-    def forget(self) -> None:
-        """Empty the memos, which hold facts of the words one walk met."""
-        self.descents.clear()
-        self.tails.clear()
-        self.covers.clear()
 
 
 _leaf_words = functools.cache(_Words)
@@ -295,20 +290,10 @@ class _Leaf:
         return self.words.masks(self.have & self.words.small)
 
     def min_cover(self) -> tuple[int, ...]:
-        """`_b_report`'s cover, whose length is |B|: `_least_cover` of the
-        slice members, searched up to all of them and kept in `words.covers`
-        under the slice word, and the error `_b_report` raises where it has
-        more members than the leaf's height."""
-        words = self.words
-        part = self.have & words.small
-        try:
-            cover = words.covers[part]
-        except KeyError:
-            small = words.masks(part)
-            b = 0
-            for x in small:
-                b |= x
-            cover = words.covers[part] = _least_cover(small, b, len(small))
+        """`_b_report`'s cover, whose length is |B|: `_slice_cover` of the
+        slice word, and the error `_b_report` raises where it has more
+        members than the leaf's height."""
+        cover = _slice_cover(self.words, self.have & self.words.small)
         if len(cover) > self.h:
             raise InternalError("cover search exceeded the height cap")
         return cover
@@ -327,18 +312,9 @@ class _Leaf:
         """`_size_bound_trace`'s (size, base size) levels, with the same
         tie-breaks and error, one `_size_step` a level. After the first
         level the reduction reads only the reduced word, so the rest of the
-        levels, or None for the error, is kept in `words.tails` under it."""
-        words = self.words
-        level, kept = _size_step(words.holding, self.have)
-        if not kept:
-            return (level,)
-        try:
-            tail = words.tails[kept]
-        except KeyError:
-            tail = words.tails[kept] = _size_tail(words.holding, kept)
-        if tail is None:
-            raise InternalError(_NO_SHRINK)
-        return (level, *tail)
+        levels is `_size_tail` of it."""
+        level, kept = _size_step(self.words.holding, self.have)
+        return (level, *_size_tail(self.words, kept)) if kept else (level,)
 
     def chain_facts(self) -> tuple[tuple[int, ...], int]:
         """`chain_report`'s witness chain and r, the fewest sets in a maximal
@@ -375,10 +351,10 @@ def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
     x that tops a chain one set shorter than x's; that member is a child
     (a member between them would top a longer chain), so it is the least
     child with a longest chain. A child y's facts read only the members
-    inside y, `word & below[y]`, so `words.descents` keeps them under that
-    word for the rest of the walk; the word of a whole leaf is new each
-    time and is not kept."""
-    below, memo = words.below, words.descents
+    inside y, `word & below[y]`, so they come from the cache
+    `_child_descent` of that word; the word of a whole leaf is new each
+    time and is not cached."""
+    below = words.below
     x = word.bit_length() - 1
     rest = word ^ 1 << x
     if not rest:
@@ -387,19 +363,12 @@ def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
     while rest:
         y = rest.bit_length() - 1
         rest &= ~below[y]
-        sub = word & below[y]
-        try:
-            facts = memo[sub]
-        except KeyError:
-            facts = memo[sub] = _descent(words, sub)
+        facts = _child_descent(words, word & below[y])
         if facts[0] >= most:  # children come off in descending order, so the least wins a tie
             most, chain = facts[0], facts[2]
         if facts[1] < fewest:
             fewest = facts[1]
     return most + 1, fewest + 1, (x, *chain)
-
-
-_NO_SHRINK = "size-bound reduction failed to shrink the family"
 
 
 def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int], int]:
@@ -420,20 +389,37 @@ def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int],
         counts = [(members & word).bit_count() for word in holding]
         kept = members & holding[counts.index(max(counts))]
     if not kept or kept.bit_count() >= size:
-        raise InternalError(_NO_SHRINK)
+        raise InternalError("size-bound reduction failed to shrink the family")
     return level, kept
 
 
-def _size_tail(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int], ...] | None:
-    """The levels of `_size_step` from a member word on, or None where the
-    reduction fails to shrink."""
+# The caches of the leaf facts that read a smaller word than the leaf's,
+# pure functions of (`_leaf_words(n)`, word). A call that raises is not
+# cached. At n <= ENUMERATION_CAP each holds at most the words a walk can
+# meet; at n = 5: 25,250 slice words (those of every family; the bound is
+# 2^16), 23,701 child words (T1.2 uncapped) and 20,390 reduced words
+# (L2.1.1 uncapped).
+_child_descent = functools.cache(_descent)
+
+
+@functools.cache
+def _slice_cover(words: _Words, part: int) -> tuple[int, ...]:
+    """`_least_cover` of the slice members in a slice word, searched up to
+    all of them: the least minimum cover of their union."""
+    small = words.masks(part)
+    b = 0
+    for x in small:
+        b |= x
+    return _least_cover(small, b, len(small))
+
+
+@functools.cache
+def _size_tail(words: _Words, members: int) -> tuple[tuple[int, int], ...]:
+    """The levels of `_size_step` from a member word on."""
     levels = []
-    try:
-        while members:
-            level, members = _size_step(holding, members)
-            levels.append(level)
-    except InternalError:
-        return None
+    while members:
+        level, members = _size_step(words.holding, members)
+        levels.append(level)
     return tuple(levels)
 
 
@@ -555,17 +541,21 @@ def _orbit(n: int, h_cap: int | None) -> tuple[_Seed, ...]:
 
 def _split(n: int, h_cap: int | None, seeds: tuple[_Seed, ...]) -> list[_Seed]:
     """The seeds of a parallel run of a walk, one per task, in DFS order.
-    Each seed's walk, with the masks from 1 to [n] - _SPLIT_DEPTH - 1 added
-    to its `skip`, decides only the masks above them and the empty set. Its
-    leaves without the empty set are the nodes where those decisions end;
-    each heads a disjoint subtree, whose seed has that leaf's members below
-    [n] as its prefix, the masks above the cut added to its skip, and the
-    walk's weight. The tasks' leaves, in order, are the walk's."""
+    Each seed's walk decides only the _SPLIT_DEPTH highest masks below [n]
+    that the seed leaves open (outside its `skip`) and the empty set: the
+    open masks below them are added to its skip. Its leaves without the
+    empty set are the nodes where those decisions end; each heads a
+    disjoint subtree, whose seed has that leaf's members below [n] as its
+    prefix, the decided masks added to its skip, and the walk's weight.
+    The tasks' leaves, in order, are the walk's."""
     full = (1 << n) - 1
-    low = (1 << max(1, full - _SPLIT_DEPTH)) - 2  # the masks from 1 to [n] - _SPLIT_DEPTH - 1
-    high = ((1 << full) - 2) ^ low  # the masks above them, below [n]
+    masks = _leaf_words(n).masks
     tasks: list[_Seed] = []
     for prefix, skip, weight in seeds:
+        opened = masks(((1 << full) - 2) & ~skip)  # from 1 to [n] - 1, ascending
+        low = sum(1 << m for m in opened[:-_SPLIT_DEPTH])
+        high = sum(1 << m for m in opened[-_SPLIT_DEPTH:])
+
         def cut(h: int, have: int, split: int) -> None:
             if not have & 1:
                 tasks.append((have ^ 1 << full, skip | high, weight))
@@ -628,11 +618,10 @@ def _walk(
     visited count is of the representatives; a parallel task has one seed
     of `_split`'s. A leaf becomes a `_Leaf` only for the gate's cover-size
     test or for `visit`, so with neither the walk builds none. `progress`
-    gets the visited count every 100,000 leaves. The leaf memos of
-    `_leaf_words(n)` start and end the walk empty, so no walk reads
-    another's entries."""
-    rng = filt.height_range() if filt else None
-    cap = rng and rng[1]
+    gets the visited count every 100,000 leaves. The walk keeps no state
+    besides its counts: the tables it reads never change, and the leaf
+    facts it caches depend only on their keys."""
+    cap = _walk_cap(filt)
     words = _leaf_words(n)
     admit, sized = _gate(filt, words)
     build = visit is not None or sized is not None
@@ -653,12 +642,8 @@ def _walk(
                 visit(leaf)
         passed += weight  # the weight of the seed being walked
 
-    words.forget()
-    try:
-        for prefix, skip, weight in seeds:
-            _dfs(n, emit, cap, prefix, skip)
-    finally:
-        words.forget()
+    for prefix, skip, weight in seeds:
+        _dfs(n, emit, cap, prefix, skip)
     return visited, passed
 
 
@@ -679,8 +664,7 @@ def enumerate_uc(
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
     if visitor:
         return _walk(n, filt, lambda leaf: visitor(leaf.fam), progress=progress)[1]
-    rng = filt.height_range() if filt else None
-    return _walk(n, filt, None, _orbit(n, rng and rng[1]), progress)[1]
+    return _walk(n, filt, None, _orbit(n, _walk_cap(filt)), progress)[1]
 
 
 @functools.cache
@@ -1030,8 +1014,7 @@ def verify_theorem(
 
     check = _CHECKS[tid]
     start = time.perf_counter()
-    rng = check.filt.height_range()
-    cap = rng and rng[1]
+    cap = _walk_cap(check.filt)
     # necessity mode is run to list the violations, so it walks them all at once;
     # an orbit walk that finds one is followed by the full walk, which lists them all
     orbit = check.label_free and not hypothesis_necessity

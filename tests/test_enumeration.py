@@ -10,7 +10,9 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -214,9 +216,10 @@ def test_dfs_matches_reference_walk():
 def test_dfs_matches_reference_walk_on_split_subtrees_and_stops(n, h_cap):
     # every seed kind, leaf for leaf: the full and the orbit walk's seeds
     # and their split tasks; and each split walk, stopped by the masks from
-    # 1 to [n] - _SPLIT_DEPTH - 1 in its skip, whose leaves without the
-    # empty set are the tasks' prefixes
-    stops = (1 << max(1, (1 << n) - 1 - enumeration._SPLIT_DEPTH)) - 2
+    # 1 to [n] - 1 that the seed leaves open but for the _SPLIT_DEPTH
+    # highest, in its skip, whose leaves without the empty set are the
+    # tasks' prefixes
+    full = (1 << n) - 1
     for seeds in (_FULL_WALK, _orbit(n, h_cap)):
         tasks = _split(n, h_cap, seeds)
         for prefix, skip, _ in (*seeds, *tasks):
@@ -224,6 +227,8 @@ def test_dfs_matches_reference_walk_on_split_subtrees_and_stops(n, h_cap):
             assert ours == walk_leaves(reference_dfs, n, h_cap, prefix, skip), (prefix, skip)
         heads = []
         for prefix, skip, _ in seeds:
+            opened = [m for m in range(1, full) if not skip >> m & 1]
+            stops = sum(1 << m for m in opened[: -enumeration._SPLIT_DEPTH])
             ours = walk_leaves(_dfs, n, h_cap, prefix, skip | stops)
             assert ours == walk_leaves(reference_dfs, n, h_cap, prefix, skip | stops), prefix
             heads += [have ^ 1 << (1 << n) - 1 for _, have, _ in ours if not have & 1]
@@ -247,6 +252,11 @@ def seed_leaf_hashes(n, h_cap, seeds):
     return out
 
 
+def task_leaf_hashes(n, h_cap, tasks):
+    """`seed_leaf_hashes` of each task on its own, in order."""
+    return [seed_leaf_hashes(n, h_cap, (task,)) for task in tasks]
+
+
 @pytest.mark.deep
 @pytest.mark.parametrize("h_cap, leaves", [(4, 382210), (None, 2747402)])
 def test_dfs_matches_reference_walk_n5(h_cap, leaves):
@@ -263,7 +273,11 @@ def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
         tasks = _split(n, h_cap, seeds)
         prefixes = [prefix for prefix, _, _ in tasks]
         assert len(prefixes) > len(seeds) and len(set(prefixes)) == len(prefixes)
-        assert seed_leaf_hashes(n, h_cap, tasks) == seed_leaf_hashes(n, h_cap, seeds)
+        parts = task_leaf_hashes(n, h_cap, tasks)
+        assert sum(parts, array("q")) == seed_leaf_hashes(n, h_cap, seeds)
+        if n == 5 and seeds != _FULL_WALK:
+            # the orbit split decides each seed's highest open masks: 49 tasks
+            assert max(map(len, parts)) <= 0.15 * sum(map(len, parts))
 
 
 @pytest.mark.deep
@@ -280,9 +294,12 @@ def test_split_subtrees_concatenate_to_serial_walk_n5(h_cap, leaves):
 @pytest.mark.deep
 @pytest.mark.parametrize("h_cap, leaves", [(4, 201629), (None, 1624826)])
 def test_orbit_split_tasks_concatenate_to_orbit_walk_n5(h_cap, leaves):
-    # the tasks of a parallel label-free run at n = 5 --deep
+    # the 78 tasks of a parallel label-free run at n = 5 --deep, none
+    # holding more than 15% of the representatives
     seeds = _orbit(5, h_cap)
-    subtrees = seed_leaf_hashes(5, h_cap, _split(5, h_cap, seeds))
+    parts = task_leaf_hashes(5, h_cap, _split(5, h_cap, seeds))
+    assert max(map(len, parts)) <= 0.15 * leaves
+    subtrees = sum(parts, array("q"))
     assert len(subtrees) == leaves
     assert subtrees == seed_leaf_hashes(5, h_cap, seeds)
 
@@ -353,7 +370,7 @@ def test_orbit_walk_edge_cases(monkeypatch):
     monkeypatch.setattr(enumeration, "_dfs", counted)
 
     def walks(n, filt):
-        seeds = _orbit(n, filt and filt.height_range()[1])
+        seeds = _orbit(n, enumeration._walk_cap(filt))
         calls.clear()
         got, sub_walks = enumeration._walk(n, filt, None, seeds), len(calls)
         assert sub_walks == len(seeds)
@@ -780,8 +797,7 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
     on the cap it is reached under); returns the number of leaves and how
     many of them got a PROPS verdict. The split word the walk carries is
     the or of its members' `splits` words, and separation is that word
-    being `every`. The leaf memos, which the facts fill as a walk's do, end
-    empty as after a walk."""
+    being `every`."""
     words = _leaf_words(n)
     word_gates = [(_gate(g, words), g.height_range()) for g in gates]
     count = verdicts = 0
@@ -799,10 +815,7 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
         assert word_facts(leaf, split, word_gates) == want, (fam.member_sets(), h)
         verdicts += want[-1] is not None
 
-    try:
-        _dfs(n, emit, h_cap)
-    finally:
-        words.forget()
+    _dfs(n, emit, h_cap)
     return count, verdicts
 
 
@@ -924,27 +937,23 @@ def test_props_word_verdict_matches_the_family_one_on_random_member_words(data):
 
 def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
     # not union-closed, so its three-member cover outgrows its height 2; each
-    # error is raised on an empty memo, as where a walk first meets the slice
+    # error is raised on an empty cache, as where a walk first meets the slice
     fam = Family.of(4, [(1,), (2,), (3,), (1, 2, 3, 4)])
-    words = _leaf_words(4)
-    words.forget()
-    try:
-        with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
-            leaf_of(fam, 2).min_cover()
-        words.forget()
-        leaf = leaf_of(fam, 3)
-        assert leaf.min_cover() == next(_min_covers(4, *_small_slice(fam), 3)).members
-        assert leaf.min_cover() == (0b1, 0b10, 0b100)
-        # the height cap is tested on every leaf, the kept cover's included
-        with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
-            leaf_of(fam, 2).min_cover()
-        # a search that handed back a redundant cover is caught
-        words.forget()
-        monkeypatch.setattr(bfamily, "_private_parts", lambda cover: [0] * len(cover))
-        with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
-            leaf.min_cover()
-    finally:
-        words.forget()
+    enumeration._slice_cover.cache_clear()
+    with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
+        leaf_of(fam, 2).min_cover()
+    enumeration._slice_cover.cache_clear()
+    leaf = leaf_of(fam, 3)
+    assert leaf.min_cover() == next(_min_covers(4, *_small_slice(fam), 3)).members
+    assert leaf.min_cover() == (0b1, 0b10, 0b100)
+    # the height cap is tested on every leaf, the cached cover's included
+    with pytest.raises(InternalError, match="^cover search exceeded the height cap$"):
+        leaf_of(fam, 2).min_cover()
+    # a search that handed back a redundant cover is caught
+    enumeration._slice_cover.cache_clear()
+    monkeypatch.setattr(bfamily, "_private_parts", lambda cover: [0] * len(cover))
+    with pytest.raises(InternalError, match="^minimum cover must be irredundant$"):
+        leaf.min_cover()
 
 
 def size_levels_or_error(leaf):
@@ -975,67 +984,56 @@ def test_masks_list_a_words_members_in_ascending_order(data):
 @settings(max_examples=200, deadline=None)
 def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
     # Random member words, mostly not union-closed; the first pass starts
-    # from an empty memo and fills it, the second reads it.
+    # from an empty cache and fills it, the second reads it.
     n = data.draw(st.integers(2, 6))
     masks = st.sets(st.integers(0, (1 << n) - 1), min_size=1)
     fams = [Family.from_masks(n, ms) for ms in data.draw(st.lists(masks, min_size=1, max_size=4))]
-    tails = _leaf_words(n).tails
-    tails.clear()
-    try:
-        for _ in range(2):
-            for fam in fams:
-                want = trace_levels_or_error(fam)
-                assert size_levels_or_error(leaf_of(fam, 1)) == want, (fam.member_sets(), want)
-    finally:
-        tails.clear()
-
-
-def stale_entries(n, memo):
-    """None under every key a walk at n could read from the memo: member
-    words for `descents` and `tails`, slice words for `covers`. A walk that
-    read one would raise or report a violation."""
-    words = range(1 << (1 << n))
-    if memo in ("descents", "tails"):
-        return dict.fromkeys(words)
-    return dict.fromkeys(w for w in words if not w & ~_leaf_words(n).small)
+    enumeration._size_tail.cache_clear()
+    for _ in range(2):
+        for fam in fams:
+            want = trace_levels_or_error(fam)
+            assert size_levels_or_error(leaf_of(fam, 1)) == want, (fam.member_sets(), want)
 
 
 @pytest.mark.parametrize(
-    "tid, memo, fill, checked, computed",
+    "tid, cache, keys, checked",
     [
         # one tail per distinct first reduced word: 18 at n = 3, 280 at n = 4
-        ("L2.1.1", "tails", "_size_tail", ((70, 0), (4078, 0), (70, 0)), 18 + 280 + 18),
-        # one call per leaf and one per distinct member word below a child:
-        # 31 at n = 3 and 417 at n = 4
-        ("T1.2", "descents", "_descent", ((89, 0), (4541, 0), (89, 0)), 120 + 4958 + 120),
-        # one search per distinct slice word of the separating height-4
-        # leaves, 7 at n = 3 and 20 at n = 4; T2.1 finds its three
-        # counterexamples at n = 3 (see below)
-        ("T2.1", "covers", "_least_cover", ((30, 3), (1961, 0), (30, 3)), 7 + 20 + 7),
-        ("T4.1", "covers", "_least_cover", ((0, 0), (1, 0), (0, 0)), 7 + 20 + 7),
-        ("PROPS", "covers", "_least_cover", ((31, 0), (2034, 0), (31, 0)), 7 + 20 + 7),
+        ("L2.1.1", "_size_tail", (18, 280), ((70, 0), (4078, 0), (70, 0))),
+        # one per distinct member word below a child: 31 at n = 3, 417 at n = 4
+        ("T1.2", "_child_descent", (31, 417), ((89, 0), (4541, 0), (89, 0))),
+        # one per distinct slice word of the separating height-4 leaves, 7 at
+        # n = 3 and 20 at n = 4; T2.1 finds its three counterexamples at n = 3
+        # (see below)
+        ("T2.1", "_slice_cover", (7, 20), ((30, 3), (1961, 0), (30, 3))),
+        ("T4.1", "_slice_cover", (7, 20), ((0, 0), (1, 0), (0, 0))),
+        ("PROPS", "_slice_cover", (7, 20), ((31, 0), (2034, 0), (31, 0))),
     ],
 )
-def test_leaf_memos_live_for_one_walk(monkeypatch, tid, memo, fill, checked, computed):
-    # A walk starts from an empty memo: entries left from before the call
-    # are never read; and no entry is left once the call returns. Each run
-    # gives (families checked, violations). T2.1 walks n = 3 only without
-    # its n >= 4 hypothesis.
+def test_leaf_caches_compute_each_distinct_key_once(monkeypatch, tid, cache, keys, checked):
+    # From an empty cache, the first run at each n fills it with exactly
+    # the distinct keys it looks up, a repeat run computes nothing new, and
+    # each entry equals its uncached computation. Each run gives (families
+    # checked, violations). T2.1 walks n = 3 only without its n >= 4
+    # hypothesis.
     kwargs = {"hypothesis_necessity": True} if tid == "T2.1" else {}
-    memos = {n: getattr(_leaf_words(n), memo) for n in (3, 4)}
-    for n, entries in memos.items():
-        entries.update(stale_entries(n, memo))
-    calls = []
-    original = getattr(enumeration, fill)
-    monkeypatch.setattr(enumeration, fill, lambda *args: calls.append(1) or original(*args))
-    got = []
+    cached = getattr(enumeration, cache)
+    cached.cache_clear()
+    seen = set()
+    monkeypatch.setattr(enumeration, cache, lambda *key: seen.add(key) or cached(*key))
+    got, sizes = [], []
     for n in (3, 4, 3):
         report = ucf.verify_theorem(tid, n, workers=1, **kwargs)
-        assert memos[n] == {}
         got.append((report.families_checked, len(report.violations)))
-    assert memos[3] == memos[4] == {}
+        sizes.append(cached.cache_info().currsize)
     assert got == list(checked)
-    assert len(calls) == computed
+    assert sizes == [keys[0], sum(keys), sum(keys)]
+    assert cached.cache_info().misses == len(seen) == sum(keys)
+    # with the cache out of the way, `_descent`'s recursion included
+    monkeypatch.setattr(enumeration, cache, cached.__wrapped__)
+    for key in seen:
+        assert cached(*key) == cached.__wrapped__(*key), key
+    assert cached.cache_info().misses == sum(keys)
     # and the runs equal fresh ones in a new interpreter
     script = (
         "import ucf\n"
@@ -1052,14 +1050,35 @@ def test_leaf_memos_live_for_one_walk(monkeypatch, tid, memo, fill, checked, com
     assert fresh == list(checked)
 
 
-def test_enumerate_uc_leaves_the_memos_empty():
-    # a cover-size gate fills the cover memos as a check's walk does
-    words = _leaf_words(4)
-    memos = [words.descents, words.tails, words.covers]
-    for memo, name in zip(memos, ("descents", "tails", "covers")):
-        memo.update(stale_entries(4, name))
-    assert ucf.enumerate_uc(4, EnumFilter(bsize=(0, 2))) == 4396
-    assert memos == [{}, {}, {}]
+def test_concurrent_walks_match_serial_runs():
+    # Four threads run T1.2, L2.1.1 and PROPS at n = 4 at once, each in its
+    # own order, from empty caches, which all three fill; a short switch
+    # interval makes them trade the interpreter lock inside the walks.
+    ids = ("T1.2", "L2.1.1", "PROPS")
+
+    def run(tid):
+        return dataclasses.replace(ucf.verify_theorem(tid, 4, workers=1), elapsed=0)
+
+    serial = {tid: run(tid) for tid in ids}
+    for cache in (enumeration._child_descent, enumeration._size_tail, enumeration._slice_cover):
+        cache.cache_clear()
+    start = threading.Barrier(4, timeout=60)
+
+    def runs(i):
+        start.wait()
+        return [(tid, run(tid)) for tid in ids[i % 3 :] + ids[: i % 3]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(runs, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    for reports in results:
+        for tid, report in reports:
+            assert report == serial[tid], tid
 
 
 def bell_numbers(count):
