@@ -3,14 +3,15 @@
 
 Default covers n in 1..4 (under a second). --deep adds n=5 for the checks
 whose height cap prunes the n=5 walk (T1.4 at height 3; T2.1, C2.2, T4.1
-and PROPS at height 4; about 3.5 s in all on one core of a 2-vCPU VM,
-Python 3.11, where T1.4, T2.1, C2.2 and T4.1 walk one family per symmetry
-class of co-singletons). T1.2 (height at least 2), L1.3 and L2.1.1 walk
-the uncapped n=5 tree of 2,747,402 union-closed families (L1.3 only its
-representatives), so they stop at n=4 here. Run once each on
-one core (Python 3.11, 2-vCPU VM), they found 0 violations: T1.2 checked
-2,747,401 families in 21 s, L1.3 2,704,780 in 5 s and L2.1.1 2,704,780 in
-14 s (`ucf verify --id <id> --n 5 --deep`).
+and PROPS at height 4; about 1.3 s in all on one core of a 2-vCPU VM,
+Python 3.11, 1.0 s of it PROPS, since T1.4, T2.1, C2.2 and T4.1 walk one
+family per symmetry class of co-singletons and of the sets [n] - {i, j}
+below them). T1.2 (height at least 2), L1.3 and L2.1.1 walk the uncapped
+n=5 tree of 2,747,402 union-closed families (L1.3 only its 148,984
+representatives), so they stop at n=4 here. Run once each on one core
+(Python 3.11, 2-vCPU VM), they found 0 violations: T1.2 checked 2,747,401
+families in 13 s, L1.3 2,704,780 in 0.3 s and L2.1.1 2,704,780 in 8 s
+(`ucf verify --id <id> --n 5 --deep`).
 """
 
 import argparse

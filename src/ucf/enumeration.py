@@ -87,22 +87,35 @@ or a run of a check marked label-free (T1.4, T2.1, C2.2, T4.1 and L1.3),
 is an orbit walk. A co-singleton [n] - {i} is always legal, since its
 union with a member is itself or [n], and it is maximal below [n], so it
 never narrows `legal` and takes level 1. So a walk can decide all of them
-at the root: `_orbit`'s seed k has the co-singletons with i < k as its
-prefix and every co-singleton in its skip. Its leaves are exactly the
-families whose co-singleton set is {[n] - {i} : i < k}. A relabeling of
-[n] maps any co-singleton set S of k elements onto that one, and keeps the
-empty set, the height, separation and |B| (the size of a minimum cover);
-so the families with co-singleton set S that pass a label-free gate are as
-many as those of seed k, and the k-sets are C(n, k). Seed k's passed
-count, times C(n, k), its weight, summed over k = 0..n, is the count of
-the full walk. Each seed's walk runs the full walk's kernel on fewer
-leaves (4,693 of 15,067 at n = 5 under height cap 3). A label-free check
-holds on a representative exactly where it holds on all of its
-relabelings, so an orbit walk that finds no violation gives the report;
-one that finds a violation is followed by the full walk, which lists them
-all in DFS order. n = 1, whose co-singleton is the empty set, keeps the
-full walk; a visitor, a label-reading check (T1.2's tie-breaks, L2.1.1's
-trace, the least cover of PROPS) and hypothesis-necessity mode do too.
+at the root: `_orbit`'s seeds for k have the co-singletons with i < k in
+their prefix and every co-singleton in their skip. With those members,
+a set t = [n] - {i, j} with i < j < k is free the same way: its only
+proper supersets, [n] - {i}, [n] - {j} and [n], are members, so its
+union with a member is itself or a member, it narrows no candidate and
+it takes level 2. So from n = 3 under a height cap of 3 or more, the
+seeds for k also decide these C(k, 2) sets, as a graph G on [k] whose
+edge ij stands for the member [n] - {i, j}: one seed per isomorphism
+class of G (`_graph_classes`), with the t of the class's least graph in
+its prefix and every such t in its skip. A seed's leaves are exactly
+the families whose co-singleton set is {[n] - {i} : i < k} and whose
+sets t form that graph. A relabeling of [n] maps any co-singleton set S
+of k elements onto that one, and one of [k] maps any graph of the class
+onto the least one, and each keeps the empty set, the height, separation
+and |B| (the size of a minimum cover); so the families with co-singleton
+set S and a given graph that pass a label-free gate are as many as those
+of the seed, the k-sets are C(n, k) and the class's graphs are k! /
+|Aut G|. A seed's passed count, times C(n, k) k! / |Aut G|, its weight,
+summed over the seeds, is the count of the full walk. Each seed's walk
+runs the full walk's kernel on fewer leaves (1,420 of 15,067 at n = 5
+under height cap 3, from 53 seeds). A label-free check holds on a
+representative exactly where it holds on all of its relabelings, so an
+orbit walk that finds no violation gives the report; one that finds a
+violation is followed by the full walk, which lists them all in DFS
+order. At n = 2 each t is the empty set and under a cap of 2 no t fits,
+so there the seeds decide only the co-singletons; n = 1, whose
+co-singleton is the empty set, keeps the full walk; a visitor, a
+label-reading check (T1.2's tie-breaks, L2.1.1's trace, the least cover
+of PROPS) and hypothesis-necessity mode do too.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -146,7 +159,7 @@ from .errors import InternalError, NTooLarge
 
 ENUMERATION_CAP = 5
 ORACLE_CAP = 4
-_SPLIT_DEPTH = 4
+_SPLIT_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -353,7 +366,9 @@ def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
     child with a longest chain. A child y's facts read only the members
     inside y, `word & below[y]`, so they come from the cache
     `_child_descent` of that word; the word of a whole leaf is new each
-    time and is not cached."""
+    time and is not cached. The facts read `below` only at masks inside x
+    and n only as a bound above every chain's length, so they are the same
+    at every n whose table holds x."""
     below = words.below
     x = word.bit_length() - 1
     rest = word ^ 1 << x
@@ -363,7 +378,7 @@ def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
     while rest:
         y = rest.bit_length() - 1
         rest &= ~below[y]
-        facts = _child_descent(words, word & below[y])
+        facts = _child_descent(word & below[y])
         if facts[0] >= most:  # children come off in descending order, so the least wins a tie
             most, chain = facts[0], facts[2]
         if facts[1] < fewest:
@@ -394,12 +409,18 @@ def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int],
 
 
 # The caches of the leaf facts that read a smaller word than the leaf's,
-# pure functions of (`_leaf_words(n)`, word). A call that raises is not
-# cached. At n <= ENUMERATION_CAP each holds at most the words a walk can
-# meet; at n = 5: 25,250 slice words (those of every family; the bound is
-# 2^16), 23,701 child words (T1.2 uncapped) and 20,390 reduced words
-# (L2.1.1 uncapped).
-_child_descent = functools.cache(_descent)
+# pure functions of (`_leaf_words(n)`, word), or of the word alone where
+# the facts do not depend on n. A call that raises is not cached. At
+# n <= ENUMERATION_CAP each holds at most the words a walk can meet; at
+# n = 5: 25,250 slice words (those of every family; the bound is 2^16),
+# 23,701 child words (T1.2 uncapped) and 20,390 reduced words (L2.1.1
+# uncapped).
+@functools.cache
+def _child_descent(word: int) -> tuple[int, int, tuple[int, ...]]:
+    """`_descent` of a member word below a child, keyed by the word alone:
+    it is computed with the table of the least n that holds the word's top
+    member, so a walk at n reuses the words met at every smaller n."""
+    return _descent(_leaf_words(max(1, (word.bit_length() - 1).bit_length())), word)
 
 
 @functools.cache
@@ -524,19 +545,66 @@ _Seed = tuple[int, int, int]  # (prefix, skip, weight)
 _FULL_WALK: tuple[_Seed, ...] = ((0, 0, 1),)
 
 
+@functools.cache
+def _graph_classes(k: int) -> tuple[tuple[int, int], ...]:
+    """The isomorphism classes of graphs on [k], one (edge word, size) pair
+    each, in ascending order of edge word: bit q of an edge word is set
+    where the graph holds pair q of [k] (pairs in `itertools.combinations`
+    order), and a class's size is k! / |Aut G|, its number of graphs. A
+    class's word is the least of its graphs': an orbit sweep takes the
+    least graph not yet met and marks its images under the k! relabelings
+    of [k]."""
+    pairs = list(itertools.combinations(range(k), 2))
+    index = {pair: q for q, pair in enumerate(pairs)}
+    # per relabeling, the bit of each pair's image
+    moves = [
+        tuple(1 << index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs)
+        for perm in itertools.permutations(range(k))
+    ]
+    met = bytearray(1 << len(pairs))
+    classes = []
+    for graph in range(1 << len(pairs)):
+        if met[graph]:
+            continue
+        edges = [q for q in range(len(pairs)) if graph >> q & 1]
+        orbit = {sum(move[q] for q in edges) for move in moves}
+        for image in orbit:
+            met[image] = 1
+        classes.append((graph, len(orbit)))
+    return tuple(classes)
+
+
+@functools.cache
 def _orbit(n: int, h_cap: int | None) -> tuple[_Seed, ...]:
     """The orbit walk's seeds under a height cap (see the module
-    docstring): seed k has the co-singletons [n] - {i} with i < k as its
-    prefix, skips every co-singleton and weighs C(n, k). Under a cap below
-    2 no co-singleton fits, so only seed 0 is left; n = 1, whose one
-    co-singleton is the empty set, keeps the full walk."""
+    docstring), in order of k and then of edge word. Each has the
+    co-singletons [n] - {i} with i < k in its prefix and every co-singleton
+    in its skip. From n = 3 under a cap of 3 or more, it also decides the
+    sets t = [n] - {i, j} with i < j < k, as one graph class G of
+    `_graph_classes(k)`: the prefix adds the t of G's least graph, the skip
+    adds every such t, and the seed weighs C(n, k) times the class size.
+    Otherwise seed k decides only the co-singletons and weighs C(n, k): at
+    n = 2 each t is the empty set, which no skip may hold, and under a cap
+    of 2 no t fits. Under a cap below 2 no co-singleton fits, so only seed
+    0 is left; n = 1, whose one co-singleton is the empty set, keeps the
+    full walk. The seeds are built once per (n, cap)."""
     if n == 1:
         return _FULL_WALK
+    full = (1 << n) - 1
     cosingles = [bit for bit, _ in _leaf_words(n).coatoms]
-    return tuple(
-        (sum(cosingles[:k]), sum(cosingles), math.comb(n, k))
-        for k in range(n + 1 if h_cap is None or h_cap >= 2 else 1)
-    )
+    graphs = n >= 3 and (h_cap is None or h_cap >= 3)
+    seeds = []
+    for k in range(n + 1 if h_cap is None or h_cap >= 2 else 1):
+        if graphs:
+            sets = [1 << (full ^ 1 << i ^ 1 << j) for i, j in itertools.combinations(range(k), 2)]
+            classes = _graph_classes(k)
+        else:
+            sets, classes = [], ((0, 1),)  # the one empty graph
+        prefix, skip = sum(cosingles[:k]), sum(cosingles) + sum(sets)
+        for edges, size in classes:
+            chosen = sum(bit for q, bit in enumerate(sets) if edges >> q & 1)
+            seeds.append((prefix + chosen, skip, math.comb(n, k) * size))
+    return tuple(seeds)
 
 
 def _split(n: int, h_cap: int | None, seeds: tuple[_Seed, ...]) -> list[_Seed]:
@@ -657,9 +725,11 @@ def enumerate_uc(
     filter, in deterministic order; returns how many passed. With no
     visitor nothing reads a family's labels, so the count comes from the
     orbit walk of `_orbit`'s seeds, which visits only the families whose
-    co-singletons [n] - {i} are those with i < k and counts each C(n, k)
-    times. `progress` gets the visited count every 100,000 walk leaves,
-    which on that walk are those representatives."""
+    co-singletons [n] - {i} are those with i < k and whose sets
+    [n] - {i, j} inside [k] form the least graph of their class, and
+    counts each C(n, k) times the class size. `progress` gets the visited
+    count every 100,000 walk leaves, which on that walk are those
+    representatives."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise NTooLarge(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}")
     if visitor:
@@ -986,13 +1056,14 @@ def verify_theorem(
     With hypothesis_necessity (T2.1 only) the n >= 4 hypothesis is dropped
     and the report lists the families that then break the conclusion; the
     run demonstrates why the hypothesis is needed. A label-free check,
-    outside that mode, takes the orbit walk, over the families whose
-    co-singletons [n] - {i} are those with i < k, each counted C(n, k)
-    times; where one of them fails it walks every family, so the report is
-    the same either way. The walk runs in-process, or, with more than one
-    worker at n >= 4, as `_split`'s tasks on a process pool, whose results
-    are merged in DFS order, so the worker count does not change which
-    walk runs or what it reports. `progress` gets the visited count
+    outside that mode, takes the orbit walk of `_orbit`'s seeds, over one
+    family per class of co-singleton sets and graphs of sets [n] - {i, j},
+    each counted as often as its class has members; where one of them
+    fails it walks every family, so the report is the same either way.
+    The walk runs in-process, or, with more than one worker at n >= 4, as
+    `_split`'s tasks on a process pool, whose results are merged in DFS
+    order, so the worker count does not change which walk runs or what it
+    reports. `progress` gets the visited count
     (representatives, on an orbit walk) every 100,000 leaves of an
     in-process walk, and the running total as each task's results arrive
     on a pool.

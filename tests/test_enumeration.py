@@ -276,7 +276,7 @@ def test_split_subtrees_concatenate_to_serial_walk(n, h_cap):
         parts = task_leaf_hashes(n, h_cap, tasks)
         assert sum(parts, array("q")) == seed_leaf_hashes(n, h_cap, seeds)
         if n == 5 and seeds != _FULL_WALK:
-            # the orbit split decides each seed's highest open masks: 49 tasks
+            # the orbit split decides each seed's highest open masks: 130 tasks
             assert max(map(len, parts)) <= 0.15 * sum(map(len, parts))
 
 
@@ -292,10 +292,11 @@ def test_split_subtrees_concatenate_to_serial_walk_n5(h_cap, leaves):
 
 
 @pytest.mark.deep
-@pytest.mark.parametrize("h_cap, leaves", [(4, 201629), (None, 1624826)])
+@pytest.mark.parametrize("h_cap, leaves", [(4, 20016), (None, 148984)])
 def test_orbit_split_tasks_concatenate_to_orbit_walk_n5(h_cap, leaves):
-    # the 78 tasks of a parallel label-free run at n = 5 --deep, none
-    # holding more than 15% of the representatives
+    # the tasks of a parallel label-free run at n = 5 --deep, 626 under
+    # height cap 4 and 1,009 uncapped, none holding more than 15% of the
+    # representatives
     seeds = _orbit(5, h_cap)
     parts = task_leaf_hashes(5, h_cap, _split(5, h_cap, seeds))
     assert max(map(len, parts)) <= 0.15 * leaves
@@ -305,15 +306,37 @@ def test_orbit_split_tasks_concatenate_to_orbit_walk_n5(h_cap, leaves):
 
 
 # ---------------------------------------------------------------------------
-# the co-singleton orbit walk
+# the orbit walk: co-singleton and graph classes
 # ---------------------------------------------------------------------------
 
+def least_relabeled_graph(k, edges):
+    """The least edge word among the images of a graph on [k] under the k!
+    relabelings of [k] (bit q for pair q in `itertools.combinations`
+    order), by relabeling every pair."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return min(
+        sum(1 << pairs.index(tuple(sorted((perm[i], perm[j])))) for q, (i, j) in enumerate(pairs)
+            if edges >> q & 1)
+        for perm in itertools.permutations(range(k))
+    )
+
+
 def is_representative(n, have):
-    """Whether a member word's co-singletons [n] - {i} are those with i < k
-    for some k: the families an orbit walk visits."""
+    """Whether a member word is one an orbit walk visits: its co-singletons
+    [n] - {i} are those with i < k for some k, and from n = 3 on, the sets
+    [n] - {i, j} with i < j < k that it holds form the least graph of
+    their isomorphism class. A family under a height cap of 2 holds no
+    such set, so the test holds under every cap."""
     full = (1 << n) - 1
     held = [have >> (full ^ 1 << i) & 1 for i in range(n)]
-    return held == sorted(held, reverse=True)
+    if held != sorted(held, reverse=True):
+        return False
+    if n < 3:
+        return True
+    k = sum(held)
+    pairs = itertools.combinations(range(k), 2)
+    edges = sum((have >> (full ^ 1 << i ^ 1 << j) & 1) << q for q, (i, j) in enumerate(pairs))
+    return edges == least_relabeled_graph(k, edges)
 
 
 def orbit_filters(cap):
@@ -338,7 +361,9 @@ def assert_orbit_counts_equal_full_counts(n, cap):
 
 def test_orbit_walk_counts_equal_full_walk_counts():
     # every family is a relabeling of one whose co-singletons are an initial
-    # segment, and C(n, k) relabelings of its co-singleton set have its count
+    # segment [k] and whose sets [n] - {i, j} inside [k] form the least graph
+    # of their class, and the C(n, k) k-sets times the class's graphs have
+    # its count
     for n in range(1, 5):
         for cap in (None, *range(n + 2)):
             assert_orbit_counts_equal_full_counts(n, cap)
@@ -352,14 +377,62 @@ def test_orbit_walk_counts_equal_full_walk_counts():
             ), (n, cap)
     for cap in (2, 3):
         assert_orbit_counts_equal_full_counts(5, cap)
-    assert enumeration._walk(5, EnumFilter(height=(1, 3)), None, _orbit(5, 3)) == (4693, 15067)
+    assert enumeration._walk(5, EnumFilter(height=(1, 3)), None, _orbit(5, 3)) == (1420, 15067)
+    assert len(_orbit(5, 3)) == 53
+
+
+def test_graph_classes_are_the_isomorphism_classes_of_graphs():
+    # OEIS A000088: 1, 1, 2, 4, 11, 34, 156 graphs on k nodes up to
+    # isomorphism. Each class is headed by its least graph, its size is
+    # k! over the relabelings that fix that graph, and the sizes count
+    # every graph on [k].
+    counts = []
+    for k in range(7):
+        classes = enumeration._graph_classes(k)
+        counts.append(len(classes))
+        assert [edges for edges, _ in classes] == sorted({edges for edges, _ in classes})
+        pairs = list(itertools.combinations(range(k), 2))
+        for edges, size in classes:
+            held = {pairs[q] for q in range(len(pairs)) if edges >> q & 1}
+            automorphisms = sum(
+                {tuple(sorted((perm[i], perm[j]))) for i, j in held} == held
+                for perm in itertools.permutations(range(k))
+            )
+            assert size * automorphisms == math.factorial(k), (k, edges)
+            if k <= 5:
+                assert least_relabeled_graph(k, edges) == edges, (k, edges)
+        assert sum(size for _, size in classes) == 2 ** math.comb(k, 2)
+    assert counts == [1, 1, 2, 4, 11, 34, 156]
+
+
+def test_orbit_seeds_decide_masks_the_walk_may_skip():
+    # Every seed at n <= 6 under every cap holds its prefix in its skip and
+    # leaves the empty set open, and the weights count each (co-singleton
+    # set, graph) pair once: the sum over k of C(n, k) times the 2^C(k, 2)
+    # graphs on k nodes where the seeds decide the graph, else 2^n.
+    for n in range(2, 7):
+        for cap in (None, *range(n + 2)):
+            seeds = _orbit(n, cap)
+            for prefix, skip, _ in seeds:
+                assert prefix & ~skip == 0 and not skip & 1, (n, cap, prefix, skip)
+            graphs = n >= 3 and (cap is None or cap >= 3)
+            if cap is not None and cap < 2:
+                want = 1
+            elif graphs:
+                want = sum(math.comb(n, k) * 2 ** math.comb(k, 2) for k in range(n + 1))
+            else:
+                want = 2**n
+            assert sum(weight for _, _, weight in seeds) == want, (n, cap)
+    assert [len(_orbit(n, None)) for n in range(1, 7)] == [1, 3, 8, 19, 53, 209]
 
 
 def test_orbit_walk_edge_cases(monkeypatch):
-    # One `_dfs` call per seed: n + 1 of them, but one at n = 1, whose one
-    # co-singleton is the empty set, so the full walk runs; and one under a
-    # cap below 2, where only [n] fits, so only seed 0 is left and no
-    # co-singleton is pushed past the cap.
+    # One `_dfs` call per seed: one per graph class on [k] for k = 0..n,
+    # 19 at n = 4; but one at n = 1, whose one co-singleton is the empty
+    # set, so the full walk runs; n + 1 at n = 2, whose sets [n] - {i, j}
+    # are the empty set, and under a cap of 2, where none of them fits; and
+    # one under a cap below 2, where only [n] fits, so only seed 0 is left
+    # and no co-singleton is pushed past the cap.
     calls = []
     dfs = enumeration._dfs
 
@@ -378,7 +451,8 @@ def test_orbit_walk_edge_cases(monkeypatch):
         return got, sub_walks
 
     assert walks(1, None) == ((2, 2), 1)
-    assert walks(4, None) == ((1896, 4542), 5)
+    assert walks(4, None) == ((800, 4542), 19)
+    assert walks(2, None) == ((6, 8), 3)
     for n in range(2, 6):
         for height, passed in ((0, 0), (1, 1), ((0, 1), 1)):
             assert walks(n, EnumFilter(height=height)) == ((1, passed), 1)
@@ -394,12 +468,15 @@ def test_orbit_walk_counts_equal_full_walk_counts_n5(cap):
 @pytest.mark.deep
 def test_orbit_walk_n6_height_at_most_3():
     # 641,046 families of height <= 3 at n = 6, 464,833 of them separating,
-    # by the orbit walk and by the full walk
+    # by the orbit walk, whose 209 seeds visit 16,274 representatives, and
+    # by the full walk
+    seeds = _orbit(6, 3)
+    assert len(seeds) == 209
     for filt, count in (
         (EnumFilter(height=(1, 3)), 641046),
         (EnumFilter(height=(1, 3), separating=True), 464833),
     ):
-        assert enumeration._walk(6, filt, None, _orbit(6, 3))[1] == count
+        assert enumeration._walk(6, filt, None, seeds) == (16274, count)
         assert enumeration._walk(6, filt, None)[1] == count
 
 
@@ -1000,13 +1077,16 @@ def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
     [
         # one tail per distinct first reduced word: 18 at n = 3, 280 at n = 4
         ("L2.1.1", "_size_tail", (18, 280), ((70, 0), (4078, 0), (70, 0))),
-        # one per distinct member word below a child: 31 at n = 3, 417 at n = 4
-        ("T1.2", "_child_descent", (31, 417), ((89, 0), (4541, 0), (89, 0))),
+        # one per distinct member word below a child, keyed by the word
+        # alone: 31 at n = 3, and 386 more at n = 4, which meets all 31
+        # again among its 417
+        ("T1.2", "_child_descent", (31, 386), ((89, 0), (4541, 0), (89, 0))),
         # one per distinct slice word of the separating height-4 leaves, 7 at
         # n = 3 and 20 at n = 4; T2.1 finds its three counterexamples at n = 3
-        # (see below)
+        # (see below). T4.1 takes the orbit walk, whose representatives have
+        # 6 at n = 3
         ("T2.1", "_slice_cover", (7, 20), ((30, 3), (1961, 0), (30, 3))),
-        ("T4.1", "_slice_cover", (7, 20), ((0, 0), (1, 0), (0, 0))),
+        ("T4.1", "_slice_cover", (6, 20), ((0, 0), (1, 0), (0, 0))),
         ("PROPS", "_slice_cover", (7, 20), ((31, 0), (2034, 0), (31, 0))),
     ],
 )
@@ -1135,14 +1215,14 @@ def test_count_only_walks_build_no_family(monkeypatch):
 
 def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
     # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4,
-    # and 871 of those are representatives of an orbit walk. A count-only
+    # and 323 of those are representatives of an orbit walk. A count-only
     # walk builds no `_Leaf`; a cover-size gate builds one for each leaf
     # past the word tests, which on a count-only walk, an orbit walk, are
     # representatives; and a visitor one per passing leaf.
     past = []
     enumeration._walk(4, EnumFilter(separating=True, height=4), past.append)
     representatives = sum(is_representative(4, leaf.have) for leaf in past)
-    assert (len(past), representatives) == (2034, 871)
+    assert (len(past), representatives) == (2034, 323)
     builds = 0
     init = _Leaf.__init__
 
@@ -1155,7 +1235,7 @@ def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4)) == 2034
     assert builds == 0
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
-    assert builds == 871
+    assert builds == 323
     builds = 0
     visited = []
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4), visited.append) == 2034
