@@ -2,15 +2,17 @@
 """Run the whole exhaustive verification battery over small ground sets.
 
 Default covers n in 1..4 (under a second). --deep adds n=5 for the checks
-whose height cap prunes the n=5 walk (T1.4 at height 3; T2.1, C2.2, T4.1
-and PROPS at height 4; about 1.3 s in all on one core of a 2-vCPU VM,
-Python 3.11, 1.0 s of it PROPS, since T1.4, T2.1, C2.2 and T4.1 walk one
-family per symmetry class of co-singletons and of the sets [n] - {i, j}
-below them). T1.2 (height at least 2), L1.3 and L2.1.1 walk the uncapped
-n=5 tree of 2,747,402 union-closed families (L1.3 only its 148,984
-representatives), so they stop at n=4 here. Run once each on one core
-(Python 3.11, 2-vCPU VM), they found 0 violations: T1.2 checked 2,747,401
-families in 13 s, L1.3 2,704,780 in 0.3 s and L2.1.1 2,704,780 in 8 s
+whose n=5 run is short: those whose height cap prunes the walk (T1.4 at
+height 3; T2.1, C2.2, T4.1 and PROPS at height 4) and the label-free ones
+(T1.4, T2.1, C2.2, T4.1 and L1.3), which walk one family per symmetry
+class of co-singletons and of the sets [n] - {i, j} below them; L1.3's
+uncapped walk has 148,984 such representatives. On one core of a 2-vCPU
+VM (Python 3.11) --deep takes about 2-2.5 s wall, of which PROPS, which
+walks all 382,210 families of height at most 4, takes 0.9-1.5 s and L1.3
+about 0.4 s. T1.2 (height at least 2) and L2.1.1 read labels and walk the
+uncapped n=5 tree of 2,747,402 union-closed families, so they stop at n=4
+here. Run once each on the same VM, they found 0 violations: T1.2
+checked 2,747,401 families in 16 s and L2.1.1 2,704,780 in 10 s
 (`ucf verify --id <id> --n 5 --deep`).
 """
 
@@ -24,20 +26,25 @@ from ucf.enumeration import _CHECKS, ENUMERATION_CAP, _walk_cap
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--deep", action="store_true", help="include the n=5 runs of the height-capped checks"
+        "--deep",
+        action="store_true",
+        help="include the n=5 runs of the height-capped and the label-free checks",
     )
     args = parser.parse_args()
 
-    # The checks whose height cap prunes the n=5 walk; the others walk every family.
-    capped = {
+    # The checks whose n=5 run is short: a height cap prunes the walk, or the
+    # check is label-free and walks one family per symmetry class; the others
+    # walk every family.
+    short = {
         tid
         for tid, check in _CHECKS.items()
-        if (cap := _walk_cap(check.filt)) is not None and cap <= ENUMERATION_CAP
+        if check.label_free
+        or ((cap := _walk_cap(check.filt)) is not None and cap <= ENUMERATION_CAP)
     }
     failures = 0
     print(f"{'check':8s} {'n':>2s} {'checked':>9s} {'violations':>10s} {'time':>8s}")
     for tid in THEOREM_IDS:
-        top = 5 if args.deep and tid in capped else 4
+        top = 5 if args.deep and tid in short else 4
         for n in range(1, top + 1):
             report = verify_theorem(tid, n)
             status = "ok" if report.ok else "FAIL"

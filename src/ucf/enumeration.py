@@ -44,26 +44,29 @@ narrows `legal` nor raises a level word.
 Each check id of the verifier is one table row: its hypotheses as text, as
 an `EnumFilter` (height, separation, cover size |B|) and as the least n the
 result is stated for, and its conclusion. The enumerator's leaf loop runs
-every check. A walk reads its filter once into one gate (`_gate`) on each
-leaf's height and words: the empty set's bit and the height range are tests
-of h and `have`, and separation, every pair split by some member, is the
-one compare `split == every`. A leaf that passes them becomes a `_Leaf`, a
-value that outlives the walk, only where something reads it: the cover-size
-test or a visitor, so a count-only walk with no cover-size test builds
-none. The cover-size test and every conclusion read the leaf's facts as a
-few exact int operations on `have` and the per-n words of `_leaf_words`:
-frequencies, |F|, the empty set, the least minimum cover (|B| is its
-length), Lemma 1.3, the size-bound levels, T1.2's witness chain, r and
-witness element, and the PROPS letters. Three of them read a smaller word
-than the leaf's, which later leaves meet again, so each is a cached pure
-function of that word: the size-bound levels after the first reduction,
-of the reduced word (`_size_tail`); the chain facts below each child of
-[n], of the child's member word (`_child_descent`); and the least minimum
-cover, `bfamily._least_cover` of the slice members (the search `b_report`
-runs), of the slice word `have & small` (`_slice_cover`). An entry
-depends only on its key, so every walk and thread shares the caches and
-nothing empties them. A cover longer than the leaf's height is an error
-tested on every leaf, since the height is the leaf's own. A check counts
+every check. A walk reads its filter once into one gate (`_gate`), a test
+of each leaf's height and words: the empty set's bit and the height range
+are tests of h and `have`, separation, every pair split by some member, is
+the one compare `split == every`, and the cover size is the length of the
+least minimum cover. A leaf that passes becomes a `_Leaf`, a value that
+outlives the walk, only for a visitor, so a count-only walk builds none.
+The gate and every conclusion read the leaf's facts as a few exact int
+operations on `have` and the per-n words of `_leaf_words`: frequencies,
+|F|, the empty set, the least minimum cover (|B| is its length), Lemma
+1.3, the size-bound levels, T1.2's witness chain, r and witness element,
+and the PROPS letters A-C. Four facts read a smaller word than the leaf's,
+which later leaves meet again, so each is a cached pure function of that
+word: the size-bound levels after the first reduction, of the reduced word
+(`_size_tail`); the chain facts below each child of [n], of the child's
+member word (`_child_descent`); the least minimum cover,
+`bfamily._least_cover` of the slice members (the search `b_report` runs),
+of the slice word `have & small` (`_slice_cover`); and the verdict of the
+PROPS letters E-L, `bfamily._slice_props` of the slice members and that
+cover (the letters `prop_suite` reports), of the slice word too
+(`_slice_props_hold`). An entry depends only on its key, so every walk and
+thread shares the caches and nothing empties them. A cover longer than the
+leaf's height is an error tested on every leaf (`_min_cover`), since the
+height is the leaf's own. A check counts
 the leaves its gate passes, so a passing conclusion costs its leaf
 nothing more; a `Family` is built only for a leaf whose word conclusion
 fails (the `Family` conclusion then gives the violation's details) and
@@ -144,15 +147,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bfamily import (
-    VIOLATION,
-    _b_report,
-    _classify_form,
-    _four_cover_sizes_ok,
-    _least_cover,
-    _private_parts,
-    _prop_suite,
-)
+from .bfamily import _b_report, _least_cover, _prop_suite, _slice_props
 from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
 from .core import Family, _byte_masks, avg_size, frankl_witness, frequencies, is_separating
 from .errors import InternalError, NTooLarge
@@ -195,9 +190,6 @@ class EnumFilter:
             lo, hi = _bounds(spec)
             if lo > hi:
                 raise ValueError(f"empty {name} range {spec}: lo > hi")
-
-    def height_range(self) -> tuple[int, int] | None:
-        return None if self.height is None else _bounds(self.height)
 
     def matches(self, fam: Family, h: int) -> bool:
         if self.contains_empty is not None and (0 in fam.members) != self.contains_empty:
@@ -273,7 +265,7 @@ _leaf_words = functools.cache(_Words)
 
 class _Leaf:
     """One DFS leaf: its member word `have` (bit m for mask m), its height
-    `h`, and the facts the gates and the cheap conclusions read, each a few
+    `h`, and the facts the cheap conclusions read, each a few
     operations on `have` and the words of `_leaf_words`. `fam`, the leaf as
     a `Family`, is built from `have` on first use."""
 
@@ -298,18 +290,9 @@ class _Leaf:
         have = self.have
         return [(have & word).bit_count() for word in self.words.holding]
 
-    def slice_members(self) -> tuple[int, ...]:
-        """The small-slice members, the members m with 2|m| < n, ascending."""
-        return self.words.masks(self.have & self.words.small)
-
     def min_cover(self) -> tuple[int, ...]:
-        """`_b_report`'s cover, whose length is |B|: `_slice_cover` of the
-        slice word, and the error `_b_report` raises where it has more
-        members than the leaf's height."""
-        cover = _slice_cover(self.words, self.have & self.words.small)
-        if len(cover) > self.h:
-            raise InternalError("cover search exceeded the height cap")
-        return cover
+        """`_b_report`'s cover, whose length is |B|: `_min_cover` of the leaf."""
+        return _min_cover(self.words, self.have, self.h)
 
     def lemma13_holds(self) -> bool:
         """Lemma 1.3's conclusion: every member but [n] lies in an
@@ -412,9 +395,9 @@ def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int],
 # pure functions of (`_leaf_words(n)`, word), or of the word alone where
 # the facts do not depend on n. A call that raises is not cached. At
 # n <= ENUMERATION_CAP each holds at most the words a walk can meet; at
-# n = 5: 25,250 slice words (those of every family; the bound is 2^16),
-# 23,701 child words (T1.2 uncapped) and 20,390 reduced words (L2.1.1
-# uncapped).
+# n = 5: 25,250 slice words for the cover (those of every family; the bound
+# is 2^16) and 1,614 for the PROPS verdict (its 346,028 families), 23,701
+# child words (T1.2 uncapped) and 20,390 reduced words (L2.1.1 uncapped).
 @functools.cache
 def _child_descent(word: int) -> tuple[int, int, tuple[int, ...]]:
     """`_descent` of a member word below a child, keyed by the word alone:
@@ -435,6 +418,18 @@ def _slice_cover(words: _Words, part: int) -> tuple[int, ...]:
 
 
 @functools.cache
+def _slice_props_hold(words: _Words, part: int) -> bool:
+    """Whether every letter of `bfamily._slice_props` that applies, PROPS's
+    E-L, holds on the slice members in a slice word and their least minimum
+    cover `_slice_cover`."""
+    cover = _slice_cover(words, part)
+    b = 0
+    for c in cover:
+        b |= c
+    return all(r.holds for r in _slice_props(words.n, words.masks(part), b, cover).values())
+
+
+@functools.cache
 def _size_tail(words: _Words, members: int) -> tuple[tuple[int, int], ...]:
     """The levels of `_size_step` from a member word on."""
     levels = []
@@ -442,6 +437,16 @@ def _size_tail(words: _Words, members: int) -> tuple[tuple[int, int], ...]:
         level, members = _size_step(words.holding, members)
         levels.append(level)
     return tuple(levels)
+
+
+def _min_cover(words: _Words, have: int, h: int) -> tuple[int, ...]:
+    """`_b_report`'s cover of a member word of height h, whose length is
+    |B|: `_slice_cover` of its slice word, and the error `_b_report` raises
+    where that has more members than h."""
+    cover = _slice_cover(words, have & words.small)
+    if len(cover) > h:
+        raise InternalError("cover search exceeded the height cap")
+    return cover
 
 
 def _lowest(word: int) -> int:
@@ -632,42 +637,36 @@ def _split(n: int, h_cap: int | None, seeds: tuple[_Seed, ...]) -> list[_Seed]:
     return tasks
 
 
-def _gate(
-    filt: EnumFilter | None, words: _Words
-) -> tuple[Callable[[int, int, int], bool] | None, Callable[[_Leaf], bool] | None]:
-    """The filter read once for a walk under its height cap, as two tests
-    that pass a leaf of that walk exactly where `filt.matches` would:
-    `admit`, a pure word test of its height, member word and split word,
-    and `sized`, the cover-size test of its `_Leaf`. Either is None where
-    the filter leaves nothing of its kind to test. `admit` runs `matches`'s
-    word tests in its order: the empty set's bit, the height, and
-    separation, which holds when the split word is `every`. The walk's cap
+def _gate(filt: EnumFilter | None, words: _Words) -> Callable[[int, int, int], bool] | None:
+    """The filter read once for a walk under its height cap, as one test of
+    a leaf's height, member word and split word that passes a leaf of that
+    walk exactly where `filt.matches` would, or None where the filter leaves
+    nothing to test. It runs `matches`'s tests in its order: the empty
+    set's bit, the height, separation, which holds when the split word is
+    `every`, and the cover size, the length of `_min_cover`. The walk's cap
     is the height range's hi and every leaf has h >= 1, so the height test
     is h >= lo, made only where lo >= 2; a cap below 1 still emits the one
     leaf {[n]}, of height 1, which h >= 2 then rejects."""
     if filt is None:
-        return None, None
+        return None
     empty, separating, bsize = filt.contains_empty, filt.separating, filt.bsize
     lo, hi = _bounds(filt.height) if filt.height is not None else (1, 1)
     least = lo if hi >= 1 else 2
+    if (empty, separating, bsize) == (None, None, None) and least < 2:
+        return None
     every = words.every
-    admit = sized = None
+    low, most = (0, 0) if bsize is None else _bounds(bsize)
 
-    if (empty, separating) != (None, None) or least >= 2:
-        def admit(h: int, have: int, split: int) -> bool:
-            if empty is not None and (have & 1) != empty:
-                return False
-            if h < least:
-                return False
-            return separating is None or (split == every) == separating
+    def admit(h: int, have: int, split: int) -> bool:
+        if empty is not None and (have & 1) != empty:
+            return False
+        if h < least:
+            return False
+        if separating is not None and (split == every) != separating:
+            return False
+        return bsize is None or low <= len(_min_cover(words, have, h)) <= most
 
-    if bsize is not None:
-        low, most = _bounds(bsize)
-
-        def sized(leaf: _Leaf) -> bool:
-            return low <= len(leaf.min_cover()) <= most
-
-    return admit, sized
+    return admit
 
 
 def _walk(
@@ -684,15 +683,14 @@ def _walk(
     The full walk is the one seed `_FULL_WALK`; an orbit walk, for a caller
     whose filter and `visit` read no labels, has `_orbit`'s seeds, and its
     visited count is of the representatives; a parallel task has one seed
-    of `_split`'s. A leaf becomes a `_Leaf` only for the gate's cover-size
-    test or for `visit`, so with neither the walk builds none. `progress`
-    gets the visited count every 100,000 leaves. The walk keeps no state
-    besides its counts: the tables it reads never change, and the leaf
-    facts it caches depend only on their keys."""
+    of `_split`'s. A leaf becomes a `_Leaf` only for `visit`, so without
+    one the walk builds none. `progress` gets the visited count every
+    100,000 leaves. The walk keeps no state besides its counts: the tables
+    it reads never change, and the leaf facts it caches depend only on
+    their keys."""
     cap = _walk_cap(filt)
     words = _leaf_words(n)
-    admit, sized = _gate(filt, words)
-    build = visit is not None or sized is not None
+    admit = _gate(filt, words)
     visited = passed = 0
 
     def emit(h: int, have: int, split: int) -> None:
@@ -702,12 +700,8 @@ def _walk(
             progress(visited)
         if admit is not None and not admit(h, have, split):
             return
-        if build:
-            leaf = _Leaf(words, have, h)
-            if sized is not None and not sized(leaf):
-                return
-            if visit is not None:
-                visit(leaf)
+        if visit is not None:
+            visit(_Leaf(words, have, h))
         passed += weight  # the weight of the seed being walked
 
     for prefix, skip, weight in seeds:
@@ -919,59 +913,37 @@ def _props(fam: Family, h: int) -> list[str]:
 
 
 def _props_holds(leaf: _Leaf) -> bool:
-    """True when `_props` finds no failing letter: `_prop_suite`'s letters
-    on the leaf's words, the gate having tested separation. b is the base
-    of the cover; sub_b, the members properly inside b, is one word, so A
-    and C count per element i of b the sub_b members holding i: A fails
-    when two lack i, and C's total size is the sum of those counts. E's
-    least sum of four slice sizes is that of the four smallest. G is not
-    tested, since it cannot fail."""
+    """True when `_props` finds no failing letter, the gate having tested
+    separation. A-C, which read the whole family, are word tests on the
+    leaf: b is the base of the cover; sub_b, the members properly inside b,
+    is one word, so A and C count per element i of b the sub_b members
+    holding i: A fails when two lack i, and C's total size is the sum of
+    those counts. E-L read only the slice, so their verdict is
+    `_slice_props_hold` of the slice word, worked out once per slice word;
+    G among them cannot fail (see `bfamily._slice_props`)."""
     if leaf.h != 4:
         return True
     words, have = leaf.words, leaf.have
-    n, below, part = words.n, words.below, have & words.small
+    n = words.n
     cover = leaf.min_cover()
     b = 0
     for c in cover:
         b |= c
     bsize = b.bit_count()
-    if len(cover) <= 2:
-        if n >= 4 and bsize < n - 1:
-            sub_b = have & below[b] & ~(1 << b)
-            count = sub_b.bit_count()
-            total = 0
-            for word, _ in words.lifts[b]:
-                held = (sub_b & word).bit_count()
-                if count - held > 1:  # A
-                    return False
-                total += held
-            if not 1 <= count <= bsize and 2 * sum(leaf.frequencies()) < n * have.bit_count():
-                return False  # B
-            if total < (count - 1) * bsize:  # C
+    if n >= 4 and len(cover) <= 2 and bsize < n - 1:
+        sub_b = have & words.below[b] & ~(1 << b)
+        count = sub_b.bit_count()
+        total = 0
+        for word, _ in words.lifts[b]:
+            held = (sub_b & word).bit_count()
+            if count - held > 1:  # A
                 return False
-        if n >= 4 and len(cover) == 2 and bsize == n - 1 and part.bit_count() >= 4:
-            full = (1 << n) - 1
-            x, y = cover
-            # a slice member besides the cover's two that meets both
-            if part & ~below[full ^ x] & ~below[full ^ y] & ~(1 << x | 1 << y):
-                sizes = sorted(m.bit_count() for m in leaf.slice_members())
-                return 2 * sum(sizes[:4]) >= 3 * n + 1  # E
-        return True
-    irrs = _private_parts(cover)
-    if len(cover) == 4:  # J, K, L
-        return (bsize == n and all(w.bit_count() == 1 for w in irrs)
-                and _four_cover_sizes_ok(n, [c.bit_count() for c in cover]))
-    if bsize < n - 1:  # F
-        return False
-    if bsize == n - 1:  # I
-        irr_union = irrs[0] | irrs[1] | irrs[2]
-        in_cover = 1 << cover[0] | 1 << cover[1] | 1 << cover[2]
-        others = [m for m in leaf.slice_members() if not in_cover >> m & 1]
-        return all(_classify_form(m, cover, irrs, irr_union) != VIOLATION for m in others)
-    # G (no other slice member holds every private part) cannot fail; see _prop_suite
-    wide = [(w, w.bit_count()) for w in irrs if w.bit_count() > 1]
-    return all((m & w).bit_count() in (0, size - 1, size)  # H
-               for m in leaf.slice_members() for w, size in wide)
+            total += held
+        if not 1 <= count <= bsize and 2 * sum(leaf.frequencies()) < n * have.bit_count():
+            return False  # B
+        if total < (count - 1) * bsize:  # C
+            return False
+    return _slice_props_hold(words, have & words.small)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from ucf.enumeration import (
     _props,
     _props_holds,
     _split,
+    _walk_cap,
 )
 from ucf.errors import InternalError, NTooLarge
 
@@ -834,14 +835,14 @@ def family_facts(fam, h, gates):
 
 
 def passes(gate, leaf, split):
-    """Whether a leaf with this split word passes a `_gate`'s two tests on a
-    walk under the gate's height cap, the hi of its filter's height range.
-    That walk emits the leaves of height at most max(1, hi), so the gate
-    tests no upper bound."""
-    (admit, sized), rng = gate
-    if rng is not None and leaf.h > max(1, rng[1]):
+    """Whether a leaf with this split word passes a `_gate` test on a walk
+    under the gate's height cap, `_walk_cap` of its filter. That walk emits
+    the leaves of height at most max(1, cap), so the gate tests no upper
+    bound."""
+    admit, cap = gate
+    if cap is not None and leaf.h > max(1, cap):
         return False
-    return (admit is None or admit(leaf.h, leaf.have, split)) and (sized is None or sized(leaf))
+    return admit is None or admit(leaf.h, leaf.have, split)
 
 
 def word_facts(leaf, split, gates):
@@ -876,7 +877,7 @@ def compare_leaf_facts(n, h_cap, gates, oracle):
     the or of its members' `splits` words, and separation is that word
     being `every`."""
     words = _leaf_words(n)
-    word_gates = [(_gate(g, words), g.height_range()) for g in gates]
+    word_gates = [(_gate(g, words), _walk_cap(g)) for g in gates]
     count = verdicts = 0
 
     def emit(h, have, split):
@@ -1088,6 +1089,8 @@ def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
         ("T2.1", "_slice_cover", (7, 20), ((30, 3), (1961, 0), (30, 3))),
         ("T4.1", "_slice_cover", (6, 20), ((0, 0), (1, 0), (0, 0))),
         ("PROPS", "_slice_cover", (7, 20), ((31, 0), (2034, 0), (31, 0))),
+        # PROPS's verdict of the letters E-L, one per distinct slice word
+        ("PROPS", "_slice_props_hold", (7, 20), ((31, 0), (2034, 0), (31, 0))),
     ],
 )
 def test_leaf_caches_compute_each_distinct_key_once(monkeypatch, tid, cache, keys, checked):
@@ -1140,7 +1143,9 @@ def test_concurrent_walks_match_serial_runs():
         return dataclasses.replace(ucf.verify_theorem(tid, 4, workers=1), elapsed=0)
 
     serial = {tid: run(tid) for tid in ids}
-    for cache in (enumeration._child_descent, enumeration._size_tail, enumeration._slice_cover):
+    caches = (enumeration._child_descent, enumeration._size_tail, enumeration._slice_cover,
+              enumeration._slice_props_hold)
+    for cache in caches:
         cache.cache_clear()
     start = threading.Barrier(4, timeout=60)
 
@@ -1215,10 +1220,10 @@ def test_count_only_walks_build_no_family(monkeypatch):
 
 def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
     # Of the 4,542 leaves at n = 4, 2,034 are separating and of height 4,
-    # and 323 of those are representatives of an orbit walk. A count-only
-    # walk builds no `_Leaf`; a cover-size gate builds one for each leaf
-    # past the word tests, which on a count-only walk, an orbit walk, are
-    # representatives; and a visitor one per passing leaf.
+    # and 323 of those are representatives of an orbit walk. The gate reads
+    # the cover size off the leaf's words, so a count-only walk builds no
+    # `_Leaf`, with a cover-size gate or without, and a visitor builds one
+    # per passing leaf.
     past = []
     enumeration._walk(4, EnumFilter(separating=True, height=4), past.append)
     representatives = sum(is_representative(4, leaf.have) for leaf in past)
@@ -1235,14 +1240,14 @@ def test_leaf_records_are_built_only_past_the_word_gates(monkeypatch):
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4)) == 2034
     assert builds == 0
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2))) == 1961
-    assert builds == 323
+    assert builds == 0
     builds = 0
     visited = []
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4), visited.append) == 2034
     assert builds == len(visited) == 2034
     builds = 0
     assert ucf.enumerate_uc(4, EnumFilter(separating=True, height=4, bsize=(0, 2)), visited.append) == 1961
-    assert builds == 2034
+    assert builds == 1961
 
 
 # ---------------------------------------------------------------------------
