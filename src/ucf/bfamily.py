@@ -192,33 +192,62 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     further need |b(B)| < n-1, where b(B) is the base of the small slice;
     E needs |b(B)| = n-1 with a slice member meeting both cover halves and
     at least four slice members); F-I require |B| = 3, J-L |B| = 4, all at
-    height 4. Inapplicable propositions are reported with holds=None. A-C
-    read the whole family; E-L read only its small slice, so the exhaustive
-    verifier decides them once per slice word. E and G-L read the
-    lexicographically least minimum cover (the one `b_report` returns);
-    that their verdicts do not depend on which minimum cover is read is
-    checked for every family with n <= 5 (in the deep tests), not proven.
+    height 4. Inapplicable propositions are reported with holds=None. Every
+    letter reads only the family's members inside b(B), and B also whether
+    the average meets n/2, so all eleven come from one function of those
+    (`_prop_letters`), which the exhaustive verifier runs once per word of
+    those members. E and G-L read the lexicographically least minimum cover
+    (the one `b_report` returns); that their verdicts do not depend on which
+    minimum cover is read is checked for every family with n <= 5 (in the
+    deep tests), not proven.
     """
     return _prop_suite(fam, _checked_height(fam), is_separating(fam))
 
 
 def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
     """prop_suite for a union-closed family with base [n], its height and
-    separation. A-C, which read the members inside b(B) and the average,
-    are decided here; the letters E-L that apply come from `_slice_props`."""
-    # Every proposition starts inapplicable; its gate below overwrites it.
+    separation: the letters `_prop_letters` finds to apply, the rest
+    inapplicable."""
     results = dict.fromkeys(PROP_KEYS, PropResult(False, None))
-    if h != 4 or not sep:
-        return results
-    small, bword = _small_slice(fam)
-    n = fam.n
-    cover = _least_cover(small, bword, 4)
-    bword_size = bword.bit_count()  # |b(B)|
-    sub_b = tuple(m for m in fam.members if m | bword == bword and m != bword)
-    avg = avg_size(fam)
-    half = Fraction(n, 2)
+    if h == 4 and sep:
+        b = _small_slice(fam)[1]
+        inside = tuple(m for m in fam.members if m | b == b)
+        results.update(_prop_letters(fam.n, inside, avg_size(fam)))
+    return results
 
-    if n >= 4 and len(cover) <= 2 and bword_size < n - 1:
+
+def _prop_letters(
+    n: int, inside: tuple[SetWord, ...], avg: Fraction | None
+) -> dict[str, PropResult]:
+    """The letters that apply to a separating family of height 4, with
+    their verdicts and witnesses, from n, the family's ascending members
+    inside b(B) and its average size. Those members hold the small slice,
+    so they give b(B), the least minimum cover and sub_b, the members
+    properly inside b(B). Inapplicable letters are left out.
+
+    Only B reads the average, and only whether it meets n/2. With `avg`
+    None, B is decided by its count test alone where that holds and is
+    left undecided (holds None) where it fails, so the walk caches the
+    verdicts per word of those members (`enumeration._props_verdicts`) and
+    tests the average on the leaf.
+
+    G cannot fail on any family, union-closed or not, so a "G holds" is no
+    evidence. Its cover c1, c2, c3 is made of slice members, each of at most
+    s = ceil(n/2) - 1 elements, with union [n]. An element outside the
+    private parts P lies in two or three of them, so 2n - |P| <= sum |ci| <= 3s.
+    A slice member holding P would need |P| <= s, so 2n <= 4s <= 2n - 2.
+    """
+    small = tuple(m for m in inside if 2 * m.bit_count() < n)
+    bword = 0
+    for m in small:
+        bword |= m
+    cover = _least_cover(small, bword, 4)
+    csize = len(cover)
+    bword_size = bword.bit_count()  # |b(B)|
+    results: dict[str, PropResult] = {}
+
+    if n >= 4 and csize <= 2 and bword_size < n - 1:
+        sub_b = tuple(m for m in inside if m != bword)
         # A: complements within B of distinct proper-subset members are disjoint.
         witness = None
         for x1, x2 in itertools.combinations(sub_b, 2):
@@ -227,38 +256,16 @@ def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
                 break
         results["A"] = PropResult(True, witness is None, witness)
 
-        # B: either the average already meets n/2, or 1 <= |sub_b| <= |b(B)|.
-        ok = avg >= half or 1 <= len(sub_b) <= bword_size
-        witness = None if ok else {"avg": str(avg), "sub_b": len(sub_b), "bsize": bword_size}
-        results["B"] = PropResult(True, ok, witness)
+        # B: either the average already meets n/2, or 1 <= |sub_b| <= |b(B)|;
+        # with no average, B is undecided (None) where the count test fails.
+        ok = 1 <= len(sub_b) <= bword_size or (None if avg is None else avg >= Fraction(n, 2))
+        witness = {"avg": str(avg), "sub_b": len(sub_b), "bsize": bword_size}
+        results["B"] = PropResult(True, ok, witness if ok is False else None)
 
         # C: total size of proper-subset members is at least (count-1)*|b(B)|.
         total = sum(m.bit_count() for m in sub_b)
         ok = total >= (len(sub_b) - 1) * bword_size
         results["C"] = PropResult(True, ok, None if ok else {"total": total, "count": len(sub_b)})
-
-    results.update(_slice_props(n, small, bword, cover))
-    return results
-
-
-def _slice_props(
-    n: int, small: tuple[SetWord, ...], bword: SetWord, cover: tuple[SetWord, ...]
-) -> dict[str, PropResult]:
-    """The letters E-L that apply to a separating family of height 4, with
-    their verdicts and witnesses. They read only the family's small slice:
-    its ascending members `small`, their base `bword` and the least minimum
-    cover `cover`, so the walk caches their verdict per slice word
-    (`enumeration._slice_props_hold`). Inapplicable letters are left out.
-
-    G cannot fail on any family, union-closed or not, so a "G holds" is no
-    evidence. Its cover c1, c2, c3 is made of slice members, each of at most
-    s = ceil(n/2) - 1 elements, with union [n]. An element outside the
-    private parts P lies in two or three of them, so 2n - |P| <= sum |ci| <= 3s.
-    A slice member holding P would need |P| <= s, so 2n <= 4s <= 2n - 2.
-    """
-    csize = len(cover)
-    bword_size = bword.bit_count()  # |b(B)|
-    results: dict[str, PropResult] = {}
 
     # E: with a two-set cover of an (n-1)-element base and a slice member
     # meeting both halves, any four distinct slice members total >= (3n+1)/2.

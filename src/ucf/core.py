@@ -275,7 +275,7 @@ def _lane_spread(w: int) -> tuple[int, ...]:
     return tuple(sum(1 << w * j for j in range(8) if v >> j & 1) for v in range(256))
 
 
-# lane width -> memoryview format of one lane, native order
+# lane width -> format code of one lane, for memoryview (native order) and struct
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 

@@ -53,20 +53,21 @@ outlives the walk, only for a visitor, so a count-only walk builds none.
 The gate and every conclusion read the leaf's facts as a few exact int
 operations on `have` and the per-n words of `_leaf_words`: frequencies,
 |F|, the empty set, the least minimum cover (|B| is its length), Lemma
-1.3, the size-bound levels, T1.2's witness chain, r and witness element,
-and the PROPS letters A-C. Four facts read a smaller word than the leaf's,
-which later leaves meet again, so each is a cached pure function of that
-word: the size-bound levels after the first reduction, of the reduced word
-(`_size_tail`); the chain facts below each child of [n], of the child's
-member word (`_child_descent`); the least minimum cover,
-`bfamily._least_cover` of the slice members (the search `b_report` runs),
-of the slice word `have & small` (`_slice_cover`); and the verdict of the
-PROPS letters E-L, `bfamily._slice_props` of the slice members and that
-cover (the letters `prop_suite` reports), of the slice word too
-(`_slice_props_hold`). An entry depends only on its key, so every walk and
-thread shares the caches and nothing empties them. A cover longer than the
-leaf's height is an error tested on every leaf (`_min_cover`), since the
-height is the leaf's own. A check counts
+1.3, the size-bound levels, T1.2's witness chain, r and witness element.
+Four facts read a smaller word than the leaf's, which later leaves meet
+again, so each is a cached pure function of that word: the size-bound
+levels after the first reduction, of the reduced word (`_size_tail`); the
+chain facts below each child of [n], of the child's member word
+(`_child_descent`); the least minimum cover, `bfamily._least_cover` of the
+slice members (the search `b_report` runs), of the slice word
+`have & small` (`_slice_cover`); and the verdicts of the PROPS letters,
+`bfamily._prop_letters` (the function `prop_suite` runs) of the members
+inside b(B), of their word, or of the slice word where b(B) lacks at most
+one element of [n] (`_props_verdicts`). B's test of the average is the
+one PROPS fact read from the leaf. An entry depends only on its key, so
+every walk and thread shares the caches and nothing empties them. A cover
+longer than the leaf's height is an error tested on every leaf
+(`_min_cover`), since the height is the leaf's own. A check counts
 the leaves its gate passes, so a passing conclusion costs its leaf
 nothing more; a `Family` is built only for a leaf whose word conclusion
 fails (the `Family` conclusion then gives the violation's details) and
@@ -147,9 +148,11 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bfamily import _b_report, _least_cover, _prop_suite, _slice_props
+from .bfamily import _b_report, _least_cover, _prop_letters, _prop_suite
 from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
-from .core import Family, _byte_masks, avg_size, frankl_witness, frequencies, is_separating
+from .core import (
+    _LANE_FORMATS, Family, _byte_masks, avg_size, frankl_witness, frequencies, is_separating
+)
 from .errors import InternalError, NTooLarge
 
 ENUMERATION_CAP = 5
@@ -396,8 +399,9 @@ def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int],
 # the facts do not depend on n. A call that raises is not cached. At
 # n <= ENUMERATION_CAP each holds at most the words a walk can meet; at
 # n = 5: 25,250 slice words for the cover (those of every family; the bound
-# is 2^16) and 1,614 for the PROPS verdict (its 346,028 families), 23,701
-# child words (T1.2 uncapped) and 20,390 reduced words (L2.1.1 uncapped).
+# is 2^16), 1,614 words for the PROPS verdicts (its 346,028 families),
+# 23,701 child words (T1.2 uncapped) and 20,390 reduced words (L2.1.1
+# uncapped).
 @functools.cache
 def _child_descent(word: int) -> tuple[int, int, tuple[int, ...]]:
     """`_descent` of a member word below a child, keyed by the word alone:
@@ -418,15 +422,12 @@ def _slice_cover(words: _Words, part: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _slice_props_hold(words: _Words, part: int) -> bool:
-    """Whether every letter of `bfamily._slice_props` that applies, PROPS's
-    E-L, holds on the slice members in a slice word and their least minimum
-    cover `_slice_cover`."""
-    cover = _slice_cover(words, part)
-    b = 0
-    for c in cover:
-        b |= c
-    return all(r.holds for r in _slice_props(words.n, words.masks(part), b, cover).values())
+def _props_verdicts(words: _Words, part: int) -> frozenset[bool | None]:
+    """The verdicts of the PROPS letters that apply to a separating family
+    of height 4 whose members inside b(B) are the members in a word:
+    `bfamily._prop_letters` of them with no average, so None stands for B
+    where its verdict turns on whether the average meets n/2."""
+    return frozenset(r.holds for r in _prop_letters(words.n, words.masks(part), None).values())
 
 
 @functools.cache
@@ -747,8 +748,7 @@ def _relabel_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
         sum(1 << (p * width + size - 1 - image[m]) for p, image in enumerate(images))
         for m in range(size)
     )
-    code = {8: "B", 16: "H", 32: "I"}[width]
-    return images, words, struct.Struct(f"<{len(images)}{code}")
+    return images, words, struct.Struct(f"<{len(images)}{_LANE_FORMATS[width]}")
 
 
 def canonical_form(fam: Family) -> Family:
@@ -914,36 +914,20 @@ def _props(fam: Family, h: int) -> list[str]:
 
 def _props_holds(leaf: _Leaf) -> bool:
     """True when `_props` finds no failing letter, the gate having tested
-    separation. A-C, which read the whole family, are word tests on the
-    leaf: b is the base of the cover; sub_b, the members properly inside b,
-    is one word, so A and C count per element i of b the sub_b members
-    holding i: A fails when two lack i, and C's total size is the sum of
-    those counts. E-L read only the slice, so their verdict is
-    `_slice_props_hold` of the slice word, worked out once per slice word;
-    G among them cannot fail (see `bfamily._slice_props`)."""
+    separation. Every letter reads only the members inside b(B), so their
+    verdicts are `_props_verdicts` of the word of those members; where b(B)
+    lacks at most one element of [n], A-C do not apply and the other
+    letters read only the slice, so the key is the slice word. B, where its
+    verdict is open, holds exactly where the average meets n/2."""
     if leaf.h != 4:
         return True
-    words, have = leaf.words, leaf.have
-    n = words.n
-    cover = leaf.min_cover()
+    words = leaf.words
     b = 0
-    for c in cover:
+    for c in leaf.min_cover():
         b |= c
-    bsize = b.bit_count()
-    if n >= 4 and len(cover) <= 2 and bsize < n - 1:
-        sub_b = have & words.below[b] & ~(1 << b)
-        count = sub_b.bit_count()
-        total = 0
-        for word, _ in words.lifts[b]:
-            held = (sub_b & word).bit_count()
-            if count - held > 1:  # A
-                return False
-            total += held
-        if not 1 <= count <= bsize and 2 * sum(leaf.frequencies()) < n * have.bit_count():
-            return False  # B
-        if total < (count - 1) * bsize:  # C
-            return False
-    return _slice_props_hold(words, have & words.small)
+    part = leaf.have & (words.below[b] if b.bit_count() < words.n - 1 else words.small)
+    verdicts = _props_verdicts(words, part)
+    return False not in verdicts and (None not in verdicts or _avg_half_holds(leaf))
 
 
 @dataclass(frozen=True)

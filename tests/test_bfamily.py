@@ -210,7 +210,7 @@ def test_proposition_l_odd_n(n, sizes, ok):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_proposition_g_never_fails(data):
-    # _prop_suite's docstring proves it for any family. Member words, mostly
+    # _prop_letters's docstring proves it for any family. Member words, mostly
     # slice members (2|m| < n) so that G applies to about a quarter of them
     # at n = 5..7 (never at n = 4), read as separating at height 4.
     n = data.draw(st.integers(4, 7))

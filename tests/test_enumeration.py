@@ -1013,6 +1013,21 @@ def test_props_word_verdict_matches_the_family_one_on_random_member_words(data):
         assert _props_holds(leaf) == want
 
 
+def test_props_verdict_reads_the_average_beside_its_cached_key():
+    # The members inside b(B) are the empty set alone in both families, so
+    # the cache keys are equal; B's count test fails (sub_b is empty) and
+    # only the average decides it: 15/4 < 4 fails and 23/5 >= 4 holds.
+    below = Family.of(8, [(), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)])
+    above = Family.of(8, [*below.member_sets(), tuple(range(1, 9))])
+    for order in ((below, above), (above, below)):
+        enumeration._props_verdicts.cache_clear()
+        for _ in range(2):  # the second pass reads a warm cache
+            for fam in order:
+                assert _props_holds(leaf_of(fam, 4)) == (_props(fam, 4) == [])
+        assert enumeration._props_verdicts.cache_info().currsize == 1
+    assert [_props(fam, 4) == [] for fam in (below, above)] == [False, True]
+
+
 def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
     # not union-closed, so its three-member cover outgrows its height 2; each
     # error is raised on an empty cache, as where a walk first meets the slice
@@ -1089,8 +1104,9 @@ def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
         ("T2.1", "_slice_cover", (7, 20), ((30, 3), (1961, 0), (30, 3))),
         ("T4.1", "_slice_cover", (6, 20), ((0, 0), (1, 0), (0, 0))),
         ("PROPS", "_slice_cover", (7, 20), ((31, 0), (2034, 0), (31, 0))),
-        # PROPS's verdict of the letters E-L, one per distinct slice word
-        ("PROPS", "_slice_props_hold", (7, 20), ((31, 0), (2034, 0), (31, 0))),
+        # PROPS's verdicts, one per distinct word of the members inside b(B),
+        # or slice word where b(B) lacks at most one element
+        ("PROPS", "_props_verdicts", (7, 20), ((31, 0), (2034, 0), (31, 0))),
     ],
 )
 def test_leaf_caches_compute_each_distinct_key_once(monkeypatch, tid, cache, keys, checked):
@@ -1144,7 +1160,7 @@ def test_concurrent_walks_match_serial_runs():
 
     serial = {tid: run(tid) for tid in ids}
     caches = (enumeration._child_descent, enumeration._size_tail, enumeration._slice_cover,
-              enumeration._slice_props_hold)
+              enumeration._props_verdicts)
     for cache in caches:
         cache.cache_clear()
     start = threading.Barrier(4, timeout=60)
