@@ -12,8 +12,9 @@ a chain longer than the height. Blowing the cap therefore indicates a bug,
 not bad input. One search, `_least_cover`, finds the lexicographically
 least minimum cover for `b_report`, `prop_suite` and the enumerator's
 leaves, which search their slice once per walk and test the cap on each
-leaf. `_min_covers` lists every minimum cover, for `minimum_covers`, and is
-the tests' independent reference for `_least_cover`.
+leaf. `_min_covers` lists every minimum cover, for `minimum_covers` and
+the enumerator's PROPS verdicts, which hold under every minimum cover, and
+is the tests' independent reference for `_least_cover`.
 
 `prop_suite` evaluates a battery of structural facts about separating
 union-closed families of height 4, keyed by the letters A-L (D is an
@@ -193,43 +194,45 @@ def prop_suite(fam: Family) -> dict[str, PropResult]:
     E needs |b(B)| = n-1 with a slice member meeting both cover halves and
     at least four slice members); F-I require |B| = 3, J-L |B| = 4, all at
     height 4. Inapplicable propositions are reported with holds=None. Every
-    letter reads only the family's members inside b(B), and B also whether
-    the average meets n/2, so all eleven come from one function of those
-    (`_prop_letters`), which the exhaustive verifier runs once per word of
-    those members. E and G-L read the lexicographically least minimum cover
-    (the one `b_report` returns); that their verdicts do not depend on which
-    minimum cover is read is checked for every family with n <= 5 (in the
-    deep tests), not proven.
+    letter reads only the family's members inside b(B) and a minimum cover
+    of the slice, and B also whether the average meets n/2, so all eleven
+    come from one function of those (`_prop_letters`). E and G-L read the
+    cover: here the lexicographically least minimum cover (the one
+    `b_report` returns). The exhaustive verifier runs the function once per
+    word of those members and per minimum cover, and holds every verdict;
+    that the verdicts do not depend on which minimum cover is read is
+    checked for every family with n <= 5 (in the deep tests), not proven.
     """
     return _prop_suite(fam, _checked_height(fam), is_separating(fam))
 
 
 def _prop_suite(fam: Family, h: int, sep: bool) -> dict[str, PropResult]:
     """prop_suite for a union-closed family with base [n], its height and
-    separation: the letters `_prop_letters` finds to apply, the rest
-    inapplicable."""
+    separation: the letters `_prop_letters` finds to apply under the least
+    minimum cover, the rest inapplicable."""
     results = dict.fromkeys(PROP_KEYS, PropResult(False, None))
     if h == 4 and sep:
-        b = _small_slice(fam)[1]
+        small, b = _small_slice(fam)
         inside = tuple(m for m in fam.members if m | b == b)
-        results.update(_prop_letters(fam.n, inside, avg_size(fam)))
+        results.update(_prop_letters(fam.n, inside, avg_size(fam), _least_cover(small, b, h)))
     return results
 
 
 def _prop_letters(
-    n: int, inside: tuple[SetWord, ...], avg: Fraction | None
+    n: int, inside: tuple[SetWord, ...], avg: Fraction | None, cover: tuple[SetWord, ...]
 ) -> dict[str, PropResult]:
     """The letters that apply to a separating family of height 4, with
     their verdicts and witnesses, from n, the family's ascending members
-    inside b(B) and its average size. Those members hold the small slice,
-    so they give b(B), the least minimum cover and sub_b, the members
-    properly inside b(B). Inapplicable letters are left out.
+    inside b(B), its average size and the minimum cover of its small slice
+    that the letters read. Those members hold the small slice, so they give
+    b(B) and sub_b, the members properly inside b(B). Inapplicable letters
+    are left out.
 
     Only B reads the average, and only whether it meets n/2. With `avg`
     None, B is decided by its count test alone where that holds and is
     left undecided (holds None) where it fails, so the walk caches the
-    verdicts per word of those members (`enumeration._props_verdicts`) and
-    tests the average on the leaf.
+    verdicts under every minimum cover per word of those members
+    (`enumeration._props_verdicts`) and tests the average on the leaf.
 
     G cannot fail on any family, union-closed or not, so a "G holds" is no
     evidence. Its cover c1, c2, c3 is made of slice members, each of at most
@@ -241,7 +244,6 @@ def _prop_letters(
     bword = 0
     for m in small:
         bword |= m
-    cover = _least_cover(small, bword, 4)
     csize = len(cover)
     bword_size = bword.bit_count()  # |b(B)|
     results: dict[str, PropResult] = {}

@@ -53,33 +53,38 @@ outlives the walk, only for a visitor, so a count-only walk builds none.
 The gate and every conclusion read the leaf's facts as a few exact int
 operations on `have` and the per-n words of `_leaf_words`: frequencies,
 |F|, the empty set, the least minimum cover (|B| is its length), Lemma
-1.3, the size-bound levels, T1.2's witness chain, r and witness element.
-Four facts read a smaller word than the leaf's, which later leaves meet
+1.3, the size-bound trace, the height, r and T1.2's chain steps. A
+conclusion on words (`holds`) holds under every tie-break that its
+`Family` conclusion pins (T1.2's maximum chain and its picks, L2.1.1's
+choices of x and y, the minimum cover PROPS reads), so it reads no label.
+Five facts read a smaller word than the leaf's, which later leaves meet
 again, so each is a cached pure function of that word: the size-bound
-levels after the first reduction, of the reduced word (`_size_tail`); the
-chain facts below each child of [n], of the child's member word
-(`_child_descent`); the least minimum cover, `bfamily._least_cover` of the
-slice members (the search `b_report` runs), of the slice word
-`have & small` (`_slice_cover`); and the verdicts of the PROPS letters,
-`bfamily._prop_letters` (the function `prop_suite` runs) of the members
-inside b(B), of their word, or of the slice word where b(B) lacks at most
-one element of [n] (`_props_verdicts`). B's test of the average is the
-one PROPS fact read from the leaf. An entry depends only on its key, so
-every walk and thread shares the caches and nothing empties them. A cover
-longer than the leaf's height is an error tested on every leaf
-(`_min_cover`), since the height is the leaf's own. A check counts
-the leaves its gate passes, so a passing conclusion costs its leaf
-nothing more; a `Family` is built only for a leaf whose word conclusion
-fails (the `Family` conclusion then gives the violation's details) and
-for a caller's visitor, so a count-only `enumerate_uc` builds none.
-`EnumFilter.matches` and the `Family` conclusions stay as the public gate
-and the oracle: tests/test_enumeration.py compares every word fact with
-them on every leaf for n <= 4 and at n = 5 under height cap 3, and under
-cap 4 in the deep suite. Public analysis functions validate their input; the `Family` gate
-and conclusions instead pass these facts about a leaf (union-closed, base
-[n], height h) to the private cores behind those functions, as the
-construction certifier and `ucf analyze` do with the facts they derive
-once.
+trace after the first level, under every tie, of each reduced word
+(`_size_tail`); the longest and shortest chains below each child of [n],
+of the child's member word (`_child_descent`); T1.2's step test below a
+child, of its word and of the low-frequency elements inside the child
+(`_child_steps`); the least minimum cover, `bfamily._least_cover` of the
+slice members (the search `b_report` runs), of the slice word `have &
+small` (`_slice_cover`); and the verdicts of the PROPS letters under every
+minimum cover, `bfamily._prop_letters` (the function `prop_suite` runs) of
+the members inside b(B) and each cover, of their word, or of the slice
+word where b(B) lacks at most one element of [n] (`_props_verdicts`). B's
+test of the average is the one PROPS fact read from the leaf. An entry
+depends only on its key, so every walk and thread shares the caches and
+nothing empties them. A cover longer than the leaf's height is an error
+tested on every leaf (`_min_cover`), since the height is the leaf's own. A
+check counts the leaves its gate passes, so a passing conclusion costs its
+leaf nothing more; a `Family` is built only for a leaf whose word
+conclusion fails (the `Family` conclusion then gives the violation's
+details) and for a caller's visitor, so a count-only `enumerate_uc` builds
+none. `EnumFilter.matches` and the `Family` conclusions stay as the public
+gate and the oracle: tests/test_enumeration.py compares every word fact
+with them on every leaf for n <= 4 and at n = 5 under height cap 3, and
+under cap 4 in the deep suite. Public analysis functions validate their
+input; the `Family` gate and conclusions instead pass these facts about a
+leaf (union-closed, base [n], height h) to the private cores behind those
+functions, as the construction certifier and `ucf analyze` do with the
+facts they derive once.
 
 Every walk is a tuple of (prefix, skip, weight) seeds, each run by one
 `_dfs` call from the members `prefix` holds, with the masks `skip` holds
@@ -87,39 +92,40 @@ decided before it starts; each family that passes counts `weight` times.
 The full walk is the one seed (0, 0, 1).
 
 A walk whose gate and visitor read no labels, a count-only `enumerate_uc`
-or a run of a check marked label-free (T1.4, T2.1, C2.2, T4.1 and L1.3),
-is an orbit walk. A co-singleton [n] - {i} is always legal, since its
-union with a member is itself or [n], and it is maximal below [n], so it
-never narrows `legal` and takes level 1. So a walk can decide all of them
-at the root: `_orbit`'s seeds for k have the co-singletons with i < k in
-their prefix and every co-singleton in their skip. With those members,
-a set t = [n] - {i, j} with i < j < k is free the same way: its only
-proper supersets, [n] - {i}, [n] - {j} and [n], are members, so its
-union with a member is itself or a member, it narrows no candidate and
-it takes level 2. So from n = 3 under a height cap of 3 or more, the
-seeds for k also decide these C(k, 2) sets, as a graph G on [k] whose
-edge ij stands for the member [n] - {i, j}: one seed per isomorphism
-class of G (`_graph_classes`), with the t of the class's least graph in
-its prefix and every such t in its skip. A seed's leaves are exactly
-the families whose co-singleton set is {[n] - {i} : i < k} and whose
-sets t form that graph. A relabeling of [n] maps any co-singleton set S
-of k elements onto that one, and one of [k] maps any graph of the class
-onto the least one, and each keeps the empty set, the height, separation
-and |B| (the size of a minimum cover); so the families with co-singleton
-set S and a given graph that pass a label-free gate are as many as those
-of the seed, the k-sets are C(n, k) and the class's graphs are k! /
-|Aut G|. A seed's passed count, times C(n, k) k! / |Aut G|, its weight,
-summed over the seeds, is the count of the full walk. Each seed's walk
-runs the full walk's kernel on fewer leaves (1,420 of 15,067 at n = 5
-under height cap 3, from 53 seeds). A label-free check holds on a
-representative exactly where it holds on all of its relabelings, so an
-orbit walk that finds no violation gives the report; one that finds a
-violation is followed by the full walk, which lists them all in DFS
-order. At n = 2 each t is the empty set and under a cap of 2 no t fits,
-so there the seeds decide only the co-singletons; n = 1, whose
-co-singleton is the empty set, keeps the full walk; a visitor, a
-label-reading check (T1.2's tie-breaks, L2.1.1's trace, the least cover
-of PROPS) and hypothesis-necessity mode do too.
+or the run of a check, is an orbit walk. A co-singleton [n] - {i} is
+always legal, since its union with a member is itself or [n], and it is
+maximal below [n], so it never narrows `legal` and takes level 1. So a
+walk can decide all of them at the root: `_orbit`'s seeds for k have the
+co-singletons with i < k in their prefix and every co-singleton in their
+skip. With those members, a set t = [n] - {i, j} with i < j < k is free
+the same way: its only proper supersets, [n] - {i}, [n] - {j} and [n], are
+members, so its union with a member is itself or a member, it narrows no
+candidate and it takes level 2. So under a height cap of 3 or more, the
+seeds for k also decide these C(k, 2) sets, as a graph G on [k] whose edge
+ij stands for the member [n] - {i, j}: one seed per isomorphism class of G
+(`_graph_classes`), with the t of the class's least graph in its prefix
+and every such t in its skip. A seed's leaves are exactly the families
+whose co-singleton set is {[n] - {i} : i < k} and whose sets t form that
+graph. A relabeling of [n] maps any co-singleton set S of k elements onto
+that one, and one of [k] maps any graph of the class onto the least one,
+and each keeps the empty set, the height, separation and |B| (the size of
+a minimum cover); so the families with co-singleton set S and a given
+graph that pass a gate are as many as those of the seed, the k-sets are
+C(n, k) and the class's graphs are k! / |Aut G|. A seed's passed count,
+times C(n, k) k! / |Aut G|, its weight, summed over the seeds, is the
+count of the full walk. Each seed's walk runs the full walk's kernel on
+fewer leaves (1,420 of 15,067 at n = 5 under height cap 3, from 53 seeds).
+A check's `holds` reads no label, so it passes a representative exactly
+where it passes all of its relabelings, and an orbit walk where it passes
+every leaf gives the report. Where it rejects a leaf, the run walks every
+family, which runs the `Family` conclusion, with its tie-breaks, on each
+leaf `holds` rejects and lists the violations in DFS order; a leaf whose
+pinned tie-breaks pass, though another tie fails, is no violation, so the
+report is the full walk's. Under a cap of 2 no t fits, so there the seeds
+decide only the co-singletons.
+n <= 2 keeps the full walk (at n = 1 the co-singleton is the empty set,
+and at n = 2 the 8 families cost less than the seeds), as do a visitor
+and hypothesis-necessity mode.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -148,7 +154,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bfamily import _b_report, _least_cover, _prop_letters, _prop_suite
+from .bfamily import _b_report, _least_cover, _min_covers, _prop_letters, _prop_suite
 from .chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report, thm12_bound
 from .core import (
     _LANE_FORMATS, Family, _byte_masks, avg_size, frankl_witness, frequencies, is_separating
@@ -307,91 +313,92 @@ class _Leaf:
                 covered |= below
         return not have & ~covered
 
-    def size_levels(self) -> tuple[tuple[int, int], ...]:
-        """`_size_bound_trace`'s (size, base size) levels, with the same
-        tie-breaks and error, one `_size_step` a level. After the first
-        level the reduction reads only the reduced word, so the rest of the
-        levels is `_size_tail` of it."""
-        level, kept = _size_step(self.words.holding, self.have)
-        return (level, *_size_tail(self.words, kept)) if kept else (level,)
 
-    def chain_facts(self) -> tuple[tuple[int, ...], int]:
-        """`chain_report`'s witness chain and r, the fewest sets in a maximal
-        chain: `_descent` from [n], the top of the member word."""
-        _, fewest, chain = _descent(self.words, self.have)
-        return chain, fewest
-
-    def thm12_pick(self, chain: tuple[int, ...]) -> tuple[int, int]:
-        """`_thm12_witness`'s element (1-based) and its frequency over the
-        family: the least element of each difference down the chain, counted
-        over the members but the chain's ends, the first maximum winning."""
-        holding = self.words.holding
-        rest = self.have & ~(1 << chain[0] | 1 << chain[-1])
-        best = -1
-        for a, b in zip(chain, chain[1:]):
-            e = _lowest(a ^ b)  # b lies inside a
-            count = (rest & holding[e]).bit_count()
-            if count > best:
-                best, pick = count, e
-        return pick + 1, (self.have & holding[pick]).bit_count()
-
-
-def _descent(words: _Words, word: int) -> tuple[int, int, tuple[int, ...]]:
+def _descent(words: _Words, word: int, low: int = 0) -> tuple[int, int, bool]:
     """For the member x that tops a member word holding x and the members
     inside it: the most and the fewest sets in a maximal chain down from x,
-    and `chain_report`'s witness chain from x.
+    and whether every longest such chain has a step whose difference holds
+    no element of `low` (a word of elements, bit i for element i).
 
     The children of x, the maximal members properly inside it, come off
     from the top: the highest member left is maximal, since a member above
     it is larger, so it is a child already taken or lies inside one, and
     taking a child drops its subsets. A longest chain from x runs through a
     child with a longest chain, and a shortest maximal chain through a child
-    with a shortest one. The witness chain steps to the least member inside
-    x that tops a chain one set shorter than x's; that member is a child
-    (a member between them would top a longer chain), so it is the least
-    child with a longest chain. A child y's facts read only the members
-    inside y, `word & below[y]`, so they come from the cache
-    `_child_descent` of that word; the word of a whole leaf is new each
-    time and is not cached. The facts read `below` only at masks inside x
-    and n only as a bound above every chain's length, so they are the same
-    at every n whose table holds x."""
+    with a shortest one; a longest chain through child y has such a step
+    where x - y misses `low` or where the chain below y has one, which
+    reads only `low & y`. A child y's facts read only the members inside y,
+    `word & below[y]`, so they come from the caches `_child_descent` of that
+    word and `_child_steps` of it and `low & y`; the word of a whole leaf
+    is new each time and is not cached. The facts read `below` only at
+    masks inside x and n only as a bound above every chain's length, so
+    they are the same at every n whose table holds x."""
     below = words.below
     x = word.bit_length() - 1
     rest = word ^ 1 << x
     if not rest:
-        return 1, 1, (x,)
-    most, fewest = 0, words.n + 1  # no chain inside x has n + 1 sets
+        return 1, 1, False  # a chain of one set has no step
+    # no chain inside x has n + 1 sets; `longest` keeps the children on a
+    # longest chain whose step from x holds an element of `low`
+    most, fewest, longest = 0, words.n + 1, []
     while rest:
         y = rest.bit_length() - 1
         rest &= ~below[y]
-        facts = _child_descent(word & below[y])
-        if facts[0] >= most:  # children come off in descending order, so the least wins a tie
-            most, chain = facts[0], facts[2]
-        if facts[1] < fewest:
-            fewest = facts[1]
-    return most + 1, fewest + 1, (x, *chain)
+        inside = word & below[y]
+        deepest, shortest = _child_descent(inside)
+        if deepest > most:
+            most, longest = deepest, []
+        if deepest == most and (x ^ y) & low:
+            longest.append((y, inside))
+        if shortest < fewest:
+            fewest = shortest
+    for y, inside in longest:
+        if not _child_steps(inside, low & y):
+            return most + 1, fewest + 1, False
+    return most + 1, fewest + 1, True
 
 
-def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int], int]:
-    """One level of `_size_bound_trace` on a member word: its (size, base
-    size), and the reduced word, or 0 after a one-member level. Restricting
-    to the members holding x is `& holding[x]`; deleting an x that every
-    member holds moves bit m to m - 2^x, which is one shift of the whole
-    word."""
+def _size_levels_hold(words: _Words, members: int) -> bool:
+    """Whether `_size_bound_trace` from a member word keeps size >= base
+    size at every level and shrinks the family at every step, under every
+    tie of its choices of x, and of y where x is deleted: the first level
+    here, the rest by `_size_tail` of each reduced word. Restricting to the
+    members holding x is `& holding[x]`, which shrinks the family unless
+    every member holds x; then every x of greatest frequency is held by
+    every member, and deleting one moves bit m to m - 2^x, which is one
+    shift of the whole word. Where a choice of y keeps every member, the
+    trace raises."""
+    holding = words.holding
     counts = [(members & word).bit_count() for word in holding]
     size = members.bit_count()
-    level = (size, len(counts) - counts.count(0))
+    if size < len(counts) - counts.count(0):
+        return False
     if size == 1:
-        return level, 0
-    x = counts.index(max(counts))
-    kept = members & holding[x]
-    if kept == members:
-        members >>= 1 << x
-        counts = [(members & word).bit_count() for word in holding]
-        kept = members & holding[counts.index(max(counts))]
-    if not kept or kept.bit_count() >= size:
-        raise InternalError("size-bound reduction failed to shrink the family")
-    return level, kept
+        return True
+    # each (word, its frequencies) that the trace restricts to an element
+    # of greatest frequency: the members, or each x deleted from them
+    steps = [(members, counts)]
+    if max(counts) == size:
+        steps = []
+        for x, count in enumerate(counts):
+            if count == size:
+                stripped = members >> (1 << x)
+                left = [(stripped & word).bit_count() for word in holding]
+                if max(left) == size:
+                    return False
+                steps.append((stripped, left))
+    for part, tally in steps:
+        top = max(tally)
+        for word, count in zip(holding, tally):
+            if count == top and not _size_tail(part & word):
+                return False
+    return True
+
+
+def _table_of(word: int) -> _Words:
+    """The table of the least n that holds a member word's top member, and
+    so every member: a mask below the top has no higher element."""
+    return _leaf_words(max(1, (word.bit_length() - 1).bit_length()))
 
 
 # The caches of the leaf facts that read a smaller word than the leaf's,
@@ -399,15 +406,30 @@ def _size_step(holding: tuple[int, ...], members: int) -> tuple[tuple[int, int],
 # the facts do not depend on n. A call that raises is not cached. At
 # n <= ENUMERATION_CAP each holds at most the words a walk can meet; at
 # n = 5: 25,250 slice words for the cover (those of every family; the bound
-# is 2^16), 1,614 words for the PROPS verdicts (its 346,028 families),
-# 23,701 child words (T1.2 uncapped) and 20,390 reduced words (L2.1.1
-# uncapped).
+# is 2^16), and on the orbit walks of the checks 1,493 words for the PROPS
+# verdicts, 19,295 child words and 10,371 keys of T1.2's step test (T1.2
+# uncapped) and 3,834 reduced words (L2.1.1 uncapped, every tie).
 @functools.cache
-def _child_descent(word: int) -> tuple[int, int, tuple[int, ...]]:
-    """`_descent` of a member word below a child, keyed by the word alone:
-    it is computed with the table of the least n that holds the word's top
-    member, so a walk at n reuses the words met at every smaller n."""
-    return _descent(_leaf_words(max(1, (word.bit_length() - 1).bit_length())), word)
+def _size_tail(word: int) -> bool:
+    """`_size_levels_hold` of a reduced member word, keyed by the word
+    alone: it reads n only through elements that no member holds, so it is
+    computed with `_table_of` the word."""
+    return _size_levels_hold(_table_of(word), word)
+
+
+@functools.cache
+def _child_descent(word: int) -> tuple[int, int]:
+    """`_descent`'s most and fewest sets of a member word below a child,
+    keyed by the word alone: it is computed with `_table_of` the word, so a
+    walk at n reuses the words met at every smaller n."""
+    return _descent(_table_of(word), word)[:2]
+
+
+@functools.cache
+def _child_steps(word: int, low: int) -> bool:
+    """`_descent`'s step test of a member word below a child and the
+    elements of `low` inside the child, computed as `_child_descent` is."""
+    return _descent(_table_of(word), word, low)[2]
 
 
 @functools.cache
@@ -424,20 +446,20 @@ def _slice_cover(words: _Words, part: int) -> tuple[int, ...]:
 @functools.cache
 def _props_verdicts(words: _Words, part: int) -> frozenset[bool | None]:
     """The verdicts of the PROPS letters that apply to a separating family
-    of height 4 whose members inside b(B) are the members in a word:
-    `bfamily._prop_letters` of them with no average, so None stands for B
-    where its verdict turns on whether the average meets n/2."""
-    return frozenset(r.holds for r in _prop_letters(words.n, words.masks(part), None).values())
-
-
-@functools.cache
-def _size_tail(words: _Words, members: int) -> tuple[tuple[int, int], ...]:
-    """The levels of `_size_step` from a member word on."""
-    levels = []
-    while members:
-        level, members = _size_step(words.holding, members)
-        levels.append(level)
-    return tuple(levels)
+    of height 4 whose members inside b(B) are the members in a word, under
+    every minimum cover: `bfamily._prop_letters` of them and of each cover
+    `_min_covers` lists, with no average, so None stands for B where its
+    verdict turns on whether the average meets n/2."""
+    n, inside = words.n, words.masks(part)
+    small = tuple(m for m in inside if 2 * m.bit_count() < n)
+    b = 0
+    for m in small:
+        b |= m
+    return frozenset(
+        r.holds
+        for cover in _min_covers(n, small, b, 4)
+        for r in _prop_letters(n, inside, None, cover.members).values()
+    )
 
 
 def _min_cover(words: _Words, have: int, h: int) -> tuple[int, ...]:
@@ -448,11 +470,6 @@ def _min_cover(words: _Words, have: int, h: int) -> tuple[int, ...]:
     if len(cover) > h:
         raise InternalError("cover search exceeded the height cap")
     return cover
-
-
-def _lowest(word: int) -> int:
-    """The index of the lowest set bit of a nonzero word."""
-    return (word & -word).bit_length() - 1
 
 
 def _dfs(
@@ -585,20 +602,20 @@ def _orbit(n: int, h_cap: int | None) -> tuple[_Seed, ...]:
     """The orbit walk's seeds under a height cap (see the module
     docstring), in order of k and then of edge word. Each has the
     co-singletons [n] - {i} with i < k in its prefix and every co-singleton
-    in its skip. From n = 3 under a cap of 3 or more, it also decides the
-    sets t = [n] - {i, j} with i < j < k, as one graph class G of
+    in its skip. Under a cap of 3 or more, it also decides the sets
+    t = [n] - {i, j} with i < j < k, as one graph class G of
     `_graph_classes(k)`: the prefix adds the t of G's least graph, the skip
     adds every such t, and the seed weighs C(n, k) times the class size.
-    Otherwise seed k decides only the co-singletons and weighs C(n, k): at
-    n = 2 each t is the empty set, which no skip may hold, and under a cap
-    of 2 no t fits. Under a cap below 2 no co-singleton fits, so only seed
-    0 is left; n = 1, whose one co-singleton is the empty set, keeps the
-    full walk. The seeds are built once per (n, cap)."""
-    if n == 1:
+    Under a cap of 2 no t fits, so seed k decides only the co-singletons
+    and weighs C(n, k); under a cap below 2 no co-singleton fits, so only
+    seed 0 is left. n <= 2 keeps the full walk: at n = 1 the one
+    co-singleton is the empty set, and at n = 2 a walk of 8 families costs
+    less than its seeds. The seeds are built once per (n, cap)."""
+    if n <= 2:
         return _FULL_WALK
     full = (1 << n) - 1
     cosingles = [bit for bit, _ in _leaf_words(n).coatoms]
-    graphs = n >= 3 and (h_cap is None or h_cap >= 3)
+    graphs = h_cap is None or h_cap >= 3
     seeds = []
     for k in range(n + 1 if h_cap is None or h_cap >= 2 else 1):
         if graphs:
@@ -841,17 +858,28 @@ def _thm12(fam: Family, h: int) -> list[str]:
 
 
 def _thm12_holds(leaf: _Leaf) -> bool:
-    # _thm12's three bounds as frequency * (k - 1) >= |F| + k - 3. The
-    # witness count is at most the max frequency, so where it meets a bound
-    # the max frequency does too, and the frequencies are read only when
-    # the count falls short at r
-    size = leaf.have.bit_count()
-    h = leaf.h
-    chain, r = leaf.chain_facts()
-    _, count = leaf.thm12_pick(chain)
-    if count * (h - 1) < size + h - 3:
-        return False
-    return count * (r - 1) >= size + r - 3 or max(leaf.frequencies()) * (r - 1) >= size + r - 3
+    """True when `_thm12` finds no failing bound under every tie of its
+    witness: every maximum chain, and every element of each difference.
+    Its bounds read frequency * (k - 1) >= |F| + k - 3. A chain's pick of
+    each difference lies in [n] and not in the chain's bottom, so its count
+    over the members but the chain's ends is its frequency less one, and
+    the witness count is the largest frequency among the picks. So every
+    tie meets the bound at h exactly where every maximum chain, the chains
+    from [n] of h sets, has a step whose difference holds no element of
+    frequency below it (`_descent`'s step test); the max frequency then
+    meets it too. At r the test is the max frequency's."""
+    have, h = leaf.have, leaf.h
+    size = have.bit_count()
+    need, rise = size + h - 3, h - 1
+    low = most = 0
+    for e, word in enumerate(leaf.words.holding):
+        count = (have & word).bit_count()
+        if count * rise < need:
+            low |= 1 << e
+        if count > most:
+            most = count
+    _, r, steps = _descent(leaf.words, have, low)
+    return steps and most * (r - 1) >= size + r - 3
 
 
 def _lemma13(fam: Family, h: int) -> list[str]:
@@ -882,11 +910,10 @@ def _size_bound(fam: Family, h: int) -> list[str]:
 
 
 def _size_bound_holds(leaf: _Leaf) -> bool:
-    # the first level is (|F|, n), so it also tests |F| >= n
-    try:
-        return all(size >= base for size, base in leaf.size_levels())
-    except InternalError:
-        return False
+    """True when `_size_bound` finds nothing under every tie of the trace's
+    choices of x and y; the first level is (|F|, n), so it also tests
+    |F| >= n."""
+    return _size_levels_hold(leaf.words, leaf.have)
 
 
 def _frankl(fam: Family, h: int) -> list[str]:
@@ -913,12 +940,13 @@ def _props(fam: Family, h: int) -> list[str]:
 
 
 def _props_holds(leaf: _Leaf) -> bool:
-    """True when `_props` finds no failing letter, the gate having tested
-    separation. Every letter reads only the members inside b(B), so their
-    verdicts are `_props_verdicts` of the word of those members; where b(B)
-    lacks at most one element of [n], A-C do not apply and the other
-    letters read only the slice, so the key is the slice word. B, where its
-    verdict is open, holds exactly where the average meets n/2."""
+    """True when `_props` finds no failing letter under every minimum
+    cover, the gate having tested separation. Every letter reads only the
+    members inside b(B), so their verdicts are `_props_verdicts` of the
+    word of those members; where b(B) lacks at most one element of [n], A-C
+    do not apply and the other letters read only the slice, so the key is
+    the slice word. B, where its verdict is open, holds exactly where the
+    average meets n/2."""
     if leaf.h != 4:
         return True
     words = leaf.words
@@ -935,17 +963,15 @@ class _Check:
     """One check id: its hypotheses as text, as a leaf filter and as the least n
     the result is stated for, and its conclusion: the violation details for a
     (family, height) pair that passes the filter. `holds` decides the
-    conclusion on a leaf's words; only a leaf it rejects runs `conclude`,
-    which gives the details. `label_free` marks a check whose filter and
-    conclusion are unchanged by a relabeling of [n], so that a run may take
-    the orbit walk of `_orbit`'s seeds."""
+    conclusion on a leaf's words under every tie-break of `conclude`, so
+    that its verdict, like the filter, is unchanged by a relabeling of [n];
+    only a leaf it rejects runs `conclude`, which gives the details."""
 
     hypothesis: str
     filt: EnumFilter
     conclude: Callable[[Family, int], list[str]]
     holds: Callable[[_Leaf], bool]
     least_n: int = 1
-    label_free: bool = False
 
 
 _SEP = EnumFilter(separating=True)
@@ -957,20 +983,19 @@ _CHECKS = {
                    " (max frequency >= (|family|+h-3)/(h-1), also with r)",
                    EnumFilter(height=(2, ENUMERATION_CAP + 1)), _thm12, holds=_thm12_holds),
     "L1.3": _Check("separating (every maximal chain holds a size n-1 member)", _SEP, _lemma13,
-                   holds=_Leaf.lemma13_holds, label_free=True),
+                   holds=_Leaf.lemma13_holds),
     "T1.4": _Check("separating, height <= 3 (average size >= n/2)",
-                   EnumFilter(separating=True, height=(1, 3)), _avg_half, holds=_avg_half_holds,
-                   label_free=True),
+                   EnumFilter(separating=True, height=(1, 3)), _avg_half, holds=_avg_half_holds),
     "L2.1.1": _Check("separating (|family| >= n, with reduction trace)", _SEP, _size_bound,
                      holds=_size_bound_holds),
     "T2.1": _Check("separating, height 4, n >= 4, cover size <= 2 (average size >= n/2)",
-                   _SEP_H4_B2, _avg_half, least_n=4, holds=_avg_half_holds, label_free=True),
+                   _SEP_H4_B2, _avg_half, least_n=4, holds=_avg_half_holds),
     "C2.2": _Check("separating, height 4, n >= 4, cover size <= 2"
                    " (some element in half the members)", _SEP_H4_B2, _frankl, least_n=4,
-                   holds=_frankl_holds, label_free=True),
+                   holds=_frankl_holds),
     "T4.1": _Check("separating, height 4, cover size 4 (average size > floor(n/2) - 1)",
                    EnumFilter(separating=True, height=4, bsize=4), _avg_floor,
-                   holds=_avg_floor_holds, label_free=True),
+                   holds=_avg_floor_holds),
     "PROPS": _Check("separating, height 4 (all applicable propositions A-L hold)",
                     EnumFilter(separating=True, height=4), _props, holds=_props_holds),
 }
@@ -983,21 +1008,25 @@ def _run_serial(
     n: int,
     seeds: tuple[_Seed, ...],
     progress: Callable[[int], None] | None = None,
-) -> tuple[int, list[Violation], int]:
+) -> tuple[int, list[Violation], int, int]:
     """One check id over one walk, a whole walk's seeds or one parallel
     task's (arguments as in _walk): how many families it checked, which are
-    the families that pass its filter, their violations and how many leaves
-    it visited. Only a leaf that `holds` rejects runs `conclude`."""
+    the families that pass its filter, their violations, how many leaves
+    it visited and how many of them `holds` rejected. Only a leaf that
+    `holds` rejects runs `conclude`."""
     check = _CHECKS[tid]
     holds, conclude = check.holds, check.conclude
     violations: list[Violation] = []
+    rejected = 0
 
     def visit(leaf: _Leaf) -> None:
+        nonlocal rejected
         if not holds(leaf):
+            rejected += 1
             violations.extend(Violation(leaf.fam, d) for d in conclude(leaf.fam, leaf.h))
 
     visited, checked = _walk(n, check.filt, visit, seeds, progress)
-    return checked, violations, visited
+    return checked, violations, visited, rejected
 
 
 def verify_theorem(
@@ -1011,11 +1040,14 @@ def verify_theorem(
 
     With hypothesis_necessity (T2.1 only) the n >= 4 hypothesis is dropped
     and the report lists the families that then break the conclusion; the
-    run demonstrates why the hypothesis is needed. A label-free check,
-    outside that mode, takes the orbit walk of `_orbit`'s seeds, over one
-    family per class of co-singleton sets and graphs of sets [n] - {i, j},
-    each counted as often as its class has members; where one of them
-    fails it walks every family, so the report is the same either way.
+    run demonstrates why the hypothesis is needed. Outside that mode a
+    check takes the orbit walk of `_orbit`'s seeds, over one family per
+    class of co-singleton sets and graphs of sets [n] - {i, j}, each
+    counted as often as its class has members; `holds` is the same on every
+    relabeling of a family, so where it passes every representative it
+    passes every family. Where it rejects one, even one whose `conclude`
+    gives no details, the run walks every family, which lists the
+    violations in DFS order, so the report is the same either way.
     The walk runs in-process, or, with more than one worker at n >= 4, as
     `_split`'s tasks on a process pool, whose results are merged in DFS
     order, so the worker count does not change which walk runs or what it
@@ -1043,28 +1075,30 @@ def verify_theorem(
     start = time.perf_counter()
     cap = _walk_cap(check.filt)
     # necessity mode is run to list the violations, so it walks them all at once;
-    # an orbit walk that finds one is followed by the full walk, which lists them all
-    orbit = check.label_free and not hypothesis_necessity
-    walks = (_orbit(n, cap), _FULL_WALK) if orbit else (_FULL_WALK,)
+    # an orbit walk where `holds` rejects a leaf is followed by the full walk
+    walks = (_FULL_WALK,) if hypothesis_necessity else (_orbit(n, cap), _FULL_WALK)
     checked, violations = 0, []
     # below the least n the result is stated for, no family is checked
     for seeds in walks if n >= check.least_n or hypothesis_necessity else ():
         if workers == 1 or n <= 3:
-            checked, violations, _ = _run_serial(tid, n, seeds, progress)
+            checked, violations, _, rejected = _run_serial(tid, n, seeds, progress)
         else:
             # each pool task walks the one seed that `_split` made it
             tasks = [(task,) for task in _split(n, cap, seeds)]
             run = functools.partial(_run_serial, tid, n)
-            checked, violations, visited = 0, [], 0
+            checked, violations, visited, rejected = 0, [], 0, 0
             with get_context().Pool(processes=min(workers, len(tasks))) as pool:
                 # in DFS order, each task's results as soon as it and those before it are done
-                for part_checked, part_violations, part_visited in pool.imap(run, tasks):
+                for part_checked, part_violations, part_visited, part_rejected in (
+                    pool.imap(run, tasks)
+                ):
                     checked += part_checked
                     violations += part_violations
                     visited += part_visited
+                    rejected += part_rejected
                     if progress is not None:
                         progress(visited)
-        if not violations:
+        if not rejected or seeds == _FULL_WALK:
             break
 
     return VerifyReport(

@@ -325,27 +325,26 @@ def test_prop_verdicts_survive_relabeling_with_several_minimum_covers():
 
 
 @pytest.mark.deep
-def test_prop_verdicts_independent_of_minimum_cover_n5(monkeypatch):
+def test_prop_verdicts_independent_of_minimum_cover_n5():
     # Every separating height-4 family at n = 5 with several minimum covers,
-    # its propositions run once per cover: _prop_suite reads the cover
-    # _least_cover returns, so the patch returns the cover under test.
-    covers_of = bfamily._min_covers
-    read = None
-    monkeypatch.setattr(bfamily, "_least_cover", lambda *args: read.members)
+    # its propositions run once per cover: _prop_letters reads the cover it
+    # is passed.
     by_size = Counter()
     most = 0
 
     def visit(fam):
-        nonlocal read, most
-        covers = tuple(covers_of(5, *bfamily._small_slice(fam), 4))
+        nonlocal most
+        small, b = bfamily._small_slice(fam)
+        covers = tuple(bfamily._min_covers(5, small, b, 4))
         if len(covers) == 1:
             return
         by_size[len(covers[0])] += 1
         most = max(most, len(covers))
+        inside = tuple(m for m in fam.members if m | b == b)
         verdicts = set()
-        for read in covers:
-            results = bfamily._prop_suite(fam, 4, True)
-            verdicts.add(tuple((key, r.applicable, r.holds) for key, r in results.items()))
+        for cover in covers:
+            results = bfamily._prop_letters(5, inside, ucf.avg_size(fam), cover.members)
+            verdicts.add(tuple((key, r.holds) for key, r in results.items()))
         assert len(verdicts) == 1, fam.member_sets()
 
     ucf.enumerate_uc(5, EnumFilter(separating=True, height=4), visit)

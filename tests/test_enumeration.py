@@ -22,7 +22,7 @@ import ucf
 from ucf import EnumFilter, Family, enumeration
 from ucf import bfamily
 from ucf.bfamily import _min_covers, _small_slice
-from ucf.chains import _lemma13_status, _size_bound_trace, _thm12_witness, chain_report
+from ucf.chains import _lemma13_status, chain_report
 from ucf.enumeration import (
     _FULL_WALK,
     Violation,
@@ -33,6 +33,7 @@ from ucf.enumeration import (
     _orbit,
     _props,
     _props_holds,
+    _size_bound_holds,
     _split,
     _walk_cap,
 )
@@ -295,7 +296,7 @@ def test_split_subtrees_concatenate_to_serial_walk_n5(h_cap, leaves):
 @pytest.mark.deep
 @pytest.mark.parametrize("h_cap, leaves", [(4, 20016), (None, 148984)])
 def test_orbit_split_tasks_concatenate_to_orbit_walk_n5(h_cap, leaves):
-    # the tasks of a parallel label-free run at n = 5 --deep, 626 under
+    # the tasks of a parallel run at n = 5 --deep, 626 under
     # height cap 4 and 1,009 uncapped, none holding more than 15% of the
     # representatives
     seeds = _orbit(5, h_cap)
@@ -374,7 +375,7 @@ def test_orbit_walk_counts_equal_full_walk_counts():
             enumeration._walk(n, filt, orbit.append, _orbit(n, cap))
             enumeration._walk(n, filt, full.append)
             assert sorted(leaf.have for leaf in orbit) == sorted(
-                leaf.have for leaf in full if n == 1 or is_representative(n, leaf.have)
+                leaf.have for leaf in full if n <= 2 or is_representative(n, leaf.have)
             ), (n, cap)
     for cap in (2, 3):
         assert_orbit_counts_equal_full_counts(5, cap)
@@ -407,16 +408,20 @@ def test_graph_classes_are_the_isomorphism_classes_of_graphs():
 
 
 def test_orbit_seeds_decide_masks_the_walk_may_skip():
-    # Every seed at n <= 6 under every cap holds its prefix in its skip and
-    # leaves the empty set open, and the weights count each (co-singleton
-    # set, graph) pair once: the sum over k of C(n, k) times the 2^C(k, 2)
-    # graphs on k nodes where the seeds decide the graph, else 2^n.
-    for n in range(2, 7):
+    # Every seed at 3 <= n <= 6 under every cap holds its prefix in its skip
+    # and leaves the empty set open, and the weights count each
+    # (co-singleton set, graph) pair once: the sum over k of C(n, k) times
+    # the 2^C(k, 2) graphs on k nodes where the seeds decide the graph, else
+    # 2^n. n <= 2 keeps the full walk.
+    for n in range(1, 3):
+        for cap in (None, *range(n + 2)):
+            assert _orbit(n, cap) == _FULL_WALK
+    for n in range(3, 7):
         for cap in (None, *range(n + 2)):
             seeds = _orbit(n, cap)
             for prefix, skip, _ in seeds:
                 assert prefix & ~skip == 0 and not skip & 1, (n, cap, prefix, skip)
-            graphs = n >= 3 and (cap is None or cap >= 3)
+            graphs = cap is None or cap >= 3
             if cap is not None and cap < 2:
                 want = 1
             elif graphs:
@@ -424,16 +429,16 @@ def test_orbit_seeds_decide_masks_the_walk_may_skip():
             else:
                 want = 2**n
             assert sum(weight for _, _, weight in seeds) == want, (n, cap)
-    assert [len(_orbit(n, None)) for n in range(1, 7)] == [1, 3, 8, 19, 53, 209]
+    assert [len(_orbit(n, None)) for n in range(1, 7)] == [1, 1, 8, 19, 53, 209]
 
 
 def test_orbit_walk_edge_cases(monkeypatch):
     # One `_dfs` call per seed: one per graph class on [k] for k = 0..n,
-    # 19 at n = 4; but one at n = 1, whose one co-singleton is the empty
-    # set, so the full walk runs; n + 1 at n = 2, whose sets [n] - {i, j}
-    # are the empty set, and under a cap of 2, where none of them fits; and
-    # one under a cap below 2, where only [n] fits, so only seed 0 is left
-    # and no co-singleton is pushed past the cap.
+    # 19 at n = 4; but one at n <= 2, where the full walk runs: at n = 1
+    # the one co-singleton is the empty set, and at n = 2 the whole walk
+    # has 8 leaves; n + 1 under a cap of 2, where no set [n] - {i, j}
+    # fits; and one under a cap below 2, where only [n] fits, so only seed
+    # 0 is left and no co-singleton is pushed past the cap.
     calls = []
     dfs = enumeration._dfs
 
@@ -453,11 +458,11 @@ def test_orbit_walk_edge_cases(monkeypatch):
 
     assert walks(1, None) == ((2, 2), 1)
     assert walks(4, None) == ((800, 4542), 19)
-    assert walks(2, None) == ((6, 8), 3)
+    assert walks(2, None) == ((8, 8), 1)
     for n in range(2, 6):
         for height, passed in ((0, 0), (1, 1), ((0, 1), 1)):
             assert walks(n, EnumFilter(height=height)) == ((1, passed), 1)
-        assert walks(n, EnumFilter(height=2))[1] == n + 1
+        assert walks(n, EnumFilter(height=2))[1] == (n + 1 if n > 2 else 1)
 
 
 @pytest.mark.deep
@@ -481,12 +486,12 @@ def test_orbit_walk_n6_height_at_most_3():
         assert enumeration._walk(6, filt, None)[1] == count
 
 
-@pytest.mark.parametrize(
-    "tid", [tid for tid, check in enumeration._CHECKS.items() if check.label_free]
-)
+@pytest.mark.parametrize("tid", enumeration.THEOREM_IDS)
 def test_label_free_checks_keep_their_verdicts_under_relabeling(tid):
-    # The adjacent transpositions generate S_n, so a gate and a verdict that
-    # each of them keeps are kept by every relabeling.
+    # Every check's gate and word verdict, T1.2's, L2.1.1's and PROPS's
+    # taken under every tie, on every leaf at n <= 4. The adjacent
+    # transpositions generate S_n, so a gate and a verdict that each of them
+    # keeps are kept by every relabeling.
     check = enumeration._CHECKS[tid]
     for n in range(1, 5):
         swaps = []
@@ -505,8 +510,8 @@ def test_label_free_checks_keep_their_verdicts_under_relabeling(tid):
 
 
 def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch, fake_pool):
-    # A label-free row made to fail on the families holding {1}, which a
-    # relabeling moves: the representatives hold only some of them, and the
+    # A row made to fail on the families holding {1}, which a relabeling
+    # moves: from n = 3 the representatives hold only some of them, and the
     # report lists all of them, in DFS order, as the full walk does, run
     # in-process or, at n = 4 with two workers, as pool tasks: the orbit
     # walk's, then the full walk's.
@@ -527,8 +532,41 @@ def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch, fake_po
             assert (report.families_checked, report.violations) == (checked, want), workers
         seeds = _orbit(n, 3)
         enumeration._walk(n, check.filt, lambda leaf: holds(leaf) or met.append(leaf), seeds)
-        assert 0 < len(met) < len(want)
+        assert 0 < len(met) < len(want) if n > 2 else len(met) == len(want)
     assert fake_pool == [2, 2]
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The seeds of each `_walk` call, in order."""
+    seeds_of = []
+    walk = enumeration._walk
+
+    def recorded(n, filt, visit, seeds=_FULL_WALK, progress=None):
+        seeds_of.append(seeds)
+        return walk(n, filt, visit, seeds, progress)
+
+    monkeypatch.setattr(enumeration, "_walk", recorded)
+    return seeds_of
+
+
+def test_orbit_walk_rejection_without_details_falls_back_to_the_full_walk(monkeypatch, walked):
+    # `holds` rejects the representatives holding {1}, and `conclude` finds
+    # nothing on any family, as where a tie-break passes a family that
+    # another tie fails: the orbit walk still hands the run to the full
+    # walk, which checks every family and reports no violation. A row whose
+    # `holds` passes every representative stops after the orbit walk.
+    def conclude(fam, h):
+        return []
+
+    for holds, walks in ((lambda leaf: not leaf.have & 1 << 1, 2), (lambda leaf: True, 1)):
+        check = dataclasses.replace(enumeration._CHECKS["T1.4"], holds=holds, conclude=conclude)
+        monkeypatch.setitem(enumeration._CHECKS, "T1.4", check)
+        for n in (3, 4):
+            walked.clear()
+            report = ucf.verify_theorem("T1.4", n, workers=1)
+            assert walked == [_orbit(n, 3), _FULL_WALK][:walks], (n, walks)
+            assert (report.families_checked, report.violations) == (CHECKED["T1.4"][n - 1], ())
 
 
 def test_empty_filter_ranges_are_rejected():
@@ -680,7 +718,7 @@ def test_parallel_pool_is_capped_at_the_task_count(monkeypatch, fake_pool):
     monkeypatch.setenv("UCF_THREADS", "10000")
     parallel = ucf.verify_theorem("PROPS", 4)
     serial = ucf.verify_theorem("PROPS", 4, workers=1)
-    assert fake_pool == [len(_split(4, 4, _FULL_WALK))]
+    assert fake_pool == [len(_split(4, 4, _orbit(4, 4)))]
     assert (parallel.families_checked, parallel.violations) == (
         serial.families_checked,
         serial.violations,
@@ -697,12 +735,11 @@ def test_non_integer_ucf_threads_is_named(monkeypatch):
 
 def test_parallel_runs_report_progress_as_each_subtree_finishes():
     # one call per task, in DFS order, with the visited count so far; the
-    # last is the walk's leaf count: T1.2's full walk, and T2.1's orbit
-    # walk under height cap 4, which visits representatives
-    for tid, seeds, filt in (
-        ("T1.2", _FULL_WALK, None),
-        ("T2.1", _orbit(4, 4), EnumFilter(height=(1, 4))),
-    ):
+    # last is the walk's leaf count: the orbit walks of T1.2, uncapped, and
+    # of T2.1 under height cap 4, which visit representatives
+    for tid in ("T1.2", "T2.1"):
+        filt = enumeration._CHECKS[tid].filt
+        seeds = _orbit(4, _walk_cap(filt))
         calls = []
         parallel = ucf.verify_theorem(tid, 4, workers=2, progress=calls.append)
         serial = ucf.verify_theorem(tid, 4, workers=1)
@@ -710,7 +747,7 @@ def test_parallel_runs_report_progress_as_each_subtree_finishes():
             serial.families_checked,
             serial.violations,
         )
-        assert len(calls) == len(_split(4, filt and 4, seeds))
+        assert len(calls) == len(_split(4, _walk_cap(filt), seeds))
         assert calls == sorted(calls) and calls[-1] == enumeration._walk(4, filt, None, seeds)[0]
 
 
@@ -776,6 +813,18 @@ def test_enumerate_n5_count_pinned():
 
 
 @pytest.mark.deep
+@pytest.mark.parametrize(
+    "tid, checked", [("T1.2", 2747401), ("L2.1.1", 2704780), ("PROPS", 346028)]
+)
+def test_tie_closed_checks_n5_take_only_the_orbit_walk(walked, tid, checked):
+    # each check's `holds` passes every representative under every tie, so
+    # no full walk follows; the weighted count is that of every family
+    report = ucf.verify_theorem(tid, 5, workers=1)
+    assert (report.families_checked, report.violations) == (checked, ())
+    assert walked == [_orbit(5, _walk_cap(enumeration._CHECKS[tid].filt))]
+
+
+@pytest.mark.deep
 def test_verify_c22_n5():
     report = ucf.verify_theorem("C2.2", 5)
     assert (report.families_checked, report.violations) == (255018, ())
@@ -798,34 +847,26 @@ GATES = TABLE_GATES + (
 
 def family_facts(fam, h, gates):
     """The oracle: each fact the walk reads from words, through the Family
-    functions and EnumFilter.matches. The levels are None where the
-    reduction fails, as it does on 358 non-separating leaves at n <= 4; the
-    T1.2 verdict is None where T1.2's gate (height at least 2) rejects the
-    family, and `thm12 == []` elsewhere; the word side tests |family| > 1,
-    so their match holds the gate to the hypothesis. The PROPS verdict is
-    None off PROPS's gate (separating, height 4). The L2.1.1 verdict is
-    taken on every leaf, in its gate or not."""
+    functions and EnumFilter.matches. The T1.2 verdict is None where T1.2's
+    gate (height at least 2) rejects the family, and `thm12 == []`
+    elsewhere; the word side tests |family| > 1, so their match holds the
+    gate to the hypothesis. The PROPS verdict is None off PROPS's gate
+    (separating, height 4). The L2.1.1 verdict is taken on every leaf, in
+    its gate or not; the reduction fails on 358 non-separating leaves at
+    n <= 4. The word verdicts of T1.2, L2.1.1 and PROPS hold under every
+    tie and `conclude` reads one, so their match shows that no tie changes
+    a verdict on these leaves."""
     t12 = enumeration._CHECKS["T1.2"]
     thm12 = t12.conclude(fam, h) == [] if t12.filt.matches(fam, h) else None
     cover = next(_min_covers(fam.n, *_small_slice(fam), h)).members
-    try:
-        levels = _size_bound_trace(fam).levels
-    except InternalError:
-        levels = None
     rep = chain_report(fam)
-    pick = None
-    if len(fam) > 1:
-        witness = _thm12_witness(fam, rep)
-        pick = (witness.element, witness.count)
     return (
-        (rep.height, rep.witness_chain, rep.r),
-        pick,
+        (rep.height, rep.r),
         ucf.is_separating(fam),
         ucf.frequencies(fam),
         len(fam),
         0 in fam.members,
         _lemma13_status(fam).ok,
-        levels,
         tuple(g.matches(fam, h) for g in gates),
         cover,
         thm12,
@@ -846,21 +887,16 @@ def passes(gate, leaf, split):
 
 
 def word_facts(leaf, split, gates):
-    try:
-        levels = leaf.size_levels()
-    except InternalError:
-        levels = None
-    chain, r = leaf.chain_facts()
+    height, r, _ = enumeration._descent(leaf.words, leaf.have)
+    assert height == leaf.h
     separating = split == leaf.words.every
     return (
-        (leaf.h, chain, r),
-        leaf.thm12_pick(chain) if leaf.have.bit_count() > 1 else None,
+        (leaf.h, r),
         separating,
         tuple(leaf.frequencies()),
         leaf.have.bit_count(),
         bool(leaf.have & 1),
         leaf.lemma13_holds(),
-        levels,
         tuple(passes(gate, leaf, split) for gate in gates),
         leaf.min_cover(),
         enumeration._CHECKS["T1.2"].holds(leaf) if leaf.have.bit_count() > 1 else None,
@@ -910,6 +946,113 @@ def test_word_facts_match_family_oracle():
 @pytest.mark.deep
 def test_word_facts_match_family_oracle_n5():
     assert compare_leaf_facts(5, 4, TABLE_GATES, {}) == (382210, 346028)
+
+
+def maximum_chains(fam):
+    """Every chain of the family's height, top-down, by brute force over
+    proper inclusion from every member."""
+    h = ucf.chains.height(fam)
+    out = []
+
+    def grow(chain):
+        if len(chain) == h:
+            out.append(chain)
+            return
+        for m in fam.members:
+            if m != chain[-1] and m & chain[-1] == m:
+                grow((*chain, m))
+
+    for top in fam.members:
+        grow((top,))
+    return out
+
+
+def least_witness_total(fam):
+    """The least count `_thm12_witness` can return over every tie: every
+    maximum chain, and every element picked from each difference down it,
+    each pick counted over the members but the chain's ends, the first
+    greatest winning, and its count taken over the whole family."""
+    freqs = ucf.frequencies(fam)
+    least = None
+    for chain in maximum_chains(fam):
+        rest = [m for m in fam.members if m not in (chain[0], chain[-1])]
+        diffs = [ucf.word_elements(a & ~b) for a, b in zip(chain, chain[1:])]
+        for picks in itertools.product(*diffs):
+            counts = [sum(1 for m in rest if m >> (e - 1) & 1) for e in picks]
+            total = freqs[picks[counts.index(max(counts))] - 1]
+            least = total if least is None else min(least, total)
+    return least
+
+
+def branching_trace_holds(members, n):
+    """Whether `_size_bound_trace` from these members keeps size >= base
+    size and shrinks the family at every level under every choice of x
+    among the elements of greatest frequency, and of y where x is deleted."""
+    base = functools.reduce(operator.or_, members)
+    if len(members) < base.bit_count():
+        return False
+    if len(members) == 1:
+        return True
+    counts = [sum(m >> i & 1 for m in members) for i in range(n)]
+    steps = []
+    for x in (i for i in range(n) if counts[i] == max(counts)):
+        holding = [m for m in members if m >> x & 1]
+        if len(holding) < len(members):
+            steps.append(holding)
+            continue
+        stripped = [m & ~(1 << x) for m in members]
+        left = [sum(m >> i & 1 for m in stripped) for i in range(n)]
+        steps += [[m for m in stripped if m >> y & 1] for y in range(n) if left[y] == max(left)]
+    return all(
+        0 < len(step) < len(members) and branching_trace_holds(step, n) for step in steps
+    )
+
+
+def props_hold_under_every_cover(fam, h):
+    """`_props`'s verdict, no applicable letter failing, taken under every
+    minimum cover of the slice, with the exact average."""
+    small, b = _small_slice(fam)
+    inside = tuple(m for m in fam.members if m | b == b)
+    return all(
+        r.holds
+        for cover in _min_covers(fam.n, small, b, h)
+        for r in bfamily._prop_letters(fam.n, inside, ucf.avg_size(fam), cover.members).values()
+    )
+
+
+def test_tie_closed_verdicts_match_exhaustive_oracles():
+    # On every leaf at n <= 4: T1.2's step test finds the least witness
+    # total over every maximum chain and pick, as the greatest bound it
+    # meets, and the verdict is that total and the max frequency against
+    # the bounds; L2.1.1's verdict is the fully branching trace's, on every
+    # leaf; PROPS's is every minimum cover's, on the separating height-4
+    # leaves. Ties occur: some leaves have several maximum chains or picks,
+    # or several choices of x.
+    chain_ties = trace_ties = 0
+    for n in range(1, 5):
+        leaves = []
+        enumeration._walk(n, None, leaves.append)
+        for leaf in leaves:
+            fam, words, have, h = leaf.fam, leaf.words, leaf.have, leaf.h
+            freqs = ucf.frequencies(fam)
+            assert _size_bound_holds(leaf) == branching_trace_holds(fam.members, n), fam
+            trace_ties += freqs.count(max(freqs)) > 1
+            if h == 4 and ucf.is_separating(fam):
+                assert _props_holds(leaf) == props_hold_under_every_cover(fam, h), fam
+            if len(fam) == 1:
+                continue
+            least = least_witness_total(fam)
+            chain_ties += len(maximum_chains(fam)) > 1
+
+            def low(bound):
+                return sum(1 << e for e, f in enumerate(freqs) if f < bound)
+
+            assert enumeration._descent(words, have, low(least))[2], fam
+            assert not enumeration._descent(words, have, low(least + 1))[2], fam
+            r, size = chain_report(fam).r, len(fam)
+            want = least >= ucf.thm12_bound(size, h) and max(freqs) >= ucf.thm12_bound(size, r)
+            assert enumeration._thm12_holds(leaf) == want, fam
+    assert chain_ties > 0 and trace_ties > 0
 
 
 def test_leaves_kept_after_the_walk_give_their_own_families():
@@ -999,18 +1142,43 @@ def test_word_conclusions_agree_with_the_family_ones_on_their_boundaries(n, sets
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_props_word_verdict_matches_the_family_one_on_random_member_words(data):
-    # Any nonempty member word, union-closed or not, read at height 4; a
-    # slice that needs a cover of more than four members raises on both sides.
+    # Any nonempty member word, union-closed or not, read at height 4, and
+    # its verdict under every minimum cover; a slice that needs a cover of
+    # more than four members raises on both sides.
     n = data.draw(st.integers(4, 6))
     fam = Family.from_masks(n, data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
     leaf = leaf_of(fam, 4)
     try:
-        want = _props(fam, 4) == []
+        want = props_hold_under_every_cover(fam, 4)
     except InternalError as exc:
         with pytest.raises(InternalError, match=f"^{re.escape(str(exc))}$"):
             _props_holds(leaf)
     else:
         assert _props_holds(leaf) == want
+
+
+def test_size_bound_word_verdict_fails_where_a_later_tie_fails():
+    # A separating member word, not union-closed, where 1 and 4 each lie in
+    # four of the six members. The trace's tie-break takes x = 1 and holds
+    # at every level; x = 4 leads to {4, 24, 134, 1234}, and with 4 deleted
+    # every y to two members on base {1, 2, 3}. The word verdict holds under
+    # every tie, so it fails.
+    fam = Family.of(4, [(1, 2), (1, 3), (4,), (2, 4), (1, 3, 4), (1, 2, 3, 4)])
+    assert enumeration._size_bound(fam, 1) == []
+    assert not branching_trace_holds(fam.members, 4)
+    assert not _size_bound_holds(leaf_of(fam, 1))
+
+
+def test_props_word_verdict_fails_where_a_later_minimum_cover_fails():
+    # A member word, not union-closed, read at height 4, whose slice has two
+    # minimum covers. Under the least, {12, 23, 45, 46}, every letter that
+    # applies holds, so `_props` finds nothing; under {14, 23, 45, 46}, K
+    # fails. The word verdict holds under every minimum cover, so it fails.
+    fam = Family.of(6, [(1, 2), (1, 4), (2, 3), (4, 5), (4, 6), (3, 4, 5, 6)])
+    assert len(tuple(_min_covers(6, *_small_slice(fam), 4))) == 2
+    assert _props(fam, 4) == []
+    assert not props_hold_under_every_cover(fam, 4)
+    assert not _props_holds(leaf_of(fam, 4))
 
 
 def test_props_verdict_reads_the_average_beside_its_cached_key():
@@ -1049,20 +1217,6 @@ def test_min_cover_keeps_the_cover_search_errors(monkeypatch):
         leaf.min_cover()
 
 
-def size_levels_or_error(leaf):
-    try:
-        return leaf.size_levels()
-    except InternalError as exc:
-        return str(exc)
-
-
-def trace_levels_or_error(fam):
-    try:
-        return _size_bound_trace(fam).levels
-    except InternalError as exc:
-        return str(exc)
-
-
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_masks_list_a_words_members_in_ascending_order(data):
@@ -1075,38 +1229,49 @@ def test_masks_list_a_words_members_in_ascending_order(data):
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_size_levels_match_the_trace_with_an_empty_and_a_filled_memo(data):
-    # Random member words, mostly not union-closed; the first pass starts
-    # from an empty cache and fills it, the second reads it.
+def test_size_bound_verdict_matches_the_branching_trace_with_an_empty_and_a_filled_memo(data):
+    # Random member words, mostly not union-closed, whose base need not be
+    # [n]; the first pass starts from an empty cache and fills it, the
+    # second reads it.
     n = data.draw(st.integers(2, 6))
     masks = st.sets(st.integers(0, (1 << n) - 1), min_size=1)
     fams = [Family.from_masks(n, ms) for ms in data.draw(st.lists(masks, min_size=1, max_size=4))]
     enumeration._size_tail.cache_clear()
     for _ in range(2):
         for fam in fams:
-            want = trace_levels_or_error(fam)
-            assert size_levels_or_error(leaf_of(fam, 1)) == want, (fam.member_sets(), want)
+            want = branching_trace_holds(fam.members, n)
+            assert _size_bound_holds(leaf_of(fam, 1)) == want, fam.member_sets()
 
 
 @pytest.mark.parametrize(
     "tid, cache, keys, checked",
     [
-        # one tail per distinct first reduced word: 18 at n = 3, 280 at n = 4
-        ("L2.1.1", "_size_tail", (18, 280), ((70, 0), (4078, 0), (70, 0))),
+        # Every id but T2.1 in necessity mode takes the orbit walk, so the
+        # keys are those of the representatives' leaves. One tail per
+        # distinct reduced word at any level under every tie, the trace
+        # branching through the cache, keyed by the word alone: 18 at n = 3,
+        # and 125 more at n = 4, which meets all 18 again among its 143
+        ("L2.1.1", "_size_tail", (18, 125), ((70, 0), (4078, 0), (70, 0))),
         # one per distinct member word below a child, keyed by the word
-        # alone: 31 at n = 3, and 386 more at n = 4, which meets all 31
-        # again among its 417
-        ("T1.2", "_child_descent", (31, 386), ((89, 0), (4541, 0), (89, 0))),
-        # one per distinct slice word of the separating height-4 leaves, 7 at
-        # n = 3 and 20 at n = 4; T2.1 finds its three counterexamples at n = 3
-        # (see below). T4.1 takes the orbit walk, whose representatives have
-        # 6 at n = 3
+        # alone: 29 at n = 3, and 332 more at n = 4, which meets all 29
+        # again among its 361
+        ("T1.2", "_child_descent", (29, 332), ((89, 0), (4541, 0), (89, 0))),
+        # one per distinct slice word of the separating height-4 leaves: T2.1
+        # in necessity mode walks every family, 7 words at n = 3 and 20 more
+        # at n = 4, and finds its three counterexamples at n = 3 (see below);
+        # the representatives of T4.1 and PROPS have 6 at n = 3
         ("T2.1", "_slice_cover", (7, 20), ((30, 3), (1961, 0), (30, 3))),
         ("T4.1", "_slice_cover", (6, 20), ((0, 0), (1, 0), (0, 0))),
-        ("PROPS", "_slice_cover", (7, 20), ((31, 0), (2034, 0), (31, 0))),
-        # PROPS's verdicts, one per distinct word of the members inside b(B),
-        # or slice word where b(B) lacks at most one element
-        ("PROPS", "_props_verdicts", (7, 20), ((31, 0), (2034, 0), (31, 0))),
+        ("PROPS", "_slice_cover", (6, 20), ((31, 0), (2034, 0), (31, 0))),
+        # PROPS's verdicts under every minimum cover, one per distinct word
+        # of the members inside b(B), or slice word where b(B) lacks at most
+        # one element
+        ("PROPS", "_props_verdicts", (6, 20), ((31, 0), (2034, 0), (31, 0))),
+        # T1.2's step test, one per (member word below a child, the elements
+        # of low frequency inside the child) met below a longest chain's
+        # step that holds one of them: 12 at n = 3, and 189 more at n = 4,
+        # which meets all 12 again among its 201
+        ("T1.2", "_child_steps", (12, 189), ((89, 0), (4541, 0), (89, 0))),
     ],
 )
 def test_leaf_caches_compute_each_distinct_key_once(monkeypatch, tid, cache, keys, checked):
@@ -1159,8 +1324,8 @@ def test_concurrent_walks_match_serial_runs():
         return dataclasses.replace(ucf.verify_theorem(tid, 4, workers=1), elapsed=0)
 
     serial = {tid: run(tid) for tid in ids}
-    caches = (enumeration._child_descent, enumeration._size_tail, enumeration._slice_cover,
-              enumeration._props_verdicts)
+    caches = (enumeration._child_descent, enumeration._child_steps, enumeration._size_tail,
+              enumeration._slice_cover, enumeration._props_verdicts)
     for cache in caches:
         cache.cache_clear()
     start = threading.Barrier(4, timeout=60)
