@@ -74,13 +74,14 @@ depends only on its key, so every walk and thread shares the caches and
 nothing empties them. A cover longer than the leaf's height is an error
 tested on every leaf (`_min_cover`), since the height is the leaf's own. A
 check counts the leaves its gate passes, so a passing conclusion costs its
-leaf nothing more; a `Family` is built only for a leaf whose word
-conclusion fails (the `Family` conclusion then gives the violation's
-details) and for a caller's visitor, so a count-only `enumerate_uc` builds
-none. `EnumFilter.matches` and the `Family` conclusions stay as the public
-gate and the oracle: tests/test_enumeration.py compares every word fact
-with them on every leaf for n <= 4 and at n = 5 under height cap 3, and
-under cap 4 in the deep suite. Public analysis functions validate their
+leaf nothing more; a `Family` is built only for each relabeling of a leaf
+whose word conclusion fails (the `Family` conclusion then gives the
+violation's details) and for a caller's visitor, so a count-only
+`enumerate_uc` builds none. `EnumFilter.matches` and the `Family`
+conclusions stay as the public gate and the oracle:
+tests/test_enumeration.py compares every word fact with them on every
+leaf for n <= 4 and at n = 5 under height cap 3, and under cap 4 in the
+deep suite. Public analysis functions validate their
 input; the `Family` gate and conclusions instead pass these facts about a
 leaf (union-closed, base [n], height h) to the private cores behind those
 functions, as the construction certifier and `ucf analyze` do with the
@@ -115,17 +116,21 @@ C(n, k) and the class's graphs are k! / |Aut G|. A seed's passed count,
 times C(n, k) k! / |Aut G|, its weight, summed over the seeds, is the
 count of the full walk. Each seed's walk runs the full walk's kernel on
 fewer leaves (1,420 of 15,067 at n = 5 under height cap 3, from 53 seeds).
-A check's `holds` reads no label, so it passes a representative exactly
-where it passes all of its relabelings, and an orbit walk where it passes
-every leaf gives the report. Where it rejects a leaf, the run walks every
-family, which runs the `Family` conclusion, with its tie-breaks, on each
-leaf `holds` rejects and lists the violations in DFS order; a leaf whose
-pinned tie-breaks pass, though another tie fails, is no violation, so the
-report is the full walk's. Under a cap of 2 no t fits, so there the seeds
-decide only the co-singletons.
+Every check run, hypothesis-necessity mode included, is one orbit walk. A
+check's `holds` reads no label, so it passes a representative exactly
+where it passes all of its relabelings: the families it rejects are the
+images of the representatives it rejects under the n! relabelings of
+[n], each of the representative's height. The full walk emits its leaves
+in strictly descending order of member word (two leaves share every
+decision above the highest mask where they differ, and the include
+branch runs first), so those images, without duplicates and sorted by
+descending member word, are the full walk's rejected leaves in its order.
+The run runs the `Family` conclusion, with its tie-breaks, on each; a
+family whose pinned tie-breaks pass, though another tie fails, is no
+violation, so the report is the full walk's. Under a cap of 2 no t fits,
+so there the seeds decide only the co-singletons.
 n <= 2 keeps the full walk (at n = 1 the co-singleton is the empty set,
-and at n = 2 the 8 families cost less than the seeds), as do a visitor
-and hypothesis-necessity mode.
+and at n = 2 the 8 families cost less than the seeds), as does a visitor.
 
 The hard cap is n <= 5. The independent oracle `brute_force_uc` (n <= 4)
 iterates all 2^(2^n) subfamilies of the power set and filters; it shares no
@@ -135,10 +140,10 @@ A parallel run turns a walk's seeds into tasks, one seed each (`_split`):
 each seed's walk decides only the few highest masks that the seed leaves
 open, with the open masks below them added to its skip; each member word
 it holds there heads a disjoint subtree, run as one task with the seed's
-weight, and per-task results are merged in DFS order, so reports are
-identical for any worker count, and the worker count does not choose
-between the orbit and the full walk. Progress comes as each task's
-results arrive.
+weight, and per-task results are merged in DFS order; the rejected
+representatives are pooled before their images are sorted, so reports are
+identical for any worker count. Progress comes as each task's results
+arrive.
 """
 
 from __future__ import annotations
@@ -698,14 +703,16 @@ def _walk(
     and skip as in _dfs) under the filter's height cap and call visit(leaf)
     on each leaf that passes the filter's `_gate`; returns how many leaves
     it visited and how many families passed, each counted `weight` times.
-    The full walk is the one seed `_FULL_WALK`; an orbit walk, for a caller
-    whose filter and `visit` read no labels, has `_orbit`'s seeds, and its
-    visited count is of the representatives; a parallel task has one seed
-    of `_split`'s. A leaf becomes a `_Leaf` only for `visit`, so without
-    one the walk builds none. `progress` gets the visited count every
-    100,000 leaves. The walk keeps no state besides its counts: the tables
-    it reads never change, and the leaf facts it caches depend only on
-    their keys."""
+    The full walk is the one seed `_FULL_WALK`, for a visitor that reads
+    labels; an orbit walk, for a caller whose filter and `visit` read no
+    labels (a count, and every check run, whose violations are the
+    relabelings of the representatives `holds` rejects), has `_orbit`'s
+    seeds, and its visited count is of the representatives; a parallel
+    task has one seed of `_split`'s. A leaf becomes a `_Leaf` only for
+    `visit`, so without one the walk builds none. `progress` gets the
+    visited count every 100,000 leaves. The walk keeps no state besides its
+    counts: the tables it reads never change, and the leaf facts it caches
+    depend only on their keys."""
     cap = _walk_cap(filt)
     words = _leaf_words(n)
     admit = _gate(filt, words)
@@ -965,7 +972,8 @@ class _Check:
     (family, height) pair that passes the filter. `holds` decides the
     conclusion on a leaf's words under every tie-break of `conclude`, so
     that its verdict, like the filter, is unchanged by a relabeling of [n];
-    only a leaf it rejects runs `conclude`, which gives the details."""
+    `conclude`, which gives the details, runs only on the relabelings of
+    the representatives it rejects."""
 
     hypothesis: str
     filt: EnumFilter
@@ -1008,25 +1016,22 @@ def _run_serial(
     n: int,
     seeds: tuple[_Seed, ...],
     progress: Callable[[int], None] | None = None,
-) -> tuple[int, list[Violation], int, int]:
-    """One check id over one walk, a whole walk's seeds or one parallel
-    task's (arguments as in _walk): how many families it checked, which are
-    the families that pass its filter, their violations, how many leaves
-    it visited and how many of them `holds` rejected. Only a leaf that
-    `holds` rejects runs `conclude`."""
+) -> tuple[int, list[tuple[int, int]], int]:
+    """One check id's `holds` over one walk, a whole walk's seeds or one
+    parallel task's (arguments as in _walk): how many families it checked,
+    which are the families that pass its filter, the (member word, height)
+    of each leaf `holds` rejected, and how many leaves it visited. Nothing
+    here runs `conclude`: `verify_theorem` runs it on the relabelings of
+    the rejected leaves."""
     check = _CHECKS[tid]
-    holds, conclude = check.holds, check.conclude
-    violations: list[Violation] = []
-    rejected = 0
+    rejected: list[tuple[int, int]] = []
 
     def visit(leaf: _Leaf) -> None:
-        nonlocal rejected
-        if not holds(leaf):
-            rejected += 1
-            violations.extend(Violation(leaf.fam, d) for d in conclude(leaf.fam, leaf.h))
+        if not check.holds(leaf):
+            rejected.append((leaf.have, leaf.h))
 
     visited, checked = _walk(n, check.filt, visit, seeds, progress)
-    return checked, violations, visited, rejected
+    return checked, rejected, visited
 
 
 def verify_theorem(
@@ -1040,21 +1045,22 @@ def verify_theorem(
 
     With hypothesis_necessity (T2.1 only) the n >= 4 hypothesis is dropped
     and the report lists the families that then break the conclusion; the
-    run demonstrates why the hypothesis is needed. Outside that mode a
-    check takes the orbit walk of `_orbit`'s seeds, over one family per
-    class of co-singleton sets and graphs of sets [n] - {i, j}, each
-    counted as often as its class has members; `holds` is the same on every
-    relabeling of a family, so where it passes every representative it
-    passes every family. Where it rejects one, even one whose `conclude`
-    gives no details, the run walks every family, which lists the
-    violations in DFS order, so the report is the same either way.
+    run demonstrates why the hypothesis is needed. In either mode a check
+    makes one walk, the orbit walk of `_orbit`'s seeds, over one family
+    per class of co-singleton sets and graphs of sets [n] - {i, j}, each
+    counted as often as its class has members. `holds` is the same on
+    every relabeling of a family, so the families it rejects are the
+    images of the representatives it rejects under the n! relabelings of
+    [n]. The violations are `conclude`'s details on each image, without
+    duplicates, in descending order of member word, which is the full
+    walk's order, so the report is the one the full walk gives; an image
+    whose `conclude` gives no details adds none.
     The walk runs in-process, or, with more than one worker at n >= 4, as
     `_split`'s tasks on a process pool, whose results are merged in DFS
-    order, so the worker count does not change which walk runs or what it
-    reports. `progress` gets the visited count
-    (representatives, on an orbit walk) every 100,000 leaves of an
-    in-process walk, and the running total as each task's results arrive
-    on a pool.
+    order, so the worker count does not change what it reports.
+    `progress` gets the visited count (of representatives) every 100,000
+    leaves of an in-process walk, and the running total as each task's
+    results arrive on a pool.
     """
     if tid not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
@@ -1074,32 +1080,35 @@ def verify_theorem(
     check = _CHECKS[tid]
     start = time.perf_counter()
     cap = _walk_cap(check.filt)
-    # necessity mode is run to list the violations, so it walks them all at once;
-    # an orbit walk where `holds` rejects a leaf is followed by the full walk
-    walks = (_FULL_WALK,) if hypothesis_necessity else (_orbit(n, cap), _FULL_WALK)
-    checked, violations = 0, []
-    # below the least n the result is stated for, no family is checked
-    for seeds in walks if n >= check.least_n or hypothesis_necessity else ():
-        if workers == 1 or n <= 3:
-            checked, violations, _, rejected = _run_serial(tid, n, seeds, progress)
-        else:
-            # each pool task walks the one seed that `_split` made it
-            tasks = [(task,) for task in _split(n, cap, seeds)]
-            run = functools.partial(_run_serial, tid, n)
-            checked, violations, visited, rejected = 0, [], 0, 0
-            with get_context().Pool(processes=min(workers, len(tasks))) as pool:
-                # in DFS order, each task's results as soon as it and those before it are done
-                for part_checked, part_violations, part_visited, part_rejected in (
-                    pool.imap(run, tasks)
-                ):
-                    checked += part_checked
-                    violations += part_violations
-                    visited += part_visited
-                    rejected += part_rejected
-                    if progress is not None:
-                        progress(visited)
-        if not rejected or seeds == _FULL_WALK:
-            break
+    # below the least n the result is stated for (so at n <= 3), no seed
+    seeds = _orbit(n, cap) if n >= check.least_n or hypothesis_necessity else ()
+    if workers == 1 or n <= 3:
+        checked, rejected, _ = _run_serial(tid, n, seeds, progress)
+    else:
+        # each pool task walks the one seed that `_split` made it
+        tasks = [(task,) for task in _split(n, cap, seeds)]
+        run = functools.partial(_run_serial, tid, n)
+        checked, rejected, visited = 0, [], 0
+        with get_context().Pool(processes=min(workers, len(tasks))) as pool:
+            # in DFS order, each task's results as soon as it and those before it are done
+            for part_checked, part_rejected, part_visited in pool.imap(run, tasks):
+                checked += part_checked
+                rejected += part_rejected
+                visited += part_visited
+                if progress is not None:
+                    progress(visited)
+
+    # the full walk's rejected leaves, each with its height, are the images
+    # of the rejected representatives; it emits them by descending member word
+    masks = _leaf_words(n).masks
+    heights = {}
+    for have, h in rejected:
+        members = masks(have)
+        heights.update((sum(1 << image[m] for m in members), h) for image in _relabel_tables(n)[0])
+    violations = []
+    for have, h in sorted(heights.items(), reverse=True):
+        fam = Family(n, masks(have))
+        violations += (Violation(fam, d) for d in check.conclude(fam, h))
 
     return VerifyReport(
         theorem=tid,

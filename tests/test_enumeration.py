@@ -206,10 +206,15 @@ def walk_leaves(walk, n, h_cap, *seed):
 
 
 def test_dfs_matches_reference_walk():
+    # and the member words strictly descend, the order in which a check
+    # lists the relabelings of the representatives `holds` rejects
     cases = [(n, cap) for n in range(1, 5) for cap in (None, *range(n + 2))]
     cases += [(5, cap) for cap in (1, 2, 3)]
     for n, cap in cases:
-        assert walk_leaves(_dfs, n, cap) == walk_leaves(reference_dfs, n, cap), (n, cap)
+        ours = walk_leaves(_dfs, n, cap)
+        assert ours == walk_leaves(reference_dfs, n, cap), (n, cap)
+        words = [have for _, have, _ in ours]
+        assert words == sorted(set(words), reverse=True), (n, cap)
 
 
 @pytest.mark.parametrize(
@@ -239,9 +244,18 @@ def test_dfs_matches_reference_walk_on_split_subtrees_and_stops(n, h_cap):
 
 def leaf_hashes(walk, n, h_cap):
     """One 64-bit hash per (height, member word, split word) leaf of one
-    walk, in order (int tuples hash the same in every process)."""
+    walk, in order (int tuples hash the same in every process), asserting
+    that the member words strictly descend."""
     out = array("q")
-    walk(n, lambda *leaf: out.append(hash(leaf)), h_cap)
+    last = 1 << (1 << n)  # above every member word
+
+    def emit(*leaf):
+        nonlocal last
+        assert leaf[1] < last, leaf
+        last = leaf[1]
+        out.append(hash(leaf))
+
+    walk(n, emit, h_cap)
     return out
 
 
@@ -509,31 +523,33 @@ def test_label_free_checks_keep_their_verdicts_under_relabeling(tid):
                 assert check.holds(leaf_of(image, leaf.h)) == verdict, (tid, leaf.fam, perm)
 
 
-def test_orbit_walk_violation_falls_back_to_the_full_report(monkeypatch, fake_pool):
-    # A row made to fail on the families holding {1}, which a relabeling
-    # moves: from n = 3 the representatives hold only some of them, and the
-    # report lists all of them, in DFS order, as the full walk does, run
-    # in-process or, at n = 4 with two workers, as pool tasks: the orbit
-    # walk's, then the full walk's.
-    def holds(leaf):
-        return not leaf.have & 1 << 1
+def at_least_2n_holds(leaf):
+    return leaf.have.bit_count() >= 2 * leaf.words.n
 
-    def conclude(fam, h):
-        return ["holds {1}"] if 1 in fam.members else []
 
-    check = dataclasses.replace(enumeration._CHECKS["T1.4"], holds=holds, conclude=conclude)
-    monkeypatch.setitem(enumeration._CHECKS, "T1.4", check)
-    for n in (2, 3, 4):
-        full, met = [], []
-        checked = enumeration._walk(n, check.filt, full.append)[1]
-        want = tuple(Violation(leaf.fam, "holds {1}") for leaf in full if not holds(leaf))
-        for workers in (1, 2):
-            report = ucf.verify_theorem("T1.4", n, workers=workers)
-            assert (report.families_checked, report.violations) == (checked, want), workers
-        seeds = _orbit(n, 3)
-        enumeration._walk(n, check.filt, lambda leaf: holds(leaf) or met.append(leaf), seeds)
-        assert 0 < len(met) < len(want) if n > 2 else len(met) == len(want)
-    assert fake_pool == [2, 2]
+def at_least_2n(fam, h):
+    return [] if len(fam) >= 2 * fam.n else [f"|family| {len(fam)} < 2n"]
+
+
+@pytest.fixture
+def mutant_l13(monkeypatch):
+    """L1.3's row made to conclude |family| >= 2n, which reads no label and
+    fails on many separating families; returns the row."""
+    check = dataclasses.replace(
+        enumeration._CHECKS["L1.3"], holds=at_least_2n_holds, conclude=at_least_2n
+    )
+    monkeypatch.setitem(enumeration._CHECKS, "L1.3", check)
+    return check
+
+
+def full_walk_violations(n, check):
+    """The oracle: `conclude` on every leaf of the full walk that passes
+    the row's gate, in walk order."""
+    leaves = []
+    enumeration._walk(n, check.filt, leaves.append)
+    return tuple(
+        Violation(leaf.fam, d) for leaf in leaves for d in check.conclude(leaf.fam, leaf.h)
+    )
 
 
 @pytest.fixture
@@ -550,23 +566,37 @@ def walked(monkeypatch):
     return seeds_of
 
 
-def test_orbit_walk_rejection_without_details_falls_back_to_the_full_walk(monkeypatch, walked):
-    # `holds` rejects the representatives holding {1}, and `conclude` finds
-    # nothing on any family, as where a tie-break passes a family that
-    # another tie fails: the orbit walk still hands the run to the full
-    # walk, which checks every family and reports no violation. A row whose
-    # `holds` passes every representative stops after the orbit walk.
-    def conclude(fam, h):
-        return []
+def test_orbit_walk_violations_are_the_full_walks(mutant_l13, fake_pool):
+    # The report lists the relabelings of the rejected representatives,
+    # sorted by descending member word: from n = 3 the representatives are
+    # fewer than the families, and the list is the full walk's, run
+    # in-process or, at n = 4 with two workers, as the tasks of one pool.
+    for n, violations in ((2, 5), (3, 53), (4, 1733)):
+        want = full_walk_violations(n, mutant_l13)
+        assert len(want) == violations
+        checked = ucf.enumerate_uc(n, mutant_l13.filt)
+        for workers in (1, 2):
+            report = ucf.verify_theorem("L1.3", n, workers=workers)
+            assert (report.families_checked, report.violations) == (checked, want), workers
+        rejected = enumeration._run_serial("L1.3", n, _orbit(n, None))[1]
+        assert 0 < len(rejected) < len(want) if n > 2 else len(rejected) == len(want)
+    assert fake_pool == [2]
 
-    for holds, walks in ((lambda leaf: not leaf.have & 1 << 1, 2), (lambda leaf: True, 1)):
-        check = dataclasses.replace(enumeration._CHECKS["T1.4"], holds=holds, conclude=conclude)
-        monkeypatch.setitem(enumeration._CHECKS, "T1.4", check)
-        for n in (3, 4):
-            walked.clear()
-            report = ucf.verify_theorem("T1.4", n, workers=1)
-            assert walked == [_orbit(n, 3), _FULL_WALK][:walks], (n, walks)
-            assert (report.families_checked, report.violations) == (CHECKED["T1.4"][n - 1], ())
+
+def test_rejection_without_details_takes_one_walk(monkeypatch, walked):
+    # `holds` rejects the families with fewer than 2n members, and
+    # `conclude` finds nothing on any family, as where a tie-break passes a
+    # family that another tie fails: the run makes its one orbit walk and
+    # reports no violation.
+    check = dataclasses.replace(
+        enumeration._CHECKS["L1.3"], holds=at_least_2n_holds, conclude=lambda fam, h: []
+    )
+    monkeypatch.setitem(enumeration._CHECKS, "L1.3", check)
+    for n in (3, 4):
+        walked.clear()
+        report = ucf.verify_theorem("L1.3", n, workers=1)
+        assert walked == [_orbit(n, None)], n
+        assert (report.families_checked, report.violations) == (CHECKED["L1.3"][n - 1], ())
 
 
 def test_empty_filter_ranges_are_rejected():
@@ -664,8 +694,10 @@ def test_verify_t21_binding_case():
     assert report.ok and report.families_checked > 0
 
 
-def test_hypothesis_necessity_reproduces_counterexample():
+def test_hypothesis_necessity_reproduces_counterexample(walked):
+    # one orbit walk, whose one rejected representative gives the three
     report = ucf.verify_theorem("T2.1", 3, hypothesis_necessity=True)
+    assert walked == [_orbit(3, 4)]
     assert report.mode == "hypothesis-necessity"
     assert report.ok  # counterexamples found is the expected outcome
     families = {v.family for v in report.violations}
@@ -817,11 +849,30 @@ def test_enumerate_n5_count_pinned():
     "tid, checked", [("T1.2", 2747401), ("L2.1.1", 2704780), ("PROPS", 346028)]
 )
 def test_tie_closed_checks_n5_take_only_the_orbit_walk(walked, tid, checked):
-    # each check's `holds` passes every representative under every tie, so
-    # no full walk follows; the weighted count is that of every family
+    # each check's `holds` passes every representative under every tie;
+    # the weighted count is that of every family
     report = ucf.verify_theorem(tid, 5, workers=1)
     assert (report.families_checked, report.violations) == (checked, ())
     assert walked == [_orbit(5, _walk_cap(enumeration._CHECKS[tid].filt))]
+
+
+@pytest.mark.deep
+def test_orbit_walk_violations_are_the_full_walks_n5(mutant_l13, walked):
+    # the relabelings of the rejected representatives, from one orbit walk,
+    # are the full walk's violations in its order, compared as the full
+    # walk runs to keep one list of them in memory
+    report = ucf.verify_theorem("L1.3", 5, workers=1)
+    assert walked == [_orbit(5, None)]
+    assert (report.families_checked, len(report.violations)) == (2704780, 158702)
+    listed = iter(report.violations)
+
+    def compare(leaf):
+        if not mutant_l13.holds(leaf):
+            for d in mutant_l13.conclude(leaf.fam, leaf.h):
+                assert next(listed) == Violation(leaf.fam, d)
+
+    enumeration._walk(5, mutant_l13.filt, compare)
+    assert next(listed, None) is None
 
 
 @pytest.mark.deep
@@ -1256,11 +1307,11 @@ def test_size_bound_verdict_matches_the_branching_trace_with_an_empty_and_a_fill
         # alone: 29 at n = 3, and 332 more at n = 4, which meets all 29
         # again among its 361
         ("T1.2", "_child_descent", (29, 332), ((89, 0), (4541, 0), (89, 0))),
-        # one per distinct slice word of the separating height-4 leaves: T2.1
-        # in necessity mode walks every family, 7 words at n = 3 and 20 more
-        # at n = 4, and finds its three counterexamples at n = 3 (see below);
-        # the representatives of T4.1 and PROPS have 6 at n = 3
-        ("T2.1", "_slice_cover", (7, 20), ((30, 3), (1961, 0), (30, 3))),
+        # one per distinct slice word of the separating height-4
+        # representatives: 6 at n = 3 and 20 more at n = 4, for T2.1 in
+        # necessity mode, which finds its three counterexamples at n = 3
+        # (see below), and for T4.1 and PROPS
+        ("T2.1", "_slice_cover", (6, 20), ((30, 3), (1961, 0), (30, 3))),
         ("T4.1", "_slice_cover", (6, 20), ((0, 0), (1, 0), (0, 0))),
         ("PROPS", "_slice_cover", (6, 20), ((31, 0), (2034, 0), (31, 0))),
         # PROPS's verdicts under every minimum cover, one per distinct word
